@@ -1,7 +1,13 @@
-"""Benchmark: compiled conditional-MC kernel vs the numpy fallback.
+"""Benchmark: conditional-MC cost per replication per threshold, 1 vs 7 thresholds.
 
-Both backends consume identical pre-generated normal draws, so the comparison
-isolates the per-replication arithmetic (correlation mix, exp/log, erfc).
+The seven thresholds are those of reference table 3 (rho = 0); the single
+threshold is x = 100 among them.  Two stages are timed on the same draws:
+  kernel     `kernels.pair_chunk` on pre-generated normals (correlation mix,
+             exp/log, erfc), the x-independent work shared by all thresholds;
+  estimator  `cond_mc_lognormal_curve` end to end (Philox uniforms, ndtri,
+             kernel, chunk reduction), one worker.
+Sampling is done once per chunk whatever the number of thresholds, so the
+per-threshold cost falls as thresholds are added.
 
 Run:  python benchmarks/bench_cond_mc.py [n]
 """
@@ -12,34 +18,35 @@ import time
 import numpy as np
 from scipy.special import ndtri
 
-from tailagg import kernels
+from tailagg import cond_mc_lognormal_curve, kernels
+from tailagg.tables import TABLE3
+
+RHO = 0.0
+XS = {1: [100.0], 7: [float(r[0]) for r in TABLE3]}
 
 
-def bench(n: int = 5_000_000, repeats: int = 3):
+def _best(fn, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def bench(n: int = 2_000_000, repeats: int = 3):
     rng = np.random.Generator(np.random.Philox(seed=12345))
     u = rng.random((n, 2))
     z1 = np.ascontiguousarray(ndtri(u[:, 0]))
     z2 = np.ascontiguousarray(ndtri(u[:, 1]))
-    args = (0.0, 0.0, 1.0, 1.0, 0.4, 100.0)
+    del u
 
-    results = {}
-    backends = ["python"] + (["compiled"] if kernels.compiled_available() else [])
-    for backend in backends:
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            tot, totsq = kernels.pair_chunk(z1, z2, *args, force=None if backend == "compiled" else "python")
-            best = min(best, time.perf_counter() - t0)
-        results[backend] = (best, tot)
-        print(f"{backend:9s}: {best * 1e9 / n:7.2f} ns/replication   ({n / best / 1e6:7.1f} M repl/s)   sum={tot:.6e}")
-
-    if len(results) == 2:
-        t_py, s_py = results["python"]
-        t_c, s_c = results["compiled"]
-        print(f"speedup  : {t_py / t_c:.2f}x   (relative sum difference {abs(s_py - s_c) / abs(s_py):.2e})")
-    else:
-        print("compiled kernel not built; only the numpy fallback was timed")
+    print(f"n = {n}, rho = {RHO}, best of {repeats}; ns per replication per threshold")
+    for m, xs in XS.items():
+        k = _best(lambda: kernels.pair_chunk(z1, z2, 0.0, 0.0, 1.0, 1.0, RHO, xs), repeats)
+        e = _best(lambda: cond_mc_lognormal_curve(0.0, 1.0, RHO, [1.0, 1.0], xs, n, 42), repeats)
+        print(f"m = {m}:  kernel {k * 1e9 / (n * m):7.2f}   estimator {e * 1e9 / (n * m):7.2f}")
 
 
 if __name__ == "__main__":
-    bench(int(float(sys.argv[1])) if len(sys.argv) > 1 else 5_000_000)
+    bench(int(float(sys.argv[1])) if len(sys.argv) > 1 else 2_000_000)

@@ -51,7 +51,6 @@ from .joint import (
     min_construction,
     mixed_min,
 )
-from .kernels import backend_name, compiled_available
 from .models import (
     AuxiliaryFn,
     TailModel,
@@ -79,6 +78,7 @@ from .rare_event import (
     EstimateResult,
     RatioVsAsymptotic,
     cond_mc_lognormal,
+    cond_mc_lognormal_curve,
     cond_mc_terms,
     exact_comonotone_lognormal,
     exact_lognormal_single,

@@ -45,7 +45,7 @@ def _parse_floats(text: str) -> list:
 def _parse_count(text: str) -> int:
     # accept scientific notation like 1e7 for sample counts
     v = float(text)
-    if v < 1 or v != int(v) and v > 1e15:
+    if not (1 <= v <= 1e15 and v == int(v)):
         raise argparse.ArgumentTypeError(f"bad count {text!r}")
     return int(v)
 
@@ -56,9 +56,6 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise argparse.ArgumentTypeError("grid spec must be lo:hi:count in log10, e.g. 1:5:9")
     lo, hi, count = float(m.group(1)), float(m.group(2)), int(m.group(3))
     return np.logspace(lo, hi, count)
-
-
-_CONSTRAINT_RE = re.compile(r"\s*((?:[0-9.]+\s*\*\s*)?a\d+)\s*")
 
 
 def _parse_constraint(text: str) -> LinearConstraint:

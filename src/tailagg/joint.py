@@ -54,10 +54,6 @@ def _uniforms(seed: int, stream: int, shape) -> np.ndarray:
     return np.clip(u, _U_LO, _U_HI)
 
 
-def gaussian_from_uniform(u: np.ndarray) -> np.ndarray:
-    return ndtri(u)
-
-
 @dataclass(frozen=True)
 class JointModel:
     """A d-variate dependence structure (d = 2 except iid_pair).
@@ -131,7 +127,7 @@ class JointModel:
             return self.marginal.quantile(u)
         if kind == BIVARIATE_LOGNORMAL:
             u = _uniforms(seed, stream, (n, 2))
-            g = gaussian_from_uniform(u)
+            g = ndtri(u)
             z1 = g[:, 0]
             z2 = self.rho * g[:, 0] + math.sqrt(1.0 - self.rho * self.rho) * g[:, 1]
             return np.exp(self.mu + self.sigma * np.column_stack([z1, z2]))
@@ -242,12 +238,6 @@ def bivln_joint_log_survival(model: JointModel, x: float, y: float) -> float:
     if model.rho == 0.0:
         return float(norm_log_sf(t1) + norm_log_sf(t2))
     return bivariate_normal_orthant_log(t1, t2, model.rho)
-
-
-def asy_indep_ratio_log(model: JointModel, x: float) -> float:
-    """log of P(Y > x | X > x) for a bivariate lognormal (the joint-tail ratio)."""
-    t = (math.log(x) - model.mu) / model.sigma
-    return bivln_joint_log_survival(model, x, x) - float(norm_log_sf(t))
 
 
 # -- configs ---------------------------------------------------------------------

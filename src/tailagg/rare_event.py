@@ -5,12 +5,19 @@ Three routes:
     X + exp(2 mu)/X with lognormal X,
   * plain_mc                   - indicator Monte Carlo on any joint model,
   * cond_mc_lognormal          - conditional Monte Carlo for sums of
-    equicorrelated lognormal terms (the workhorse for deep tails).
+    equicorrelated lognormal terms (the workhorse for deep tails);
+    cond_mc_lognormal_curve scores one set of draws at several thresholds.
 
 Replications are partitioned into fixed-size substreams keyed by
-(seed, chunk index); merging is an ordered reduction of (sum, sum-of-squares,
-count) triples, so results are bit-identical for a fixed backend no matter
-how many workers ran the chunks.
+(seed, chunk index); merging is an ordered reduction of per-chunk (sum,
+sum-of-squares) pairs, so results are bit-identical no matter how many
+workers ran the chunks.
+
+The conditional route samples each chunk once and scores it at every
+requested threshold (common random numbers).  A one-threshold call is the
+same engine with one threshold, so a curve entry equals, bit for bit, the
+call made at its threshold alone; the entries of one curve share their draws,
+so their errors are correlated across thresholds.
 """
 
 from __future__ import annotations
@@ -44,6 +51,9 @@ class EstimateResult:
     half_width95: float
     method: str
     seed: Optional[int] = None
+    # effective sample size (sum v)^2 / sum v^2 of the replication values v;
+    # NaN for exact results
+    ess: float = math.nan
 
     @staticmethod
     def from_moments(total: float, total_sq: float, n: int, method: str, seed) -> "EstimateResult":
@@ -53,7 +63,8 @@ class EstimateResult:
             se = math.sqrt(var / n)
         else:
             se = float("nan")
-        return EstimateResult(min(mean, 1.0), n, se, 1.96 * se, method, seed)
+        ess = total * total / total_sq if total_sq > 0 else 0.0
+        return EstimateResult(min(mean, 1.0), n, se, 1.96 * se, method, seed, ess)
 
 
 @dataclass(frozen=True)
@@ -132,7 +143,8 @@ def plain_mc(
     p = hits / n
     se = math.sqrt(p * (1.0 - p) / n)
     root = seed if isinstance(seed, int) else None
-    return EstimateResult(p, n, se, 1.96 * se, PLAIN_MC, root)
+    # for 0/1 replication values (sum v)^2 / sum v^2 is the hit count
+    return EstimateResult(p, n, se, 1.96 * se, PLAIN_MC, root, hits)
 
 
 def _substream(key: tuple, k: int) -> int:
@@ -152,21 +164,12 @@ def _map_chunks(fn, n: int, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def cond_mc_terms(
-    nu: Sequence[float],
-    sig: Sequence[float],
-    rho: float,
-    x: float,
-    n: int,
-    seed,
-    workers: int = 1,
-    backend: Optional[str] = None,
-) -> EstimateResult:
-    """Conditional MC for P(sum_i exp(nu_i + sig_i Z_i) > x), Z equicorrelated.
+def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, workers: int) -> list:
+    """Conditional MC of P(sum_i exp(nu_i + sig_i Z_i) > x) for every x in xs.
 
-    This is the general engine behind `cond_mc_lognormal`; `nu` absorbs both
-    per-term coefficients and location shifts, `sig` the per-term volatilities
-    (so power transforms of a common base fit the same mold).
+    One pass over the chunks samples each chunk once and scores it at every
+    positive threshold; each threshold's chunk moments are then reduced in
+    chunk order.  An x <= 0 is certain and draws nothing.
     """
     nu = np.asarray(nu, dtype=float)
     sig = np.asarray(sig, dtype=float)
@@ -181,30 +184,73 @@ def cond_mc_terms(
     if n < 1:
         raise ValueError("n must be >= 1")
     root = seed if isinstance(seed, int) else None
-    if x <= 0.0:
-        return EstimateResult(1.0, n, 0.0, 0.0, COND_MC, root)
-    key = _seed_key(seed)
+    xs = [float(x) for x in xs]
+    positive = [x for x in xs if not x <= 0.0]  # NaN included: only x <= 0 is certain
+    sums = [[0.0, 0.0] for _ in positive]
+    if positive:
+        key = _seed_key(seed)
 
-    def run(item):
-        k, size = item
-        u = _uniforms(key[0], _substream(key, k), (size, d))
-        z = ndtri(u)
-        if d == 2:
-            return kernels.pair_chunk(
-                np.ascontiguousarray(z[:, 0]),
-                np.ascontiguousarray(z[:, 1]),
-                nu[0], nu[1], sig[0], sig[1], rho, x,
-                force=backend,
-            )
-        return kernels.equicorr_chunk(z, nu, sig, rho, x)
+        def run(item):
+            k, size = item
+            z = ndtri(_uniforms(key[0], _substream(key, k), (size, d)))
+            if d == 2:
+                z1 = np.ascontiguousarray(z[:, 0])
+                z2 = np.ascontiguousarray(z[:, 1])
+                del z
+                return kernels.pair_chunk(z1, z2, nu[0], nu[1], sig[0], sig[1], rho, positive)
+            return kernels.equicorr_chunk(z, nu, sig, rho, positive)
 
-    parts = _map_chunks(run, n, workers)
-    total = 0.0
-    total_sq = 0.0
-    for t, tsq in parts:
-        total += t
-        total_sq += tsq
-    return EstimateResult.from_moments(total, total_sq, n, COND_MC, root)
+        for part in _map_chunks(run, n, workers):
+            for acc, (t, tsq) in zip(sums, part.tolist()):
+                acc[0] += t
+                acc[1] += tsq
+    moments = iter(sums)
+    return [
+        EstimateResult(1.0, n, 0.0, 0.0, COND_MC, root)
+        if x <= 0.0
+        else EstimateResult.from_moments(*next(moments), n, COND_MC, root)
+        for x in xs
+    ]
+
+
+def cond_mc_terms(
+    nu: Sequence[float],
+    sig: Sequence[float],
+    rho: float,
+    x: float,
+    n: int,
+    seed,
+    workers: int = 1,
+) -> EstimateResult:
+    """Conditional MC for P(sum_i exp(nu_i + sig_i Z_i) > x), Z equicorrelated.
+
+    This is the general engine behind `cond_mc_lognormal`; `nu` absorbs both
+    per-term coefficients and location shifts, `sig` the per-term volatilities
+    (so power transforms of a common base fit the same mold).
+    """
+    return _cond_mc_curve(nu, sig, rho, [x], n, seed, workers)[0]
+
+
+def _lognormal_terms(mu: float, sigma: float, rho: float, a: Sequence[float]):
+    """Validate; return the positive coefficients and the (nu, sig) of their terms."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    a = np.asarray(a, dtype=float)
+    if len(a) < 2:
+        raise ValueError("need at least two coefficients")
+    if np.any(a < 0):
+        raise ValueError("coefficients must be nonnegative")
+    if not -1.0 < rho < 1.0:
+        raise ValueError("rho must be in (-1, 1); the endpoints have exact/degenerate forms")
+    a_pos = a[a > 0]
+    return a_pos, mu + np.log(a_pos), np.full(len(a_pos), float(sigma))
+
+
+def _exact_below_two_terms(mu: float, sigma: float, a_pos: np.ndarray, x: float, seed) -> EstimateResult:
+    # with no positive coefficient the sum is 0, which exact_lognormal_single covers at a = 0
+    a1 = float(a_pos[0]) if len(a_pos) else 0.0
+    root = seed if isinstance(seed, int) else None
+    return EstimateResult(exact_lognormal_single(mu, sigma, a1, x), 0, 0.0, 0.0, EXACT, root)
 
 
 def cond_mc_lognormal(
@@ -216,7 +262,6 @@ def cond_mc_lognormal(
     n: int,
     seed,
     workers: int = 1,
-    backend: Optional[str] = None,
 ) -> EstimateResult:
     """Unbiased conditional-MC estimate of P(sum_i a_i exp(Z_i) > x).
 
@@ -226,25 +271,32 @@ def cond_mc_lognormal(
     are dropped up front (they cannot move the sum); if only one positive term
     remains the probability is computed exactly.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    a = np.asarray(a, dtype=float)
-    if len(a) < 2:
-        raise ValueError("need at least two coefficients")
-    if np.any(a < 0):
-        raise ValueError("coefficients must be nonnegative")
-    if not -1.0 < rho < 1.0:
-        raise ValueError("rho must be in (-1, 1); the endpoints have exact/degenerate forms")
-    keep = a > 0
-    root = seed if isinstance(seed, int) else None
-    if keep.sum() == 0:
-        return EstimateResult(0.0 if x > 0 else 1.0, 0, 0.0, 0.0, EXACT, root)
-    if keep.sum() == 1:
-        p = exact_lognormal_single(mu, sigma, float(a[keep][0]), x)
-        return EstimateResult(p, 0, 0.0, 0.0, EXACT, root)
-    nu = mu + np.log(a[keep])
-    sig = np.full(int(keep.sum()), float(sigma))
-    return cond_mc_terms(nu, sig, rho, x, n, seed, workers=workers, backend=backend)
+    a_pos, nu, sig = _lognormal_terms(mu, sigma, rho, a)
+    if len(a_pos) < 2:
+        return _exact_below_two_terms(mu, sigma, a_pos, x, seed)
+    return cond_mc_terms(nu, sig, rho, x, n, seed, workers=workers)
+
+
+def cond_mc_lognormal_curve(
+    mu: float,
+    sigma: float,
+    rho: float,
+    a: Sequence[float],
+    xs: Sequence[float],
+    n: int,
+    seed,
+    workers: int = 1,
+) -> list:
+    """`cond_mc_lognormal` at every threshold in xs, on one set of draws.
+
+    Entry j equals `cond_mc_lognormal(mu, sigma, rho, a, xs[j], n, seed)` bit
+    for bit, but the chunks are sampled once for all thresholds, so the
+    entries' errors are correlated.
+    """
+    a_pos, nu, sig = _lognormal_terms(mu, sigma, rho, a)
+    if len(a_pos) < 2:
+        return [_exact_below_two_terms(mu, sigma, a_pos, x, seed) for x in xs]
+    return _cond_mc_curve(nu, sig, rho, xs, n, seed, workers)
 
 
 def ratio_vs_asymptotic(est: EstimateResult, approx) -> RatioVsAsymptotic:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from tailagg.cli import main
+from tailagg.cli import _parse_count, main
 from tailagg.tables import make_table1, read_csv_rows
 
 
@@ -81,6 +82,23 @@ def test_simulate_requires_seed(bivln_cfg):
 def test_unknown_flag_rejected(bivln_cfg):
     with pytest.raises(SystemExit) as exc:
         main(["approx", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "10", "--frobnicate", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text, count", [("1e7", 10**7), ("10000", 10_000), ("1", 1), ("2.5e3", 2500), ("1e15", 10**15)])
+def test_parse_count_accepts_whole_counts(text, count):
+    assert _parse_count(text) == count and isinstance(_parse_count(text), int)
+
+
+@pytest.mark.parametrize("text", ["1.5", "0.5", "0", "-3", "1e16", "1.5e15", "nan", "inf", "-inf", "1e4.5"])
+def test_parse_count_rejects_other_values(text):
+    with pytest.raises((argparse.ArgumentTypeError, ValueError)):
+        _parse_count(text)
+
+
+def test_fractional_count_rejected_on_the_command_line(bivln_cfg):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "10", "--n", "1.5", "--seed", "1"])
     assert exc.value.code == 2
 
 

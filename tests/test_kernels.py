@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from tailagg import kernels
-from tailagg._kernels_py import cond_mc_equicorr_chunk, cond_mc_pair_chunk
+from tailagg.kernels import equicorr_chunk, pair_chunk
 
 
 def _normals(n, seed):
@@ -10,63 +9,43 @@ def _normals(n, seed):
     return rng.standard_normal(n), rng.standard_normal(n)
 
 
-def test_backend_name_reported():
-    assert kernels.backend_name() in ("python", "compiled")
-    assert isinstance(kernels.compiled_available(), bool)
-
-
 def test_python_kernel_values_are_probability_like():
     z1, z2 = _normals(10_000, 1)
-    tot, totsq = cond_mc_pair_chunk(z1, z2, 0.0, 0.0, 1.0, 1.0, 0.3, 20.0)
+    out = pair_chunk(z1, z2, 0.0, 0.0, 1.0, 1.0, 0.3, [20.0])
+    assert out.shape == (1, 2)
+    tot, totsq = out[0]
     assert 0.0 <= tot / 10_000 <= 1.0
     assert totsq >= 0.0
-
-
-@pytest.mark.skipif(not kernels.compiled_available(), reason="compiled kernel not built")
-def test_compiled_matches_python_kernel():
-    z1, z2 = _normals(50_000, 2)
-    for rho, x, nu2, s2 in ((0.0, 50.0, 0.0, 1.0), (-0.9, 10.0, 0.5, 2.0), (0.9, 100.0, -0.3, 0.7)):
-        t_py, tsq_py = cond_mc_pair_chunk(z1, z2, 0.0, nu2, 1.0, s2, rho, x)
-        t_c, tsq_c = kernels.pair_chunk(z1, z2, 0.0, nu2, 1.0, s2, rho, x, force=None)
-        assert t_c == pytest.approx(t_py, rel=5e-13)
-        assert tsq_c == pytest.approx(tsq_py, rel=5e-13)
 
 
 def test_general_kernel_reduces_to_pair_kernel_at_d2():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((30_000, 2))
     for rho in (-0.6, 0.0, 0.7):
-        t_pair, tsq_pair = cond_mc_pair_chunk(
-            np.ascontiguousarray(z[:, 0]), np.ascontiguousarray(z[:, 1]), 0.1, -0.2, 1.0, 1.3, rho, 25.0
-        )
-        t_gen, tsq_gen = cond_mc_equicorr_chunk(z, np.array([0.1, -0.2]), np.array([1.0, 1.3]), rho, 25.0)
+        t_pair, tsq_pair = pair_chunk(
+            np.ascontiguousarray(z[:, 0]), np.ascontiguousarray(z[:, 1]), 0.1, -0.2, 1.0, 1.3, rho, [25.0]
+        )[0]
+        t_gen, tsq_gen = equicorr_chunk(z, np.array([0.1, -0.2]), np.array([1.0, 1.3]), rho, [25.0])[0]
         assert t_gen == pytest.approx(t_pair, rel=1e-10)
         assert tsq_gen == pytest.approx(tsq_pair, rel=1e-10)
 
 
-def test_forced_python_dispatch():
-    z1, z2 = _normals(1000, 4)
-    a = kernels.pair_chunk(z1, z2, 0.0, 0.0, 1.0, 1.0, 0.2, 10.0, force="python")
-    b = cond_mc_pair_chunk(z1, z2, 0.0, 0.0, 1.0, 1.0, 0.2, 10.0)
-    assert a == b
+def test_pair_kernel_rows_equal_one_threshold_calls():
+    z1, z2 = _normals(20_000, 5)
+    xs = [3.0, 10.0, 50.0, 2000.0]
+    for rho in (-0.9, 0.0, 0.9):
+        args = (z1, z2, 0.2, -0.1, 1.0, 1.4, rho)
+        rows = pair_chunk(*args, xs)
+        assert rows.shape == (len(xs), 2)
+        for x, row in zip(xs, rows):
+            assert row.tolist() == pair_chunk(*args, [x])[0].tolist()
 
 
-def test_backend_env_var_selects_fallback():
-    import subprocess
-    import sys
+def test_equicorr_kernel_rows_equal_one_threshold_calls():
+    z = np.random.default_rng(6).standard_normal((20_000, 3))
+    nu, sig = np.array([0.0, 0.3, -0.2]), np.array([1.0, 0.8, 1.2])
+    xs = [5.0, 40.0, 300.0]
+    rows = equicorr_chunk(z, nu, sig, 0.25, xs)
+    for x, row in zip(xs, rows):
+        assert row.tolist() == equicorr_chunk(z, nu, sig, 0.25, [x])[0].tolist()
 
-    code = (
-        "import os; os.environ['TAILAGG_BACKEND'] = 'python'; "
-        "import tailagg; print(tailagg.backend_name())"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "python"
-
-
-def test_backend_env_var_rejects_unknown():
-    import subprocess
-    import sys
-
-    code = "import os; os.environ['TAILAGG_BACKEND'] = 'fortran'; import tailagg"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode != 0 and "TAILAGG_BACKEND" in out.stderr

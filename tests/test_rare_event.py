@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import erfc, ndtr, ndtri
 
 from tailagg import (
     approx_sum_pair,
     bivariate_lognormal,
     cond_mc_lognormal,
+    cond_mc_lognormal_curve,
     cond_mc_terms,
     exact_comonotone_lognormal,
     exact_lognormal_single,
@@ -17,7 +18,7 @@ from tailagg import (
     ratio_vs_asymptotic,
     weibull_type,
 )
-from tailagg.kernels import compiled_available
+from tailagg import rare_event, tables
 from tailagg.rare_event import EstimateResult
 
 LN = lognormal(0.0, 1.0)
@@ -187,20 +188,129 @@ def test_cond_mc_determinism_and_worker_invariance():
     assert r1.std_error == r2.std_error == r3.std_error
 
 
-@pytest.mark.skipif(not compiled_available(), reason="compiled kernel not built")
-def test_backends_agree():
-    kw = dict(mu=0.0, sigma=1.0, rho=-0.5, a=[1.0, 2.0], x=30.0, n=10**5, seed=7)
-    py = cond_mc_lognormal(**kw, backend="python")
-    comp = cond_mc_lognormal(**kw)
-    assert comp.estimate == pytest.approx(py.estimate, rel=1e-12)
-    assert comp.std_error == pytest.approx(py.std_error, rel=1e-9)
-
-
 def test_deep_tail_resolution():
     # the conditional route resolves 1e-14 probabilities with a tight CI
     est = cond_mc_lognormal(0.0, 1.0, 0.0, [1.0, 1.0], 2000.0, 10**6, seed=21)
     assert 1e-14 < est.estimate < 1e-13
     assert est.half_width95 / est.estimate < 0.05
+
+
+# ---------------------------------------------------------------- draw reuse across thresholds
+
+SMALL_CHUNK = 4096
+N_SPAN = 3 * SMALL_CHUNK + 1000  # three full chunks and a partial one
+
+
+@pytest.fixture()
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(rare_event, "CHUNK", SMALL_CHUNK)
+
+
+def _table_thresholds():
+    xs = {r[0] for t in (tables.TABLE2, tables.TABLE3, tables.TABLE4) for r in t}
+    return [float(x) for x in sorted(xs)]
+
+
+def _reference_pair_estimate(mu, rho, x, n, seed):
+    # one threshold at a time, with the d = 2 estimator written out inline and
+    # the chunks reduced in order: the arithmetic every curve entry must match
+    key = rare_event._seed_key(seed)
+    sc = math.sqrt(1.0 - rho * rho)
+    total = total_sq = 0.0
+    for k, size in rare_event._chunk_ranges(n):
+        z = ndtri(rare_event._uniforms(key[0], rare_event._substream(key, k), (size, 2)))
+        w1, w2 = z[:, 0], rho * z[:, 0] + sc * z[:, 1]
+        t1, t2 = np.exp(mu + w1), np.exp(mu + w2)
+        v = 0.5 * erfc((((np.log(np.maximum(t2, x - t2)) - mu) - rho * w2) / sc) * (1.0 / math.sqrt(2.0)))
+        v += 0.5 * erfc((((np.log(np.maximum(t1, x - t1)) - mu) - rho * w1) / sc) * (1.0 / math.sqrt(2.0)))
+        total += float(v.sum())
+        total_sq += float(np.dot(v, v))
+    return EstimateResult.from_moments(total, total_sq, n, "cond_mc", seed)
+
+
+def test_curve_matches_a_per_threshold_reference(small_chunks):
+    xs = [3.0, 50.0, 600.0]
+    for rho in (-0.9, 0.0, 0.9):
+        curve = cond_mc_lognormal_curve(0.2, 1.0, rho, [1.0, 1.0], xs, N_SPAN, 17)
+        assert curve == [_reference_pair_estimate(0.2, rho, x, N_SPAN, 17) for x in xs]
+
+
+def test_curve_equals_one_threshold_calls_for_tables_2_to_4(small_chunks):
+    xs = _table_thresholds()
+    for rho in (-0.9, 0.0, 0.9):
+        curve = cond_mc_lognormal_curve(0.0, 1.0, rho, [1.0, 1.0], xs, N_SPAN, 42)
+        singles = [cond_mc_lognormal(0.0, 1.0, rho, [1.0, 1.0], x, N_SPAN, 42) for x in xs]
+        assert curve == singles
+        assert all(r.method == "cond_mc" and r.n == N_SPAN for r in curve)
+
+
+def test_curve_equals_one_threshold_calls_at_d3(small_chunks):
+    mu, sigma, rho, a = 0.1, 0.9, 0.3, [1.0, 0.5, 2.0]
+    xs = [2.0, 20.0, 100.0]
+    curve = cond_mc_lognormal_curve(mu, sigma, rho, a, xs, N_SPAN, (5, 2))
+    nu = mu + np.log(np.asarray(a))
+    singles = [cond_mc_terms(nu, [sigma] * 3, rho, x, N_SPAN, (5, 2)) for x in xs]
+    assert curve == singles
+
+
+def test_curve_is_worker_invariant(small_chunks):
+    xs = [3.0, 30.0, 300.0]
+    for a in ([1.0, 1.0], [1.0, 1.0, 1.0]):
+        one = cond_mc_lognormal_curve(0.0, 1.0, 0.2, a, xs, N_SPAN, 9, workers=1)
+        two = cond_mc_lognormal_curve(0.0, 1.0, 0.2, a, xs, N_SPAN, 9, workers=2)
+        assert one == two
+
+
+def test_curve_nonpositive_threshold_is_certain(small_chunks):
+    curve = cond_mc_lognormal_curve(0.0, 1.0, -0.5, [1.0, 1.0], [0.0, 10.0, -3.0], N_SPAN, 4)
+    for r in (curve[0], curve[2]):
+        assert r.estimate == 1.0 and r.std_error == 0.0 and r.half_width95 == 0.0
+    assert curve[1] == cond_mc_lognormal(0.0, 1.0, -0.5, [1.0, 1.0], 10.0, N_SPAN, 4)
+
+
+def test_curve_draws_nothing_without_a_positive_threshold(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("sampled for a certain event")
+
+    monkeypatch.setattr(rare_event, "_uniforms", no_draws)
+    curve = cond_mc_lognormal_curve(0.0, 1.0, 0.0, [1.0, 1.0], [0.0, -1.0], 1000, 1)
+    assert [r.estimate for r in curve] == [1.0, 1.0]
+
+
+def test_one_element_curve_equals_scalar_call(small_chunks):
+    kw = dict(mu=0.0, sigma=1.0, rho=0.6, a=[2.0, 1.0], n=N_SPAN, seed=12)
+    assert cond_mc_lognormal_curve(xs=[40.0], **kw) == [cond_mc_lognormal(x=40.0, **kw)]
+
+
+def test_curve_with_one_positive_coefficient_is_exact():
+    curve = cond_mc_lognormal_curve(0.0, 1.0, 0.3, [0.0, 2.0], [5.0, 10.0], 1000, 9)
+    assert curve == [cond_mc_lognormal(0.0, 1.0, 0.3, [0.0, 2.0], x, 1000, 9) for x in (5.0, 10.0)]
+    assert all(r.method == "exact" for r in curve)
+
+
+# ---------------------------------------------------------------- effective sample size
+
+
+def test_ess_of_constant_replication_values_is_n():
+    for n, c in ((100, 0.5), (10**6, 0.25), (7, 1.0)):
+        assert EstimateResult.from_moments(n * c, n * c * c, n, "cond_mc", 1).ess == n
+
+
+def test_ess_is_nan_for_exact_results():
+    assert math.isnan(exact_comonotone_lognormal(0.0, 10.0).ess)
+    assert math.isnan(cond_mc_lognormal(0.0, 1.0, 0.3, [0.0, 2.0], 10.0, 1000, seed=9).ess)
+    assert math.isnan(cond_mc_lognormal(0.0, 1.0, 0.3, [1.0, 2.0], 0.0, 1000, seed=9).ess)
+
+
+def test_ess_of_estimates():
+    r = cond_mc_lognormal(0.0, 1.0, 0.0, [1.0, 1.0], 100.0, 50_000, seed=3)
+    assert 0.0 < r.ess <= r.n
+    # the ESS is the moment ratio, so it also fixes the relative error: with
+    # mean m and ESS e, Var v = m^2 (n/e - 1) up to the n-1 correction
+    rel_var = (r.std_error / r.estimate) ** 2 * r.n
+    assert rel_var == pytest.approx((r.n / r.ess - 1.0) * r.n / (r.n - 1), rel=1e-9)
+    p = plain_mc(iid_pair(LN), [1.0, 1.0], 10.0, 20_000, seed=4)
+    assert p.ess == round(p.estimate * p.n)
 
 
 # ---------------------------------------------------------------- ratio helper
