@@ -50,6 +50,13 @@ def _parse_count(text: str) -> int:
     return int(v)
 
 
+def _parse_workers(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {text!r}")
+    return v
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     m = re.fullmatch(r"([-0-9.]+):([-0-9.]+):(\d+)", spec)
     if not m:
@@ -65,11 +72,15 @@ def _parse_constraint(text: str) -> LinearConstraint:
     lhs, rhs = text.split(">=")
     L = float(rhs)
     coeffs = {}
-    for term in lhs.split("+"):
+    # a '+' after an exponent marker belongs to the number, as in 1e+20*a1
+    for term in re.split(r"(?<![eE])\+", lhs):
         m = re.fullmatch(r"\s*(?:([0-9.eE+-]+)\s*\*\s*)?a(\d+)\s*", term)
         if not m:
             raise ValueError(f"bad constraint term {term!r}")
-        coeffs[int(m.group(2))] = float(m.group(1)) if m.group(1) else 1.0
+        i = int(m.group(2))
+        if i in coeffs:
+            raise ValueError(f"constraint term a{i} appears twice")
+        coeffs[i] = float(m.group(1)) if m.group(1) else 1.0
     idx = sorted(coeffs)
     if idx != list(range(1, len(idx) + 1)):
         raise ValueError("constraint terms must cover a1..ad")
@@ -168,7 +179,7 @@ _CHECKS = ("A1", "A2", "A3", "A4", "A5", "SUBEXP", "ASYINDEP")
 
 
 def cmd_check(args) -> int:
-    grid = _parse_grid(args.grid_log)
+    grid = args.grid_log
     name = args.assumption.upper()
     if name in ("A1", "A2", "SUBEXP"):
         if not args.model:
@@ -291,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=_parse_count, required=True, help="sample budget, e.g. 1e7")
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--method", choices=("cond", "plain"), default="cond")
-    ps.add_argument("--workers", type=int, default=1)
+    ps.add_argument("--workers", type=_parse_workers, default=1)
     ps.add_argument("--out")
     ps.set_defaults(fn=cmd_simulate)
 
@@ -302,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--model2", help="second marginal (A2)")
     pc.add_argument("--L", type=float, default=1.0)
     pc.add_argument("--t", type=float, default=1.0)
-    pc.add_argument("--grid-log", default="1:5:9", help="log10 grid lo:hi:count")
+    pc.add_argument("--grid-log", type=_parse_grid, default="1:5:9", help="log10 grid lo:hi:count")
     pc.add_argument("--method", choices=("auto", "closed_form", "mc"), default="auto")
     pc.add_argument("--mc-n", type=_parse_count, default=10**6)
     pc.add_argument("--seed", type=int)
@@ -318,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--grid-step", type=float, default=0.01)
     po.add_argument("--n", type=_parse_count, default=10**4)
     po.add_argument("--seed", type=int)
-    po.add_argument("--workers", type=int, default=1)
+    po.add_argument("--workers", type=_parse_workers, default=1)
     po.add_argument("--csv", help="per-grid-point estimates")
     po.add_argument("--out")
     po.set_defaults(fn=cmd_optimize)
@@ -327,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--which", help="comma-separated table ids, default all")
     pt.add_argument("--budget-scale", type=float, default=1.0)
     pt.add_argument("--seed", type=int)
-    pt.add_argument("--workers", type=int, default=1)
+    pt.add_argument("--workers", type=_parse_workers, default=1)
     pt.add_argument("--out-dir", required=True)
     pt.set_defaults(fn=cmd_reproduce_tables)
     return p

@@ -246,6 +246,8 @@ def check_joint_aux(
         return AssumptionReport(
             A5_JOINT_AUX, tuple(g), tuple(vals), classify_trend(vals), MONTE_CARLO, mc_n, seed
         )
+    if method not in ("auto", "closed_form"):
+        raise ValueError("method must be auto, closed_form or mc")
 
     vals = []
     used = CLOSED_FORM

@@ -24,6 +24,9 @@ from scipy.special import log_ndtr, ndtri
 from .errors import UnsupportedKind
 from .models import (
     TailModel,
+    config_fields,
+    config_integer,
+    config_tag,
     lognormal,
     log_weibull,
     log_weibull_min,
@@ -38,7 +41,16 @@ COMONOTONE_INVERSE = "comonotone_inverse"
 MIN_CONSTRUCTION = "min_construction"
 MIXED_MIN = "mixed_min"
 
-KINDS = (IID_PAIR, BIVARIATE_LOGNORMAL, COMONOTONE_INVERSE, MIN_CONSTRUCTION, MIXED_MIN)
+# kind -> its config keys with their defaults, None marking a required key
+_FIELDS = {
+    IID_PAIR: {"marginal": None, "dim": 2},
+    BIVARIATE_LOGNORMAL: {"mu": 0.0, "sigma": 1.0, "rho": None},
+    COMONOTONE_INVERSE: {"marginal": None},
+    MIN_CONSTRUCTION: {"alpha": None},
+    MIXED_MIN: {"base": None, "lighter": None},
+}
+# keys whose values are not plain numbers: nested model configs and the dimension
+_READERS = {"marginal": model_from_config, "base": model_from_config, "lighter": model_from_config, "dim": config_integer}
 
 _U_LO = 1e-300
 _U_HI = 1.0 - 1e-16
@@ -77,7 +89,7 @@ class JointModel:
     dim: int = 2
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _FIELDS:
             raise ValueError(f"unknown joint kind {self.kind!r}")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
@@ -248,40 +260,14 @@ def joint_from_config(cfg: dict) -> JointModel:
 
     Example: {"kind": "bivariate_lognormal", "mu": 0, "sigma": 1, "rho": -0.9}
     """
-    if "kind" not in cfg:
-        raise ValueError("joint config needs a 'kind' key")
-    kind = str(cfg["kind"]).lower()
-    if kind == IID_PAIR:
-        return JointModel(IID_PAIR, marginal=model_from_config(cfg["marginal"]), dim=int(cfg.get("dim", 2)))
-    if kind == BIVARIATE_LOGNORMAL:
-        return JointModel(
-            BIVARIATE_LOGNORMAL,
-            mu=float(cfg.get("mu", 0.0)),
-            sigma=float(cfg.get("sigma", 1.0)),
-            rho=float(cfg["rho"]),
-        )
-    if kind == COMONOTONE_INVERSE:
-        return JointModel(COMONOTONE_INVERSE, marginal=model_from_config(cfg["marginal"]))
-    if kind == MIN_CONSTRUCTION:
-        return JointModel(MIN_CONSTRUCTION, alpha=float(cfg["alpha"]))
-    if kind == MIXED_MIN:
-        return JointModel(MIXED_MIN, base=model_from_config(cfg["base"]), lighter=model_from_config(cfg["lighter"]))
-    raise ValueError(f"unknown joint kind {cfg['kind']!r}")
+    kind = config_tag(cfg, "kind", _FIELDS)
+    return JointModel(kind, **config_fields(cfg, "kind", _FIELDS[kind], _READERS))
 
 
 def joint_to_config(m: JointModel) -> dict:
-    if m.kind == IID_PAIR:
-        out = {"kind": m.kind, "marginal": model_to_config(m.marginal)}
-        if m.dim != 2:
-            out["dim"] = m.dim
-        return out
-    if m.kind == BIVARIATE_LOGNORMAL:
-        return {"kind": m.kind, "mu": m.mu, "sigma": m.sigma, "rho": m.rho}
-    if m.kind == COMONOTONE_INVERSE:
-        return {"kind": m.kind, "marginal": model_to_config(m.marginal)}
-    if m.kind == MIN_CONSTRUCTION:
-        return {"kind": m.kind, "alpha": m.alpha}
-    return {"kind": m.kind, "base": model_to_config(m.base), "lighter": model_to_config(m.lighter)}
+    """The config of m; dim is written only when it is not 2."""
+    fields = [(k, getattr(m, k)) for k, d in _FIELDS[m.kind].items() if k != "dim" or m.dim != d]
+    return {"kind": m.kind, **{k: model_to_config(v) if isinstance(v, TailModel) else v for k, v in fields}}
 
 
 def iid_pair(marginal: TailModel, dim: int = 2) -> JointModel:

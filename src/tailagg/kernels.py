@@ -90,11 +90,11 @@ def equicorr_chunk(
 
     t = np.exp(nu + sig * w)
     s_all = t.sum(axis=1)
-    order = np.argsort(t, axis=1)
-    top = order[:, -1]
-    t_top = t[np.arange(n), top]
-    t_second = t[np.arange(n), order[:, -2]]
-    del order
+    top = np.argmax(t, axis=1)
+    # partitioning at d - 2 leaves the two largest terms in the last two places
+    part = np.partition(t, d - 2, axis=1)
+    t_top, t_second = part[:, -1], part[:, -2]
+    del part
 
     denom = 1.0 + (d - 2) * rho
     cond_sd = math.sqrt(1.0 - (d - 1) * rho * rho / denom)

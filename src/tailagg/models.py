@@ -16,6 +16,7 @@ to a closed form (see `canonical`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -31,17 +32,21 @@ WEIBULL_TYPE = "weibull_type"
 EXPONENTIAL = "exponential"
 STD_NORMAL = "std_normal"
 
-FAMILIES = (
-    LOGNORMAL,
-    LOG_WEIBULL,
-    LOG_WEIBULL_MIN,
-    WEIBULL_TYPE,
-    EXPONENTIAL,
-    STD_NORMAL,
-)
+_MODIFIERS = {"scale": 1.0, "power": 1.0}
 
-# families supported on [support_edge, inf); std_normal is the only signed one
-_NONNEGATIVE = (LOGNORMAL, LOG_WEIBULL, LOG_WEIBULL_MIN, WEIBULL_TYPE, EXPONENTIAL)
+# family -> its config keys with their defaults, None marking a required key;
+# std_normal takes no power, since a power of a signed variable is undefined
+_PARAMS = {
+    LOGNORMAL: {"mu": 0.0, "sigma": 1.0, **_MODIFIERS},
+    LOG_WEIBULL: {"alpha": None, **_MODIFIERS},
+    LOG_WEIBULL_MIN: {"alpha": None, **_MODIFIERS},
+    WEIBULL_TYPE: {"alpha": None, **_MODIFIERS},
+    EXPONENTIAL: {"rate": 1.0, **_MODIFIERS},
+    STD_NORMAL: {"scale": 1.0},
+}
+
+# family -> largest value of the base variable X with survival 1
+_EDGE = {LOGNORMAL: 0.0, LOG_WEIBULL: 1.0, LOG_WEIBULL_MIN: 1.0, WEIBULL_TYPE: 0.0, EXPONENTIAL: 0.0, STD_NORMAL: -math.inf}
 
 
 def norm_log_sf(z):
@@ -92,7 +97,7 @@ class TailModel:
     power: float = 1.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _PARAMS:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == LOGNORMAL and not self.sigma > 0:
             raise ValueError("lognormal requires sigma > 0")
@@ -112,21 +117,12 @@ class TailModel:
     @property
     def support_edge(self) -> float:
         """Largest x with survival(x) = 1 (or -inf for std_normal)."""
-        base = {
-            LOGNORMAL: 0.0,
-            LOG_WEIBULL: 1.0,
-            LOG_WEIBULL_MIN: 1.0,
-            WEIBULL_TYPE: 0.0,
-            EXPONENTIAL: 0.0,
-            STD_NORMAL: -math.inf,
-        }[self.family]
-        if self.family == STD_NORMAL:
-            return base
-        return self.scale * base**self.power
+        edge = _EDGE[self.family]
+        return edge if edge == -math.inf else self.scale * edge**self.power
 
     @property
     def nonnegative(self) -> bool:
-        return self.family in _NONNEGATIVE
+        return self.support_edge > -math.inf
 
     # -- transform plumbing ---------------------------------------------------
 
@@ -166,9 +162,6 @@ class TailModel:
             a = self.alpha / b
             if 0 < a < 1:
                 return TailModel(WEIBULL_TYPE, alpha=a, scale=s)
-        if self.family == STD_NORMAL and b == 1.0:
-            # scale * Z is a centered normal; keep as lognormal-free special case
-            return self
         return self
 
     # -- distribution functions ----------------------------------------------
@@ -241,7 +234,7 @@ class TailModel:
         z = self._base_arg(x)
         fam = self.family
         with np.errstate(divide="ignore", invalid="ignore"):
-            safe = np.where(z > self._base_edge(), z, np.nan)
+            safe = np.where(z > _EDGE[fam], z, np.nan)
             lz = np.log(safe)
             if fam == LOGNORMAL:
                 out = -0.5 * ((lz - self.mu) / self.sigma) ** 2 - lz - math.log(self.sigma) - 0.5 * math.log(2 * math.pi)
@@ -263,9 +256,6 @@ class TailModel:
                 out = out + (1.0 - self.power) * lz - math.log(self.power) - math.log(self.scale)
         out = np.where(np.isnan(out), -np.inf, out)
         return float(out[0]) if scalar else out
-
-    def _base_edge(self) -> float:
-        return {LOGNORMAL: 0.0, LOG_WEIBULL: 1.0, LOG_WEIBULL_MIN: 1.0, WEIBULL_TYPE: 0.0, EXPONENTIAL: 0.0, STD_NORMAL: -math.inf}[self.family]
 
     def density(self, x):
         return np.exp(self.log_density(x))
@@ -347,56 +337,77 @@ def std_normal(scale: float = 1.0) -> TailModel:
     return TailModel(STD_NORMAL, scale=scale)
 
 
-_FAMILY_ALIASES = {
-    "lognormal": LOGNORMAL,
-    "log_normal": LOGNORMAL,
-    "log_weibull": LOG_WEIBULL,
-    "logweibull": LOG_WEIBULL,
-    "log_weibull_min": LOG_WEIBULL_MIN,
-    "weibull_type": WEIBULL_TYPE,
-    "exponential": EXPONENTIAL,
-    "std_normal": STD_NORMAL,
-    "stdnormal": STD_NORMAL,
-}
+_FAMILY_ALIASES = {"log_normal": LOGNORMAL, "logweibull": LOG_WEIBULL, "stdnormal": STD_NORMAL}
+
+
+def config_number(v) -> float:
+    """A finite JSON number as a float; booleans, strings and null are refused."""
+    # abs(v) <= the largest float also refuses nan, inf and ints too large for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
+def config_integer(v) -> int:
+    """A JSON number with an integral value, as an int."""
+    if config_number(v) != int(v):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def config_tag(cfg, tag: str, names, aliases=None) -> str:
+    """The entry of `names` that cfg[tag] names, case-insensitively or through `aliases`."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a config must be a JSON object, got {cfg!r}")
+    if tag not in cfg:
+        raise ValueError(f"config needs a {tag!r} key")
+    name = str(cfg[tag]).lower()
+    name = (aliases or {}).get(name, name)
+    if name not in names:
+        raise ValueError(f"unknown {tag} {cfg[tag]!r}")
+    return name
+
+
+def config_fields(cfg: dict, tag: str, fields: dict, readers=None) -> dict:
+    """Keyword arguments read from every key of cfg but `tag`.
+
+    `fields` maps each key the config may hold to its default, None marking
+    a required key; a value is read by readers[key], by default as a number.
+    A key outside `fields`, a missing required key or a value its reader
+    refuses raises ValueError naming the key.
+    """
+    unknown = sorted(set(cfg) - set(fields) - {tag})
+    if unknown:
+        raise ValueError(f"unknown config keys for {cfg[tag]!r}: {unknown}")
+    kw = {}
+    for key, default in fields.items():
+        if key in cfg:
+            try:
+                kw[key] = (readers or {}).get(key, config_number)(cfg[key])
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        elif default is None:
+            raise ValueError(f"{cfg[tag]!r} config needs the key {key!r}")
+        else:
+            kw[key] = default
+    return kw
 
 
 def model_from_config(cfg: dict) -> TailModel:
-    """Build a TailModel from a JSON-style dict.
+    """Build a TailModel from a JSON-style dict; 'lambda' is an alias of 'rate'.
 
     Example: {"family": "lognormal", "mu": 0.0, "sigma": 1.0,
               "scale": 1.0, "power": 1.0}
     """
-    if "family" not in cfg:
-        raise ValueError("model config needs a 'family' key")
-    fam = _FAMILY_ALIASES.get(str(cfg["family"]).lower())
-    if fam is None:
-        raise ValueError(f"unknown family {cfg['family']!r}")
-    kw = {"scale": float(cfg.get("scale", 1.0)), "power": float(cfg.get("power", 1.0))}
-    if fam == LOGNORMAL:
-        kw.update(mu=float(cfg.get("mu", 0.0)), sigma=float(cfg.get("sigma", 1.0)))
-    elif fam in (LOG_WEIBULL, LOG_WEIBULL_MIN, WEIBULL_TYPE):
-        kw.update(alpha=float(cfg["alpha"]))
-    elif fam == EXPONENTIAL:
-        kw.update(rate=float(cfg.get("rate", cfg.get("lambda", 1.0))))
-    else:
-        kw.pop("power")
-        return TailModel(STD_NORMAL, scale=kw["scale"])
-    unknown = set(cfg) - {"family", "mu", "sigma", "alpha", "rate", "lambda", "scale", "power"}
-    if unknown:
-        raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-    return TailModel(fam, **kw)
+    fam = config_tag(cfg, "family", _PARAMS, _FAMILY_ALIASES)
+    if "lambda" in cfg and "rate" in _PARAMS[fam]:
+        if "rate" in cfg:
+            raise ValueError("give 'rate' or its alias 'lambda', not both")
+        cfg = {("rate" if k == "lambda" else k): v for k, v in cfg.items()}
+    return TailModel(fam, **config_fields(cfg, "family", _PARAMS[fam]))
 
 
 def model_to_config(m: TailModel) -> dict:
-    cfg = {"family": m.family}
-    if m.family == LOGNORMAL:
-        cfg.update(mu=m.mu, sigma=m.sigma)
-    elif m.family in (LOG_WEIBULL, LOG_WEIBULL_MIN, WEIBULL_TYPE):
-        cfg.update(alpha=m.alpha)
-    elif m.family == EXPONENTIAL:
-        cfg.update(rate=m.rate)
-    if m.scale != 1.0:
-        cfg["scale"] = m.scale
-    if m.power != 1.0:
-        cfg["power"] = m.power
-    return cfg
+    """The config of m; the modifiers are written only where they transform."""
+    params = _PARAMS[m.family].items()
+    return {"family": m.family, **{k: getattr(m, k) for k, d in params if k not in _MODIFIERS or getattr(m, k) != d}}

@@ -180,6 +180,8 @@ def grid_verify(
         raise UnsupportedConstraint("grid_verify audits the 2-asset linear-constraint study")
     if joint.kind != BIVARIATE_LOGNORMAL:
         raise UnsupportedConstraint("the audit estimator is the bivariate-lognormal conditional MC")
+    if not grid_step > 0:
+        raise ValueError(f"grid_step must be positive, got {grid_step!r}")
     l1, l2 = (float(v) for v in p.constraint.l)
     L = p.constraint.L
     x = p.threshold

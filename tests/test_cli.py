@@ -199,3 +199,29 @@ def test_reproduce_table2_scaled_budget(tmp_path, capsys):
     assert np.all(ests > 0.0) and np.all(np.diff(ests) < 0)
     ratios = np.array([r[3] for r in rows])
     assert np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)
+
+
+def test_bad_grid_spec_is_an_argument_error(como_cfg, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--joint", como_cfg, "--assumption", "A5", "--grid-log", "abc"])
+    assert exc.value.code == 2
+    assert "lo:hi:count" in capsys.readouterr().err
+
+
+def test_duplicate_constraint_term_is_an_error(bivln_cfg, capsys):
+    rc = main(["optimize", "--joint", bivln_cfg, "--constraint", "2*a1+3*a1>=1", "--threshold", "10"])
+    assert rc == 2
+    assert "a1 appears twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "1.5"])
+@pytest.mark.parametrize("command", ["simulate", "optimize", "reproduce-tables"])
+def test_workers_below_one_rejected(command, workers, bivln_cfg, tmp_path):
+    argv = {
+        "simulate": ["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "10", "--n", "1e3", "--seed", "1"],
+        "optimize": ["optimize", "--joint", bivln_cfg, "--constraint", "2*a1+3*a2>=1", "--threshold", "10"],
+        "reproduce-tables": ["reproduce-tables", "--which", "1", "--out-dir", str(tmp_path)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", workers])
+    assert exc.value.code == 2

@@ -214,6 +214,14 @@ def test_joint_aux_bivariate_lognormal_uses_quadrature():
     assert far.trend.kind == DECREASING_TO_ZERO
 
 
+def test_unknown_method_rejected():
+    m = comonotone_inverse(exponential(1.0))
+    with pytest.raises(ValueError, match="method"):
+        check_joint_aux(m, L=1.0, method="quadrature")
+    with pytest.raises(ValueError, match="method"):
+        check_conditional(m, "A3", 1.0, method="quadrature")
+
+
 def test_joint_aux_mc_cross_check():
     m = comonotone_inverse(exponential(1.0))
     grid = np.array([2.0, 4.0, 6.0])

@@ -142,6 +142,12 @@ def test_grid_verify_requires_supported_shapes():
         grid_verify(p3, bivariate_lognormal(0.0, 1.0, 0.0), n=100, seed=1)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan])
+def test_grid_verify_rejects_nonpositive_step(step):
+    with pytest.raises(ValueError, match="grid_step"):
+        grid_verify(_problem(), bivariate_lognormal(0.0, 1.0, 0.0), grid_step=step, n=100, seed=1)
+
+
 def test_two_stage_is_minimax_over_grid():
     p = _problem(threshold=20.0)
     joint = bivariate_lognormal(0.0, 1.0, 0.0)
