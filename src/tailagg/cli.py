@@ -39,7 +39,17 @@ def _load_json(path: str) -> dict:
 
 
 def _parse_floats(text: str) -> list:
-    return [float(v) for v in text.split(",") if v != ""]
+    values = [float(v) for v in text.split(",") if v != ""]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"numbers must be finite, got {text!r}")
+    return values
+
+
+def _parse_finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return v
 
 
 def _parse_count(text: str) -> int:
@@ -57,12 +67,24 @@ def _parse_workers(text: str) -> int:
     return v
 
 
+_GRID_SPEC = (
+    "grid spec must be lo:hi:count in log10, e.g. 1:5:9 or 1e0:5e0:9, "
+    "with count >= 2 and 10**lo, 10**hi positive finite doubles"
+)
+
+
 def _parse_grid(spec: str) -> np.ndarray:
-    m = re.fullmatch(r"([-0-9.]+):([-0-9.]+):(\d+)", spec)
-    if not m:
-        raise argparse.ArgumentTypeError("grid spec must be lo:hi:count in log10, e.g. 1:5:9")
-    lo, hi, count = float(m.group(1)), float(m.group(2)), int(m.group(3))
-    return np.logspace(lo, hi, count)
+    try:
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        count = 0
+    if count >= 2:
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            grid = np.logspace(lo, hi, count)
+        if np.all(np.isfinite(grid) & (grid > 0)):
+            return grid
+    raise argparse.ArgumentTypeError(f"{_GRID_SPEC}; got {spec!r}")
 
 
 def _parse_constraint(text: str) -> LinearConstraint:
@@ -85,6 +107,10 @@ def _parse_constraint(text: str) -> LinearConstraint:
     if idx != list(range(1, len(idx) + 1)):
         raise ValueError("constraint terms must cover a1..ad")
     return LinearConstraint(tuple(coeffs[i] for i in idx), L)
+
+
+def _finite_or_none(v: float):
+    return v if math.isfinite(v) else None
 
 
 def _marginals(joint: JointModel, count: int) -> list:
@@ -159,6 +185,8 @@ def cmd_simulate(args) -> int:
         "n": est.n,
         "seed": args.seed,
         "method": est.method,
+        "ess": _finite_or_none(est.ess),
+        "rel_se": _finite_or_none(est.std_error / est.estimate) if est.estimate else None,
     }
     try:
         models = _marginals(joint, len(a))
@@ -284,21 +312,21 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("approx", help="closed-form approximation of P(sum a_i X_i > x)")
     pa.add_argument("--joint", required=True, help="joint model config (JSON)")
     pa.add_argument("--coeffs", required=True, help="comma-separated coefficients, e.g. 3,2")
-    pa.add_argument("--threshold", type=float, required=True)
+    pa.add_argument("--threshold", type=_parse_finite, required=True)
     pa.add_argument("--c", help="tail-ratio constants (analytic override)")
     pa.add_argument("--out", help="write JSON here instead of stdout")
     pa.set_defaults(fn=cmd_approx)
 
     pe = sub.add_parser("exact", help="exact countermonotone lognormal pair probability")
-    pe.add_argument("--mu", type=float, default=0.0)
-    pe.add_argument("--threshold", type=float, required=True)
+    pe.add_argument("--mu", type=_parse_finite, default=0.0)
+    pe.add_argument("--threshold", type=_parse_finite, required=True)
     pe.add_argument("--out")
     pe.set_defaults(fn=cmd_exact)
 
     ps = sub.add_parser("simulate", help="Monte Carlo estimate with confidence interval")
     ps.add_argument("--joint", required=True)
     ps.add_argument("--coeffs", required=True)
-    ps.add_argument("--threshold", type=float, required=True)
+    ps.add_argument("--threshold", type=_parse_finite, required=True)
     ps.add_argument("--n", type=_parse_count, required=True, help="sample budget, e.g. 1e7")
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--method", choices=("cond", "plain"), default="cond")
@@ -311,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--joint", help="joint config (A3/A4/A5/ASYINDEP)")
     pc.add_argument("--model", help="marginal config (A1/A2/SUBEXP)")
     pc.add_argument("--model2", help="second marginal (A2)")
-    pc.add_argument("--L", type=float, default=1.0)
-    pc.add_argument("--t", type=float, default=1.0)
+    pc.add_argument("--L", type=_parse_finite, default=1.0)
+    pc.add_argument("--t", type=_parse_finite, default=1.0)
     pc.add_argument("--grid-log", type=_parse_grid, default="1:5:9", help="log10 grid lo:hi:count")
     pc.add_argument("--method", choices=("auto", "closed_form", "mc"), default="auto")
     pc.add_argument("--mc-n", type=_parse_count, default=10**6)
@@ -324,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("optimize", help="two-stage allocation with optional grid audit")
     po.add_argument("--joint", required=True)
     po.add_argument("--constraint", required=True, help="e.g. '2*a1+3*a2>=1'")
-    po.add_argument("--threshold", type=float, required=True)
+    po.add_argument("--threshold", type=_parse_finite, required=True)
     po.add_argument("--verify", action="store_true")
     po.add_argument("--grid-step", type=float, default=0.01)
     po.add_argument("--n", type=_parse_count, default=10**4)

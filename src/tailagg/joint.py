@@ -63,7 +63,7 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
 
 def _uniforms(seed: int, stream: int, shape) -> np.ndarray:
     u = _stream(seed, stream).random(shape)
-    return np.clip(u, _U_LO, _U_HI)
+    return np.clip(u, _U_LO, _U_HI, out=u)
 
 
 @dataclass(frozen=True)

@@ -225,3 +225,99 @@ def test_workers_below_one_rejected(command, workers, bivln_cfg, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--workers", workers])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("command", ["approx", "exact", "simulate", "optimize"])
+def test_non_finite_threshold_rejected(command, value, bivln_cfg, capsys):
+    argv = {
+        "approx": ["approx", "--joint", bivln_cfg, "--coeffs", "1,1"],
+        "exact": ["exact"],
+        "simulate": ["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--n", "1e3", "--seed", "1"],
+        "optimize": ["optimize", "--joint", bivln_cfg, "--constraint", "2*a1+3*a2>=1"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--threshold={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--threshold" in err and "finite" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--mu", "nan"), ("--mu", "inf")])
+def test_non_finite_exact_mu_rejected(flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--threshold", "10", f"{flag}={value}"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--coeffs", "1,nan"], ["--coeffs", "inf,1"], ["--coeffs", "1,1", "--c", "1,-inf"], ["--coeffs", "1,1", "--c", "nan,1"]],
+)
+def test_non_finite_coefficients_rejected(extra, bivln_cfg, capsys):
+    rc = main(["approx", "--joint", bivln_cfg, "--threshold", "30"] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_non_finite_simulate_coefficients_rejected(bivln_cfg, capsys):
+    rc = main(["simulate", "--joint", bivln_cfg, "--coeffs", "1,nan", "--threshold", "10", "--n", "1e3", "--seed", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec, plain", [("1e0:5e0:9", "1:5:9"), ("-5e-1:2.5e0:4", "-0.5:2.5:4"), ("1E1:1.2e1:2", "10:12:2")])
+def test_grid_spec_accepts_exponent_form(spec, plain, como_cfg, capsys):
+    base = ["check", "--joint", como_cfg, "--assumption", "A5"]
+    # the = form lets a spec start with a minus sign
+    rc, payload = _run_json(capsys, base + [f"--grid-log={spec}"])
+    assert rc == 0
+    _, want = _run_json(capsys, base + [f"--grid-log={plain}"])
+    assert payload["grid"] == want["grid"] and len(payload["grid"]) == int(plain.rsplit(":", 1)[1])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "nan:5:9", "1:inf:9", "-inf:1:3",  # non-finite ends
+        "1:5:1", "1:5:0", "1:5:-3",  # fewer than two points
+        "1:5:2.5", "1:5", "1:5:9:1", ":5:9",  # malformed
+        "1e1:1e5:9", "-400:1:3",  # 10**hi overflows, 10**lo underflows to 0
+    ],
+)
+def test_grid_spec_rejected_at_the_parser(spec, como_cfg, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--joint", como_cfg, "--assumption", "A5", f"--grid-log={spec}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "lo:hi:count" in err
+
+
+@pytest.mark.parametrize("method", ["cond", "plain"])
+def test_simulate_reports_ess_and_relative_error(method, bivln_cfg, capsys):
+    rc, payload = _run_json(
+        capsys,
+        ["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "10",
+         "--n", "2e4", "--seed", "3", "--method", method],
+    )
+    assert rc == 0
+    assert payload["rel_se"] == payload["std_error"] / payload["estimate"]
+    assert 0.0 < payload["ess"] <= payload["n"]
+    if method == "plain":
+        # for 0/1 replication values the ESS is the hit count
+        assert payload["ess"] == round(payload["estimate"] * payload["n"])
+
+
+def test_simulate_fields_without_an_error_are_null(bivln_cfg, capsys):
+    # x <= 0 is certain (exact, no ESS); a plain-MC run with no hits has estimate 0
+    rc, certain = _run_json(
+        capsys, ["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "-1", "--n", "1e3", "--seed", "1"]
+    )
+    assert rc == 0 and certain["ess"] is None and certain["rel_se"] == 0.0
+    rc, missed = _run_json(
+        capsys,
+        ["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "1e6",
+         "--n", "1e3", "--seed", "1", "--method", "plain"],
+    )
+    assert rc == 0 and missed["estimate"] == 0.0 and missed["rel_se"] is None and missed["ess"] == 0.0

@@ -2,8 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
-from tailagg.kernels import _phibar, equicorr_chunk, pair_chunk
+from tailagg.kernels import _BLOCK, equicorr_chunk, pair_chunk
+
+
+def _phibar(z):
+    return 0.5 * erfc(z * (1.0 / math.sqrt(2.0)))
+
+
+def _pair_unblocked(z1, z2, nu1, nu2, s1, s2, rho, xs):
+    """`pair_chunk` scored over the whole chunk in one pass per expression."""
+    sc = math.sqrt(1.0 - rho * rho)
+    w1 = z1
+    w2 = rho * z1 + sc * z2
+    t1 = np.exp(nu1 + s1 * w1)
+    t2 = np.exp(nu2 + s2 * w2)
+    out = np.empty((len(xs), 2))
+    for j, x in enumerate(xs):
+        b = np.maximum(t2, x - t2)
+        v = _phibar(((np.log(b) - nu1) / s1 - rho * w2) / sc)
+        b = np.maximum(t1, x - t1)
+        v += _phibar(((np.log(b) - nu2) / s2 - rho * w1) / sc)
+        out[j] = v.sum(), np.dot(v, v)
+    return out
 
 
 def _normals(n, seed):
@@ -52,7 +74,6 @@ def test_equicorr_kernel_rows_equal_one_threshold_calls():
         assert row.tolist() == equicorr_chunk(z, nu, sig, 0.25, [x])[0].tolist()
 
 
-
 def _equicorr_by_argsort(z, nu, sig, rho, xs):
     """`equicorr_chunk` with the top two terms of each row found by a full argsort."""
     n, d = z.shape
@@ -92,3 +113,38 @@ def test_equicorr_kernel_equals_argsort_reference_with_ties(d):
         for rho in (0.0, 0.4):
             got = equicorr_chunk(z, nu, sig, rho, xs)
             assert got.tolist() == _equicorr_by_argsort(z, nu, sig, rho, xs).tolist()
+
+
+# block boundaries: empty-tail, one-short, exact, one-over and ragged multi-block chunks
+_SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17]
+# NaN and extreme thresholds between ordinary ones, so a v carried over from one
+# threshold to the next, or a block left unwritten, shows in the next row
+_XS = [4.0, float("nan"), 1e-3, 30.0, 1e12, 250.0]
+
+
+@pytest.mark.parametrize("n", _SIZES)
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
+def test_pair_kernel_equals_unblocked_reference(n, rho):
+    # the normals are strided column views, as the estimator passes them
+    z = np.random.default_rng(n).standard_normal((n, 3))
+    args = (0.2, -0.1, 1.0, 1.4, rho, _XS)
+    got = pair_chunk(z[:, 0], z[:, 2], *args)
+    want = _pair_unblocked(np.ascontiguousarray(z[:, 0]), np.ascontiguousarray(z[:, 2]), *args)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[1]).all() and np.isfinite(np.delete(got, 1, axis=0)).all()
+
+
+@pytest.mark.parametrize("n", _SIZES)
+@pytest.mark.parametrize("d", [3, 5])
+def test_equicorr_kernel_equals_unblocked_reference(n, d):
+    rng = np.random.default_rng(100 * d + n)
+    # every other column of a wider draw: non-contiguous rows
+    z = rng.standard_normal((n, 2 * d))[:, ::2]
+    # equal (nu, sig) and equal columns of z give exactly tied terms
+    z[::3, -1] = z[::3, 0]
+    z[::5, 1] = z[::5, 0]
+    nu, sig = np.zeros(d), np.ones(d)
+    for rho in (-0.9 / (d - 1), 0.0, 0.9):
+        got = equicorr_chunk(z, nu, sig, rho, _XS)
+        want = _equicorr_by_argsort(np.ascontiguousarray(z), nu, sig, rho, _XS)
+        assert np.array_equal(got, want, equal_nan=True)
