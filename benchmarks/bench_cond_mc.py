@@ -5,10 +5,10 @@ estimator hands to its kernels, so cache effects are those of a real run:
   uniforms   Philox uniforms plus the in-place clip (`joint._uniforms`),
              d per row
   ndtri      the in-place inverse normal CDF on those uniforms
-  kernel     `kernels.pair_chunk` (d = 2) or `kernels.equicorr_chunk`
-             (d = 3) on the normals, per threshold scored; it includes the
-             threshold-independent work (correlation mix, exp), shared by
-             all thresholds, and the reduction below
+  kernel     `kernels.equicorr_chunk` on the normals, at d = 2 and d = 3,
+             per threshold scored; it includes the threshold-independent
+             work (correlation mix, conditional means, exp), shared by all
+             thresholds, and the reduction below
   reduction  `v.sum()` and `np.dot(v, v)` over one chunk-long vector of
              replication values, the kernel's per-threshold reduction
   estimator  `cond_mc_lognormal_curve` on one chunk end to end, per
@@ -60,10 +60,7 @@ def bench(repeats: int = 5):
         z = ndtri(u, out=u)
         print(f"d = {d}: uniforms {uniforms:6.2f}   ndtri {ndtri_s:6.2f}   reduction {reduction:5.2f} per threshold")
         for m, xs in XS.items():
-            if d == 2:
-                k = _best(lambda _: kernels.pair_chunk(z[:, 0], z[:, 1], 0.0, 0.0, 1.0, 1.0, RHO, xs), repeats)
-            else:
-                k = _best(lambda _: kernels.equicorr_chunk(z, np.zeros(d), np.ones(d), RHO, xs), repeats)
+            k = _best(lambda _: kernels.equicorr_chunk(z, np.zeros(d), np.ones(d), RHO, xs), repeats)
             e = _best(lambda _: cond_mc_lognormal_curve(0.0, 1.0, RHO, [1.0] * d, xs, n, 42), repeats)
             print(f"  m = {m}: kernel {k * per_row / m:7.2f}   estimator {e * per_row / m:7.2f}   per threshold")
 

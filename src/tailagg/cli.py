@@ -180,8 +180,8 @@ def cmd_simulate(args) -> int:
         est = plain_mc(joint, a, args.threshold, args.n, args.seed, workers=args.workers)
     payload = {
         "estimate": est.estimate,
-        "std_error": est.std_error,
-        "half_width95": est.half_width95,
+        "std_error": _finite_or_none(est.std_error),
+        "half_width95": _finite_or_none(est.half_width95),
         "n": est.n,
         "seed": args.seed,
         "method": est.method,
@@ -194,7 +194,7 @@ def cmd_simulate(args) -> int:
         rv = ratio_vs_asymptotic(est, approx)
         payload["ratio_vs_asymptotic"] = {
             "ratio": rv.ratio,
-            "half_width": rv.half_width,
+            "half_width": _finite_or_none(rv.half_width),
             "asymptotic_value": approx.value,
         }
     except TailAggError:

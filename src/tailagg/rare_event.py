@@ -170,7 +170,7 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
     One pass over the chunks samples each chunk once and scores it at every
     positive threshold; each threshold's chunk moments are then reduced in
     chunk order.  The normals overwrite the uniforms they come from, and the
-    d = 2 kernel reads their columns in place.  An x <= 0 is certain and draws
+    kernel reads their columns in place.  An x <= 0 is certain and draws
     nothing.
     """
     nu = np.asarray(nu, dtype=float)
@@ -195,10 +195,7 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
         def run(item):
             k, size = item
             u = _uniforms(key[0], _substream(key, k), (size, d))
-            z = ndtri(u, out=u)
-            if d == 2:
-                return kernels.pair_chunk(z[:, 0], z[:, 1], nu[0], nu[1], sig[0], sig[1], rho, positive)
-            return kernels.equicorr_chunk(z, nu, sig, rho, positive)
+            return kernels.equicorr_chunk(ndtri(u, out=u), nu, sig, rho, positive)
 
         for part in _map_chunks(run, n, workers):
             for acc, (t, tsq) in zip(sums, part.tolist()):

@@ -321,3 +321,30 @@ def test_simulate_fields_without_an_error_are_null(bivln_cfg, capsys):
          "--n", "1e3", "--seed", "1", "--method", "plain"],
     )
     assert rc == 0 and missed["estimate"] == 0.0 and missed["rel_se"] is None and missed["ess"] == 0.0
+
+
+def _reject_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+@pytest.mark.parametrize("method", ["cond", "plain"])
+def test_simulate_at_one_replication_prints_strict_json(method, bivln_cfg, capsys):
+    # one replication has no sample variance; NaN would print as a bare NaN token
+    rc = main(["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "30",
+               "--n", "1", "--seed", "1", "--method", method])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    errors = (payload["std_error"], payload["half_width95"], payload["ratio_vs_asymptotic"]["half_width"])
+    if method == "cond":
+        assert errors == (None, None, None) and payload["rel_se"] is None
+    else:
+        # the binomial error of one 0/1 replication is 0
+        assert errors == (0.0, 0.0, 0.0)
+
+
+def test_negative_exponent_threshold_in_equals_form(bivln_cfg, capsys):
+    # `--threshold -1e3` is read as an option by argparse; the = form is not
+    rc, payload = _run_json(
+        capsys, ["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold=-1e3", "--n", "1e3", "--seed", "1"]
+    )
+    assert rc == 0 and payload["estimate"] == 1.0

@@ -1,68 +1,75 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
-from tailagg.kernels import _BLOCK, equicorr_chunk, pair_chunk
+from tailagg.kernels import _BLOCK, equicorr_chunk
 
 
 def _phibar(z):
     return 0.5 * erfc(z * (1.0 / math.sqrt(2.0)))
 
 
-def _pair_unblocked(z1, z2, nu1, nu2, s1, s2, rho, xs):
-    """`pair_chunk` scored over the whole chunk in one pass per expression."""
-    sc = math.sqrt(1.0 - rho * rho)
-    w1 = z1
-    w2 = rho * z1 + sc * z2
-    t1 = np.exp(nu1 + s1 * w1)
-    t2 = np.exp(nu2 + s2 * w2)
+def _cholesky(d, rho):
+    """Textbook Cholesky-Banachiewicz factor of the d x d equicorrelated matrix, in Python floats."""
+    L = [[0.0] * d for _ in range(d)]
+    for i in range(d):
+        for k in range(i + 1):
+            r = (1.0 if i == k else rho) - sum(L[i][m] * L[k][m] for m in range(k))
+            L[i][k] = math.sqrt(r) if i == k else r / L[k][k]
+    return L
+
+
+def _unblocked(z, nu, sig, rho, xs):
+    """`equicorr_chunk` from its formulas, over the whole chunk in one pass per expression.
+
+    The mix is w_i = sum_{k<i} L[i,k] z_k + L[i,i] z_i.  The last term's
+    conditional mean is its prefix sum_{k<i} L[i,k] z_k; every other term's is
+    rho / (1 + (d-2) rho) times the sum of the other w.  The largest and the
+    sum of the other terms fold the other columns in index order.  At d = 2
+    these are the expressions of the two-term kernel this one replaced:
+    w2 = rho z1 + sqrt(1-rho^2) z2, conditional means rho w2 and rho w1.
+    """
+    n, d = z.shape
+    L = _cholesky(d, rho)
+    w = [z[:, 0]]
+    for i in range(1, d):
+        prefix = functools.reduce(np.add, [L[i][k] * z[:, k] for k in range(i)])
+        w.append(prefix + L[i][i] * z[:, i])
+    c = rho / (1.0 + (d - 2) * rho)
+    means = [c * functools.reduce(np.add, w[:i] + w[i + 1 :]) for i in range(d - 1)] + [prefix]
+    t = [np.exp(nu[i] + sig[i] * w[i]) for i in range(d)]
     out = np.empty((len(xs), 2))
     for j, x in enumerate(xs):
-        b = np.maximum(t2, x - t2)
-        v = _phibar(((np.log(b) - nu1) / s1 - rho * w2) / sc)
-        b = np.maximum(t1, x - t1)
-        v += _phibar(((np.log(b) - nu2) / s2 - rho * w1) / sc)
+        for i in range(d):
+            others = t[:i] + t[i + 1 :]
+            b = np.maximum(functools.reduce(np.maximum, others), x - functools.reduce(np.add, others))
+            term = _phibar(((np.log(b) - nu[i]) / sig[i] - means[i]) / L[d - 1][d - 1])
+            v = term if i == 0 else v + term
         out[j] = v.sum(), np.dot(v, v)
     return out
 
 
-def _normals(n, seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(n), rng.standard_normal(n)
-
-
 def test_python_kernel_values_are_probability_like():
-    z1, z2 = _normals(10_000, 1)
-    out = pair_chunk(z1, z2, 0.0, 0.0, 1.0, 1.0, 0.3, [20.0])
+    z = np.random.default_rng(1).standard_normal((10_000, 2))
+    out = equicorr_chunk(z, np.zeros(2), np.ones(2), 0.3, [20.0])
     assert out.shape == (1, 2)
     tot, totsq = out[0]
     assert 0.0 <= tot / 10_000 <= 1.0
     assert totsq >= 0.0
 
 
-def test_general_kernel_reduces_to_pair_kernel_at_d2():
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal((30_000, 2))
-    for rho in (-0.6, 0.0, 0.7):
-        t_pair, tsq_pair = pair_chunk(
-            np.ascontiguousarray(z[:, 0]), np.ascontiguousarray(z[:, 1]), 0.1, -0.2, 1.0, 1.3, rho, [25.0]
-        )[0]
-        t_gen, tsq_gen = equicorr_chunk(z, np.array([0.1, -0.2]), np.array([1.0, 1.3]), rho, [25.0])[0]
-        assert t_gen == pytest.approx(t_pair, rel=1e-10)
-        assert tsq_gen == pytest.approx(tsq_pair, rel=1e-10)
-
-
 def test_pair_kernel_rows_equal_one_threshold_calls():
-    z1, z2 = _normals(20_000, 5)
+    z = np.random.default_rng(5).standard_normal((20_000, 2))
+    nu, sig = np.array([0.2, -0.1]), np.array([1.0, 1.4])
     xs = [3.0, 10.0, 50.0, 2000.0]
     for rho in (-0.9, 0.0, 0.9):
-        args = (z1, z2, 0.2, -0.1, 1.0, 1.4, rho)
-        rows = pair_chunk(*args, xs)
+        rows = equicorr_chunk(z, nu, sig, rho, xs)
         assert rows.shape == (len(xs), 2)
         for x, row in zip(xs, rows):
-            assert row.tolist() == pair_chunk(*args, [x])[0].tolist()
+            assert row.tolist() == equicorr_chunk(z, nu, sig, rho, [x])[0].tolist()
 
 
 def test_equicorr_kernel_rows_equal_one_threshold_calls():
@@ -75,7 +82,11 @@ def test_equicorr_kernel_rows_equal_one_threshold_calls():
 
 
 def _equicorr_by_argsort(z, nu, sig, rho, xs):
-    """`equicorr_chunk` with the top two terms of each row found by a full argsort."""
+    """The previous d >= 3 kernel's arithmetic, with the top two terms found by a full argsort.
+
+    It mixes by a BLAS matmul and takes the sum of the other terms as the row
+    sum minus t_i, so it agrees with `equicorr_chunk` up to rounding only.
+    """
     n, d = z.shape
     corr = np.full((d, d), rho)
     np.fill_diagonal(corr, 1.0)
@@ -112,7 +123,7 @@ def test_equicorr_kernel_equals_argsort_reference_with_ties(d):
     for nu, sig in ((np.zeros(d), np.ones(d)), (rng.normal(size=d) * 0.2, 0.8 + 0.4 * rng.random(d))):
         for rho in (0.0, 0.4):
             got = equicorr_chunk(z, nu, sig, rho, xs)
-            assert got.tolist() == _equicorr_by_argsort(z, nu, sig, rho, xs).tolist()
+            np.testing.assert_allclose(got, _equicorr_by_argsort(z, nu, sig, rho, xs), rtol=1e-12, atol=0)
 
 
 # block boundaries: empty-tail, one-short, exact, one-over and ragged multi-block chunks
@@ -125,12 +136,14 @@ _XS = [4.0, float("nan"), 1e-3, 30.0, 1e12, 250.0]
 @pytest.mark.parametrize("n", _SIZES)
 @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
 def test_pair_kernel_equals_unblocked_reference(n, rho):
-    # the normals are strided column views, as the estimator passes them
-    z = np.random.default_rng(n).standard_normal((n, 3))
-    args = (0.2, -0.1, 1.0, 1.4, rho, _XS)
-    got = pair_chunk(z[:, 0], z[:, 2], *args)
-    want = _pair_unblocked(np.ascontiguousarray(z[:, 0]), np.ascontiguousarray(z[:, 2]), *args)
-    assert np.array_equal(got, want, equal_nan=True)
+    # the normals are a strided view, as the estimator passes them, with some equal draws
+    z = np.random.default_rng(n).standard_normal((n, 3))[:, ::2]
+    z[::3, 1] = z[::3, 0]
+    before = z.copy()
+    nu, sig = np.array([0.2, -0.1]), np.array([1.0, 1.4])
+    got = equicorr_chunk(z, nu, sig, rho, _XS)
+    assert np.array_equal(z, before)
+    assert np.array_equal(got, _unblocked(np.ascontiguousarray(z), nu, sig, rho, _XS), equal_nan=True)
     assert np.isnan(got[1]).all() and np.isfinite(np.delete(got, 1, axis=0)).all()
 
 
@@ -143,8 +156,9 @@ def test_equicorr_kernel_equals_unblocked_reference(n, d):
     # equal (nu, sig) and equal columns of z give exactly tied terms
     z[::3, -1] = z[::3, 0]
     z[::5, 1] = z[::5, 0]
-    nu, sig = np.zeros(d), np.ones(d)
-    for rho in (-0.9 / (d - 1), 0.0, 0.9):
-        got = equicorr_chunk(z, nu, sig, rho, _XS)
-        want = _equicorr_by_argsort(np.ascontiguousarray(z), nu, sig, rho, _XS)
-        assert np.array_equal(got, want, equal_nan=True)
+    before = z.copy()
+    for nu, sig in ((np.zeros(d), np.ones(d)), (rng.normal(size=d) * 0.2, 0.8 + 0.4 * rng.random(d))):
+        for rho in (-0.9 / (d - 1), 0.0, 0.9):
+            got = equicorr_chunk(z, nu, sig, rho, _XS)
+            assert np.array_equal(z, before)
+            assert np.array_equal(got, _unblocked(np.ascontiguousarray(z), nu, sig, rho, _XS), equal_nan=True)
