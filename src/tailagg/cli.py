@@ -300,6 +300,9 @@ def cmd_reproduce_tables(args) -> int:
     return 0 if report["table1_ok"] else 1
 
 
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tailagg",
@@ -369,12 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--workers", type=_parse_workers, default=1)
     pt.add_argument("--out-dir", required=True)
     pt.set_defaults(fn=cmd_reproduce_tables)
+    # argparse takes only -1000 and -0.5 for negative numbers and so reads
+    # -1e3 or -5e-1:2.5:4 as an unknown option; no tailagg option starts with
+    # a digit, so any "-digit" or "-.digit" token is a value.  The matcher is
+    # a private argparse attribute (Python 3.11), set on every parser.
+    for q in (p, *sub.choices.values()):
+        q._negative_number_matcher = _NEGATIVE_NUMBER
     return p
 
 
+_parser = None  # built by the first main() call and reused by every later one
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except (TailAggError, ValueError, OSError) as exc:

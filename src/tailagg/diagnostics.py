@@ -203,12 +203,11 @@ def check_conditional(
 
     vals = []
     used = CLOSED_FORM
-    for xi, si in zip(g, s):
+    for xi, si, log_marg in zip(g, s, model.marginal_log_survival(focal, g).tolist()):
         if focal == 0:
             log_joint, used = _joint_log_survival(model, xi, si)
         else:
             log_joint, used = _joint_log_survival(model, si, xi)
-        log_marg = float(model.marginal_log_survival(focal, xi))
         vals.append(_safe_exp(log_joint - log_marg) if log_joint > -math.inf else 0.0)
     return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), used)
 
@@ -238,10 +237,10 @@ def check_joint_aux(
 
     if method == "mc":
         vals = []
-        for k, (xi, si) in enumerate(zip(g, s)):
+        for k, (si, log_marg) in enumerate(zip(s, model.marginal_log_survival(0, g).tolist())):
             rows = model.sample(mc_n, seed, stream=k)
             num = float(np.mean((rows[:, 0] > si) & (rows[:, 1] > si)))
-            den = math.exp(float(model.marginal_log_survival(0, xi)))
+            den = math.exp(log_marg)
             vals.append(num / den if den > 0 else math.inf)
         return AssumptionReport(
             A5_JOINT_AUX, tuple(g), tuple(vals), classify_trend(vals), MONTE_CARLO, mc_n, seed
@@ -251,9 +250,8 @@ def check_joint_aux(
 
     vals = []
     used = CLOSED_FORM
-    for xi, si in zip(g, s):
+    for si, log_marg in zip(s, model.marginal_log_survival(0, g).tolist()):
         log_joint, used = _joint_log_survival(model, si, si)
-        log_marg = float(model.marginal_log_survival(0, xi))
         if log_joint == -math.inf:
             vals.append(0.0)
         else:
@@ -282,9 +280,8 @@ def check_asy_indep(model: JointModel, x_grid=None) -> AssumptionReport:
         raise UnsupportedKind("asymptotic-independence ratio is tabulated for the bivariate lognormal")
     g = _as_grid(x_grid)
     vals = []
-    for xi in g:
+    for xi, log_marg in zip(g, model.marginal_log_survival(0, g).tolist()):
         log_joint, _ = _joint_log_survival(model, xi, xi)
-        log_marg = float(model.marginal_log_survival(0, xi))
         vals.append(_safe_exp(log_joint - log_marg) if log_joint > -math.inf else 0.0)
     method = QUADRATURE if -1.0 < model.rho < 1.0 and model.rho != 0.0 else CLOSED_FORM
     return AssumptionReport(ASY_INDEP_RATIO, tuple(g), tuple(vals), classify_trend(vals), method)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtri
 
 from .errors import UnsupportedKind
@@ -200,8 +199,23 @@ class JointModel:
 # -- bivariate normal orthant via quadrature --------------------------------------
 
 
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first call.
+
+    scipy.integrate pulls in scipy.optimize, linalg, sparse and more (about
+    0.4 s), and only the orthant quadrature needs it, so a command that runs
+    no quadrature never loads it.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
 def _norm_log_pdf(z: float) -> float:
-    return -0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+    return -0.5 * z * z - _LOG_SQRT_2PI
 
 
 def bivariate_normal_orthant_log(t1: float, t2: float, rho: float) -> float:
@@ -221,10 +235,11 @@ def bivariate_normal_orthant_log(t1: float, t2: float, rho: float) -> float:
     def log_integrand(z: float) -> float:
         return float(log_ndtr(-(t2 - rho * z) / s)) + _norm_log_pdf(z) - log_sf1
 
-    # locate the peak on a coarse grid, then integrate the shifted integrand
+    # locate the peak on a coarse grid, then integrate the shifted integrand;
+    # the scan is log_integrand's arithmetic, elementwise in the same order
     hi = t1 + 45.0
     zs = np.linspace(t1, hi, 200)
-    logs = np.array([log_integrand(z) for z in zs])
+    logs = log_ndtr(-(t2 - rho * zs) / s) + (-0.5 * zs * zs - _LOG_SQRT_2PI) - log_sf1
     shift = float(np.max(logs))
     if shift == -math.inf:
         return -math.inf

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from tailagg import cli
 from tailagg.cli import _parse_count, main
 from tailagg.tables import make_table1, read_csv_rows
 
@@ -343,8 +346,74 @@ def test_simulate_at_one_replication_prints_strict_json(method, bivln_cfg, capsy
 
 
 def test_negative_exponent_threshold_in_equals_form(bivln_cfg, capsys):
-    # `--threshold -1e3` is read as an option by argparse; the = form is not
     rc, payload = _run_json(
         capsys, ["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold=-1e3", "--n", "1e3", "--seed", "1"]
     )
     assert rc == 0 and payload["estimate"] == 1.0
+
+
+@pytest.mark.parametrize("value", ["-1e3", "-1E+3", "-.5e1", "-2.5"])
+def test_negative_threshold_as_a_separate_token(value, bivln_cfg, capsys):
+    rc, payload = _run_json(
+        capsys, ["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", value, "--n", "1e3", "--seed", "1"]
+    )
+    assert rc == 0 and payload["estimate"] == 1.0
+
+
+@pytest.mark.parametrize("spec", ["-5e-1:2.5:4", "-0.5:2.5:4", "-.5:2.5:4"])
+def test_negative_grid_spec_as_a_separate_token(spec, como_cfg, capsys):
+    base = ["check", "--joint", como_cfg, "--assumption", "A5"]
+    rc, payload = _run_json(capsys, base + ["--grid-log", spec])
+    assert rc == 0
+    _, want = _run_json(capsys, base + [f"--grid-log={spec}"])
+    assert payload == want and len(payload["grid"]) == 4
+
+
+@pytest.mark.parametrize("extra", [["--threshold", "-x"], ["--threshold", "1", "--bogus"], ["--threshold", "1", "-x"]])
+def test_option_like_tokens_still_rejected(extra, bivln_cfg, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--n", "1e3", "--seed", "1"] + extra)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _call(run, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = run(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_main_builds_the_parser_once(bivln_cfg, como_cfg, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    runs = [
+        ["approx", "--joint", bivln_cfg, "--coeffs", "3,2", "--threshold", "30"],
+        ["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "10", "--n", "1e3", "--bogus"],
+        ["check", "--joint", como_cfg, "--assumption", "A5", "--grid-log", "0:2:5"],
+        ["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "10", "--n", "1e3", "--seed", "4"],
+        ["approx", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "-1e3"],
+        ["check", "--assumption", "A5"],
+        ["approx", "--joint", bivln_cfg, "--coeffs", "3,2", "--threshold", "30"],
+    ]
+    results = [_call(main, argv) for argv in runs]
+    assert len(built) == 1
+    # the reused parser answers as a freshly built one does
+    fresh = []
+    for argv in runs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_call(main, argv))
+    assert len(built) == 1 + len(runs)
+    assert results == fresh
+    assert [r[0] for r in results] == [0, 2, 0, 0, 0, 2, 0]
+    assert results[-1] == results[0]

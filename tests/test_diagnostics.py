@@ -6,6 +6,8 @@ from scipy.special import log_ndtr
 
 from tailagg import (
     AuxiliaryNotDiverging,
+    bivariate_lognormal,
+    check_asy_indep,
     check_conditional,
     check_joint_aux,
     check_mda_gumbel,
@@ -27,6 +29,9 @@ from tailagg.diagnostics import (
     DECREASING_TO_ZERO,
     DIVERGING,
     INCONCLUSIVE,
+    _first_marginal,
+    _joint_log_survival,
+    _safe_exp,
 )
 
 LN = lognormal(0.0, 1.0)
@@ -233,6 +238,49 @@ def test_joint_aux_mc_cross_check():
         p_num = v_ex * math.exp(-x)
         se = math.sqrt(p_num * (1 - p_num) / 400_000) / math.exp(-x)
         assert abs(v_mc - v_ex) <= 3.0 * se + 1e-6
+
+
+# ---------------------------------------------------------------- per-point reference
+
+_EVERY_KIND = {
+    "iid-lognormal": iid_pair(LN),
+    "iid-weibull": iid_pair(weibull_type(0.5)),
+    "bivln-rho-0.9": bivariate_lognormal(0.0, 1.0, -0.9),
+    "bivln-rho0.5": bivariate_lognormal(0.3, 0.7, 0.5),
+    "bivln-rho0": bivariate_lognormal(0.0, 1.0, 0.0),
+    "bivln-rho-1": bivariate_lognormal(0.0, 1.0, -1.0),
+    "comonotone": comonotone_inverse(exponential(1.0)),
+    "min": min_construction(2.0),
+    "mixed-min": mixed_min(LN, exponential(1.0)),
+}
+
+
+def _per_point(model, corner, focal, level, grid):
+    # one scalar marginal_log_survival call per grid point; corner(x, s) is
+    # the orthant (x, y) whose joint survival the check divides
+    s = level * _first_marginal(model).auxiliary()(grid)
+    vals = []
+    for xi, si in zip(grid, s):
+        log_joint, _ = _joint_log_survival(model, *corner(xi, si))
+        log_marg = float(model.marginal_log_survival(focal, xi))
+        vals.append(_safe_exp(log_joint - log_marg) if log_joint > -math.inf else 0.0)
+    return tuple(vals)
+
+
+@pytest.mark.parametrize("name", _EVERY_KIND)
+def test_check_values_equal_a_per_point_reference(name):
+    model = _EVERY_KIND[name]
+    grid = np.logspace(0.2, 3.0, 7)
+    a3 = check_conditional(model, "A3", 1.5, grid)
+    assert a3.values == _per_point(model, lambda x, s: (x, s), 0, 1.5, grid)
+    a4 = check_conditional(model, "A4", 0.5, grid)
+    assert a4.values == _per_point(model, lambda x, s: (s, x), 1, 0.5, grid)
+    for L in (0.5, 2.0):
+        a5 = check_joint_aux(model, L, grid)
+        assert a5.values == _per_point(model, lambda x, s: (s, s), 0, L, grid)
+    if model.kind == "bivariate_lognormal":
+        asy = check_asy_indep(model, grid)
+        assert asy.values == _per_point(model, lambda x, s: (x, x), 0, 1.0, grid)
 
 
 # ---------------------------------------------------------------- subexponentiality

@@ -1,8 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import log_ndtr
 from scipy.stats import kstest, multivariate_normal
+
+import tailagg
 
 from tailagg import (
     UnsupportedKind,
@@ -181,6 +189,52 @@ def test_orthant_quadrature_deep_tail_no_underflow():
     assert -600 > lv > -5000
     lv9 = bivariate_normal_orthant_log(11.5, 11.5, 0.9)
     assert math.isfinite(lv9) and lv9 > lv
+
+
+def _orthant_log_scalar_scan(t1, t2, rho):
+    # the orthant routine with its peak scan as a per-point Python loop
+    s = math.sqrt(1.0 - rho * rho)
+    log_sf1 = float(log_ndtr(-t1))
+
+    def log_integrand(z):
+        return float(log_ndtr(-(t2 - rho * z) / s)) + (-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)) - log_sf1
+
+    hi = t1 + 45.0
+    zs = np.linspace(t1, hi, 200)
+    logs = np.array([log_integrand(z) for z in zs])
+    shift = float(np.max(logs))
+    if shift == -math.inf:
+        return -math.inf
+    val, _ = quad(lambda z: math.exp(log_integrand(z) - shift), t1, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
+    if val <= 0.0:
+        return -math.inf
+    return shift + math.log(val) + log_sf1
+
+
+_ORTHANT_SWEEP = [(11.5, 11.5, 0.9), (11.5, 11.5, -0.9)] + [
+    (t1, t2, rho)
+    for t1 in (-3.0, -0.4, 0.0, 1.7, 6.0, 12.0)
+    for t2 in (-2.5, 0.0, 2.2, 8.0, 12.0)
+    for rho in (-0.95, -0.5, 0.3, 0.99)
+]
+
+
+def test_orthant_array_scan_equals_scalar_scan():
+    # the one-call scan does the scalar loop's IEEE operations in its order
+    for t1, t2, rho in _ORTHANT_SWEEP:
+        assert bivariate_normal_orthant_log(t1, t2, rho) == _orthant_log_scalar_scan(t1, t2, rho), (t1, t2, rho)
+
+
+def test_scipy_integrate_loads_on_first_quadrature():
+    code = (
+        "import sys, tailagg, tailagg.cli\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+        "tailagg.bivariate_normal_orthant_log(1.0, 2.0, 0.5)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tailagg.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[:2] == ["[]", "True"]
 
 
 def test_asy_indep_ratio_decreasing_for_all_rho():
