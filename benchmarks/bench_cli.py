@@ -1,21 +1,17 @@
-"""Benchmark: the fixed cost of a CLI command, and ms per orthant quadrature.
+"""Benchmark: the fixed cost of a CLI command.
 
 Prints, and writes as one JSON record:
-  import_cli_s     cold `import tailagg.cli` in a fresh interpreter (numpy,
-                   scipy and tailagg are imported; interpreter start-up is
-                   not counted), median of IMPORT_SAMPLES processes
-  build_parser_ms  one `cli.build_parser()` call, median of PARSER_CALLS
-  orthant_ms       one `joint.bivariate_normal_orthant_log` call, split into
-  orthant_quad_ms  the time spent in `joint.quad` (the adaptive quadrature)
-  orthant_scan_ms  and the rest: the 200-point peak scan and set-up
-The orthant cases are the (t1, t2, rho) points a `check` of A3, A5 and
-ASYINDEP visits on bivariate lognormals with rho = -0.9, 0.5 and 0.9 over
-the default grid; each figure is the median over ORTHANT_ROUNDS passes of
-the mean per call in one pass.
+  import_cli_s  cold `import tailagg.cli` in a fresh interpreter (numpy,
+                scipy and tailagg are imported; interpreter start-up is not
+                counted), median of IMPORT_SAMPLES processes
+  check_grid    the per-layer figures in LAYERS from one
+                `perfbench/run.py --workload check_grid --trace 1` run of the
+                same tree: parser build, orthant call, its peak scan and its
+                quadrature, and the call counts behind them
 
-Run from the repository root, with the tailagg to measure on PYTHONPATH:
+Run from the root of the tree to measure:
 
-    PYTHONPATH=src python benchmarks/bench_cli.py BENCH_<n>.json --label change
+    python benchmarks/bench_cli.py BENCH_<n>.json --label change
 
 The record is stored under `--label` in the output file; records under
 other labels already in the file are kept, so two trees measured on one
@@ -24,30 +20,30 @@ machine can share a file.
 
 import argparse
 import json
-import math
 import os
 import platform
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-import scipy
-
-import tailagg
-from tailagg import cli, joint
-
+ROOT = Path(__file__).resolve().parents[1]
 IMPORT_SAMPLES = 5
-PARSER_CALLS = 200
-ORTHANT_ROUNDS = 7
+LAYERS = (
+    "cli.parser_ms",
+    "cli.self_ms_per_op",
+    "joint.orthant_calls",
+    "joint.orthant_ms",
+    "joint.orthant_scan_ms",
+    "joint.quad_ms",
+    "models.log_survival_calls",
+)
 
 _IMPORT_CODE = "import time; t = time.perf_counter(); import tailagg.cli; print(time.perf_counter() - t)"
 
 
 def cold_import_s() -> float:
-    env = {**os.environ, "PYTHONPATH": str(Path(tailagg.__file__).resolve().parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     runs = [
         float(subprocess.run([sys.executable, "-c", _IMPORT_CODE], env=env, capture_output=True, text=True, check=True).stdout)
         for _ in range(IMPORT_SAMPLES)
@@ -55,78 +51,33 @@ def cold_import_s() -> float:
     return statistics.median(runs)
 
 
-def build_parser_ms() -> float:
-    times = []
-    for _ in range(PARSER_CALLS):
-        t0 = time.perf_counter()
-        cli.build_parser()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1e3
-
-
-def orthant_cases() -> list:
-    grid = np.logspace(1, 5, 9)
-    aux = tailagg.lognormal(0.0, 1.0).auxiliary()
-    cases = []
-    for rho in (-0.9, 0.5, 0.9):
-        for x, s in zip(grid, aux(grid)):
-            tx, ts = math.log(x), math.log(s)
-            cases += [(tx, ts, rho), (ts, ts, rho), (tx, tx, rho)]
-    return cases
-
-
-def orthant_ms(cases) -> tuple:
-    """(total, quad, scan) ms per orthant call over `cases`."""
-    inner = joint.quad
-    spent = [0.0]
-
-    def timed_quad(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return inner(*args, **kwargs)
-        finally:
-            spent[0] += time.perf_counter() - t0
-
-    for case in cases:  # the first call imports scipy.integrate where that is lazy
-        joint.bivariate_normal_orthant_log(*case)
-    totals, quads = [], []
-    joint.quad = timed_quad
-    try:
-        for _ in range(ORTHANT_ROUNDS):
-            spent[0] = 0.0
-            t0 = time.perf_counter()
-            for case in cases:
-                joint.bivariate_normal_orthant_log(*case)
-            totals.append((time.perf_counter() - t0) / len(cases))
-            quads.append(spent[0] / len(cases))
-    finally:
-        joint.quad = inner
-    total, quad = statistics.median(totals) * 1e3, statistics.median(quads) * 1e3
-    return total, quad, total - quad
+def check_grid_layers(seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "check_grid",
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"]
+    last = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True).stdout.splitlines()[-1]
+    run = json.loads(last)
+    if not run["correct"]:
+        raise RuntimeError(f"check_grid: {run['failed']}/{run['attempted']} ops failed")
+    return {name: run["metrics"][name]["value"] for name in LAYERS}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("out", help="JSON file to write the record into")
     ap.add_argument("--label", default="change", help="key of the record in the file")
+    ap.add_argument("--seed", type=int, default=1, help="seed of the traced check_grid run")
+    ap.add_argument("--seconds", type=float, default=22.0, help="length of the traced check_grid run")
     args = ap.parse_args(argv)
 
-    cases = orthant_cases()
-    total, quad, scan = orthant_ms(cases)
     record = {
         "import_cli_s": cold_import_s(),
-        "build_parser_ms": build_parser_ms(),
-        "orthant_ms": total,
-        "orthant_quad_ms": quad,
-        "orthant_scan_ms": scan,
-        "orthant_cases": len(cases),
+        "check_grid": check_grid_layers(args.seed, args.seconds),
         "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
     }
-    for k, v in record.items():
-        print(f"{k:16s} {v:.4g}" if isinstance(v, float) else f"{k:16s} {v}")
+    print(f"{'import_cli_s':26s} {record['import_cli_s']:.4g}")
+    for name, value in record["check_grid"].items():
+        print(f"{name:26s} {value:.4g}")
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data[args.label] = record

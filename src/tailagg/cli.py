@@ -381,14 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_parser = None  # built by the first main() call and reused by every later one
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (TailAggError, ValueError, OSError) as exc:

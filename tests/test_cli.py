@@ -1,6 +1,4 @@
 import argparse
-import contextlib
-import io
 import json
 import math
 
@@ -8,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from tailagg import cli
 from tailagg.cli import _parse_count, main
 from tailagg.tables import make_table1, read_csv_rows
 
@@ -376,44 +373,3 @@ def test_option_like_tokens_still_rejected(extra, bivln_cfg, capsys):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 
-
-def _call(run, argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = run(argv)
-        except SystemExit as exc:
-            rc = exc.code
-    return rc, out.getvalue(), err.getvalue()
-
-
-def test_main_builds_the_parser_once(bivln_cfg, como_cfg, monkeypatch):
-    built = []
-    build = cli.build_parser
-
-    def counting_build():
-        built.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counting_build)
-    runs = [
-        ["approx", "--joint", bivln_cfg, "--coeffs", "3,2", "--threshold", "30"],
-        ["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "10", "--n", "1e3", "--bogus"],
-        ["check", "--joint", como_cfg, "--assumption", "A5", "--grid-log", "0:2:5"],
-        ["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "10", "--n", "1e3", "--seed", "4"],
-        ["approx", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "-1e3"],
-        ["check", "--assumption", "A5"],
-        ["approx", "--joint", bivln_cfg, "--coeffs", "3,2", "--threshold", "30"],
-    ]
-    results = [_call(main, argv) for argv in runs]
-    assert len(built) == 1
-    # the reused parser answers as a freshly built one does
-    fresh = []
-    for argv in runs:
-        monkeypatch.setattr(cli, "_parser", None)
-        fresh.append(_call(main, argv))
-    assert len(built) == 1 + len(runs)
-    assert results == fresh
-    assert [r[0] for r in results] == [0, 2, 0, 0, 0, 2, 0]
-    assert results[-1] == results[0]
