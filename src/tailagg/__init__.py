@@ -43,7 +43,6 @@ from .joint import (
     JointModel,
     bivariate_lognormal,
     bivariate_normal_orthant_log,
-    bivln_joint_log_survival,
     comonotone_inverse,
     iid_pair,
     joint_from_config,

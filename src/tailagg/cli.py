@@ -27,7 +27,7 @@ from . import diagnostics
 from .asymptotics import approx_linear
 from .errors import TailAggError
 from .joint import BIVARIATE_LOGNORMAL, JointModel, joint_from_config
-from .models import model_from_config
+from .models import lognormal, model_from_config
 from .portfolio import LinearConstraint, PortfolioProblem, grid_verify, single_asset_extremes, solve_two_stage
 from .rare_event import cond_mc_lognormal, exact_comonotone_lognormal, plain_mc, ratio_vs_asymptotic
 from .tables import atomic_write_text, reproduce_tables, write_csv
@@ -152,7 +152,7 @@ def cmd_approx(args) -> int:
 
 def cmd_exact(args) -> int:
     est = exact_comonotone_lognormal(args.mu, args.threshold)
-    model = JointModel(BIVARIATE_LOGNORMAL, mu=args.mu, sigma=1.0, rho=-1.0).marginal_model(0)
+    model = lognormal(args.mu, 1.0)
     from .asymptotics import approx_sum_pair
 
     approx = approx_sum_pair(model, model, args.threshold, c=1.0)
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--model2", help="second marginal (A2)")
     pc.add_argument("--L", type=_parse_finite, default=1.0)
     pc.add_argument("--t", type=_parse_finite, default=1.0)
-    pc.add_argument("--grid-log", type=_parse_grid, default="1:5:9", help="log10 grid lo:hi:count")
+    pc.add_argument("--grid-log", type=_parse_grid, help="log10 grid lo:hi:count (default 1:5:9)")
     pc.add_argument("--method", choices=("auto", "closed_form", "mc"), default="auto")
     pc.add_argument("--mc-n", type=_parse_count, default=10**6)
     pc.add_argument("--seed", type=int)

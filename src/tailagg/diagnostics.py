@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AuxiliaryNotDiverging, UnsupportedKind
-from .joint import BIVARIATE_LOGNORMAL, JointModel, bivln_joint_log_survival
-from .models import TailModel
+from .joint import BIVARIATE_LOGNORMAL, MIXED_MIN, JointModel
+from .models import AuxiliaryFn, TailModel
 
 A1_MDA = "A1_MDA"
 A2_TAIL_RATIO = "A2_TailRatio"
@@ -124,11 +124,22 @@ def _as_grid(x_grid) -> np.ndarray:
     return g
 
 
+def _levels(aux: AuxiliaryFn, g: np.ndarray, L: float) -> np.ndarray:
+    """L f(x) on the grid; ValueError at the first x where f(x) is not positive and finite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fx = aux(g)
+    bad = ~(np.isfinite(fx) & (fx > 0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        x, f = float(g[k]), float(fx[k])
+        raise ValueError(f"the auxiliary function is not positive and finite at grid point x = {x!r} (f(x) = {f!r})")
+    return L * fx
+
+
 def check_mda_gumbel(model: TailModel, x_grid=None, t_grid=(-1.0, 0.0, 1.0, 2.0)) -> AssumptionReport:
     """Worst deviation of sf(x + t f(x))/sf(x) from exp(-t) over t_grid."""
     g = _as_grid(x_grid)
-    aux = model.auxiliary()
-    fx = aux(g)
+    fx = _levels(model.auxiliary(), g, 1.0)
     vals = np.zeros(len(g))
     base = model.log_survival(g)
     for t in t_grid:
@@ -143,27 +154,48 @@ def check_tail_ratio(model_x: TailModel, model_y: TailModel, x_grid=None) -> Ass
     return AssumptionReport(A2_TAIL_RATIO, tuple(g), tuple(vals), classify_trend(vals), CLOSED_FORM)
 
 
-def _joint_log_survival(model: JointModel, x: float, y: float):
-    """(log P(X > x, Y > y), method) using the best available exact route."""
-    if model.kind == BIVARIATE_LOGNORMAL and -1.0 < model.rho < 1.0:
-        return bivln_joint_log_survival(model, x, y), QUADRATURE
-    p = model.joint_survival(x, y)
-    return (math.log(p) if p > 0 else -math.inf), CLOSED_FORM
+def _pair_method(model: JointModel) -> str:
+    """How the exact route gets an orthant: quadrature for a correlated bivariate lognormal."""
+    if model.kind == BIVARIATE_LOGNORMAL and model.rho not in (-1.0, 0.0):
+        return QUADRATURE
+    return CLOSED_FORM
 
 
-def _conditional_mc(model: JointModel, pairs, focal: int, n: int, seed: int):
-    """Rejection estimate of P(other > s_i | focal > x_i) for each (x_i, s_i)."""
-    other = 1 - focal
-    vals = []
-    for k, (x, s) in enumerate(pairs):
-        rows = model.sample(n, seed, stream=k)
-        hits = rows[:, focal] > x
-        m = int(hits.sum())
-        if m < _MC_MIN_HITS:
-            vals.append(math.nan)
+def _sampled_hits(model: JointModel, corners, focal: int, n: int, seed: int):
+    """(corner hits, focal hits) among n draws per corner (u, v), one substream per grid point.
+
+    A corner hit has X > u and Y > v; a focal hit passes the corner in the
+    focal coordinate alone.
+    """
+    hits = []
+    for k, corner in enumerate(corners):
+        above = model.sample(n, seed, stream=k) > corner
+        hits.append((int(np.count_nonzero(above.all(axis=1))), int(np.count_nonzero(above[:, focal]))))
+    return hits
+
+
+def _pair_report(assumption: str, model: JointModel, g, corners, focal: int, method="auto", mc_n=None, seed=None):
+    """P(X > u, Y > v) / P(focal > x) over one corner (u, v) per grid point x.
+
+    method="mc" samples the corners instead.  A3/A4 then report the share of
+    focal hits that are corner hits, blank below _MC_MIN_HITS focal hits;
+    A5 divides the corner-hit frequency by the exact marginal.
+    """
+    if method == "mc":
+        hits = _sampled_hits(model, corners, focal, mc_n, seed)
+        if assumption == A5_JOINT_AUX:
+            dens = [math.exp(v) for v in model.marginal_log_survival(focal, g).tolist()]
+            vals = [c / mc_n / den if den > 0 else math.inf for (c, _), den in zip(hits, dens)]
         else:
-            vals.append(float(np.mean(rows[hits, other] > s)))
-    return vals
+            vals = [c / m if m >= _MC_MIN_HITS else math.nan for c, m in hits]
+        return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), MONTE_CARLO, mc_n, seed)
+    if method not in ("auto", "closed_form"):
+        raise ValueError("method must be auto, closed_form or mc")
+    vals = []
+    for (u, v), log_marg in zip(corners, model.marginal_log_survival(focal, g).tolist()):
+        log_joint = model.joint_log_survival(u, v)
+        vals.append(_safe_exp(log_joint - log_marg) if log_joint > -math.inf else 0.0)
+    return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), _pair_method(model))
 
 
 def check_conditional(
@@ -187,33 +219,14 @@ def check_conditional(
     if t <= 0:
         raise ValueError("t must be positive")
     g = _as_grid(x_grid)
-    aux = _first_marginal(model).auxiliary()
-    s = t * aux(g)
-    focal = 0 if which == "A3" else 1
-    assumption = A3_COND_Y if which == "A3" else A4_COND_X
-
-    if method == "mc":
-        pairs = list(zip(g, s))
-        vals = _conditional_mc(model, pairs, focal, mc_n, seed)
-        return AssumptionReport(
-            assumption, tuple(g), tuple(vals), classify_trend(vals), MONTE_CARLO, mc_n, seed
-        )
-    if method not in ("auto", "closed_form"):
-        raise ValueError("method must be auto, closed_form or mc")
-
-    vals = []
-    used = CLOSED_FORM
-    for xi, si, log_marg in zip(g, s, model.marginal_log_survival(focal, g).tolist()):
-        if focal == 0:
-            log_joint, used = _joint_log_survival(model, xi, si)
-        else:
-            log_joint, used = _joint_log_survival(model, si, xi)
-        vals.append(_safe_exp(log_joint - log_marg) if log_joint > -math.inf else 0.0)
-    return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), used)
+    s = _levels(_first_marginal(model).auxiliary(), g, t)
+    if which == "A3":
+        return _pair_report(A3_COND_Y, model, g, list(zip(g, s)), 0, method, mc_n, seed)
+    return _pair_report(A4_COND_X, model, g, list(zip(s, g)), 1, method, mc_n, seed)
 
 
 def _first_marginal(model: JointModel) -> TailModel:
-    if model.kind == "mixed_min":
+    if model.kind == MIXED_MIN:
         # the product marginal keeps the base's auxiliary up to asymptotic
         # equivalence in all catalog configurations; use the heavier factor
         return model.base
@@ -232,31 +245,8 @@ def check_joint_aux(
     if L <= 0:
         raise ValueError("L must be positive")
     g = _as_grid(x_grid)
-    aux = _first_marginal(model).auxiliary()
-    s = L * aux(g)
-
-    if method == "mc":
-        vals = []
-        for k, (si, log_marg) in enumerate(zip(s, model.marginal_log_survival(0, g).tolist())):
-            rows = model.sample(mc_n, seed, stream=k)
-            num = float(np.mean((rows[:, 0] > si) & (rows[:, 1] > si)))
-            den = math.exp(log_marg)
-            vals.append(num / den if den > 0 else math.inf)
-        return AssumptionReport(
-            A5_JOINT_AUX, tuple(g), tuple(vals), classify_trend(vals), MONTE_CARLO, mc_n, seed
-        )
-    if method not in ("auto", "closed_form"):
-        raise ValueError("method must be auto, closed_form or mc")
-
-    vals = []
-    used = CLOSED_FORM
-    for si, log_marg in zip(s, model.marginal_log_survival(0, g).tolist()):
-        log_joint, used = _joint_log_survival(model, si, si)
-        if log_joint == -math.inf:
-            vals.append(0.0)
-        else:
-            vals.append(_safe_exp(log_joint - log_marg))
-    return AssumptionReport(A5_JOINT_AUX, tuple(g), tuple(vals), classify_trend(vals), used)
+    s = _levels(_first_marginal(model).auxiliary(), g, L)
+    return _pair_report(A5_JOINT_AUX, model, g, list(zip(s, s)), 0, method, mc_n, seed)
 
 
 def check_subexp_criterion(model: TailModel, L: float, x_grid=None) -> AssumptionReport:
@@ -269,7 +259,7 @@ def check_subexp_criterion(model: TailModel, L: float, x_grid=None) -> Assumptio
     aux = model.auxiliary()
     if not aux.diverges:
         raise AuxiliaryNotDiverging("the criterion requires f(x) -> infinity")
-    s = L * aux(g)
+    s = _levels(aux, g, L)
     vals = np.exp(2.0 * model.log_survival(s) - model.log_survival(g))
     return AssumptionReport(SUBEXP_CRITERION, tuple(g), tuple(vals), classify_trend(vals), CLOSED_FORM)
 
@@ -279,9 +269,4 @@ def check_asy_indep(model: JointModel, x_grid=None) -> AssumptionReport:
     if model.kind != BIVARIATE_LOGNORMAL:
         raise UnsupportedKind("asymptotic-independence ratio is tabulated for the bivariate lognormal")
     g = _as_grid(x_grid)
-    vals = []
-    for xi, log_marg in zip(g, model.marginal_log_survival(0, g).tolist()):
-        log_joint, _ = _joint_log_survival(model, xi, xi)
-        vals.append(_safe_exp(log_joint - log_marg) if log_joint > -math.inf else 0.0)
-    method = QUADRATURE if -1.0 < model.rho < 1.0 and model.rho != 0.0 else CLOSED_FORM
-    return AssumptionReport(ASY_INDEP_RATIO, tuple(g), tuple(vals), classify_trend(vals), method)
+    return _pair_report(ASY_INDEP_RATIO, model, g, list(zip(g, g)), 0)

@@ -163,8 +163,8 @@ class JointModel:
         """P(X > x, Y > y) in closed form.
 
         Raises UnsupportedKind for bivariate_lognormal with rho in (-1, 1);
-        callers needing those orthants should use
-        `bivariate_normal_orthant_log` or Monte Carlo.
+        callers needing those orthants should use `joint_log_survival`
+        (quadrature) or Monte Carlo.
         """
         kind = self.kind
         if kind == IID_PAIR:
@@ -172,28 +172,49 @@ class JointModel:
                 raise UnsupportedKind("joint_survival is a pair quantity")
             return float(np.exp(self.marginal.log_survival(x) + self.marginal.log_survival(y)))
         if kind == COMONOTONE_INVERSE:
-            # U-interval overlap: F(x) < U < 1 - F(y)
-            sfx = float(self.marginal.survival(x))
-            sfy = float(self.marginal.survival(y))
-            return max(0.0, sfx + sfy - 1.0)
+            return _countermonotone_overlap(self.marginal, x, y)
         if kind == BIVARIATE_LOGNORMAL:
             if self.rho == -1.0:
                 # Y = exp(2 mu) / X: the pair is countermonotone
-                sfx = float(lognormal(self.mu, self.sigma).survival(x))
-                sfy = float(lognormal(self.mu, self.sigma).survival(y))
-                return max(0.0, sfx + sfy - 1.0)
+                return _countermonotone_overlap(lognormal(self.mu, self.sigma), x, y)
             raise UnsupportedKind(
                 "bivariate lognormal orthants for rho in (-1, 1) have no closed form; "
-                "use bivariate_normal_orthant_log (quadrature) or Monte Carlo"
+                "use joint_log_survival (quadrature) or Monte Carlo"
             )
         if kind == MIN_CONSTRUCTION:
             f = log_weibull(self.alpha)
             return float(np.exp(f.log_survival(x) + f.log_survival(max(x, y)) + f.log_survival(y)))
-        # mixed_min: comonotone overlap of the base pair times the independent minima
-        sfx = float(self.base.survival(x))
-        sfy = float(self.base.survival(y))
-        overlap = max(0.0, sfx + sfy - 1.0)
+        # mixed_min: countermonotone overlap of the base pair times the independent minima
+        overlap = _countermonotone_overlap(self.base, x, y)
         return overlap * float(np.exp(self.lighter.log_survival(x) + self.lighter.log_survival(y)))
+
+    def joint_log_survival(self, x: float, y: float) -> float:
+        """log P(X > x, Y > y) for every kind.
+
+        The log of `joint_survival` where that is closed; a bivariate
+        lognormal with rho in (-1, 1) goes through the orthant quadrature,
+        except at rho = 0 and where a threshold is <= 0 (a one-margin or
+        trivial orthant).
+        """
+        if self.kind != BIVARIATE_LOGNORMAL or self.rho == -1.0:
+            p = self.joint_survival(x, y)
+            return math.log(p) if p > 0 else -math.inf
+        if x <= 0 and y <= 0:
+            return 0.0
+        t1 = (math.log(x) - self.mu) / self.sigma if x > 0 else -math.inf
+        t2 = (math.log(y) - self.mu) / self.sigma if y > 0 else -math.inf
+        if t1 == -math.inf:
+            return float(norm_log_sf(t2))
+        if t2 == -math.inf:
+            return float(norm_log_sf(t1))
+        if self.rho == 0.0:
+            return float(norm_log_sf(t1) + norm_log_sf(t2))
+        return bivariate_normal_orthant_log(t1, t2, self.rho)
+
+
+def _countermonotone_overlap(marginal: TailModel, x, y) -> float:
+    """P(Q(U) > x, Q(1 - U) > y): the U-interval F(x) < U < 1 - F(y)."""
+    return max(0.0, float(marginal.survival(x)) + float(marginal.survival(y)) - 1.0)
 
 
 # -- bivariate normal orthant via quadrature --------------------------------------
@@ -248,23 +269,6 @@ def bivariate_normal_orthant_log(t1: float, t2: float, rho: float) -> float:
     if val <= 0.0:
         return -math.inf
     return shift + math.log(val) + log_sf1
-
-
-def bivln_joint_log_survival(model: JointModel, x: float, y: float) -> float:
-    """log P(X > x, Y > y) for a bivariate lognormal, any rho in (-1, 1)."""
-    if model.kind != BIVARIATE_LOGNORMAL:
-        raise UnsupportedKind("expected a bivariate_lognormal model")
-    if x <= 0 and y <= 0:
-        return 0.0
-    t1 = (math.log(x) - model.mu) / model.sigma if x > 0 else -math.inf
-    t2 = (math.log(y) - model.mu) / model.sigma if y > 0 else -math.inf
-    if t1 == -math.inf:
-        return float(norm_log_sf(t2))
-    if t2 == -math.inf:
-        return float(norm_log_sf(t1))
-    if model.rho == 0.0:
-        return float(norm_log_sf(t1) + norm_log_sf(t2))
-    return bivariate_normal_orthant_log(t1, t2, model.rho)
 
 
 # -- configs ---------------------------------------------------------------------

@@ -76,18 +76,11 @@ class PortfolioProblem:
 
 
 @dataclass(frozen=True)
-class StageTrace:
-    minimax_value: float
-    tie_constant: float
-
-
-@dataclass(frozen=True)
 class PortfolioSolution:
     a: tuple
     m_d: float
     N_d: float
     approx_prob: float
-    stage_trace: StageTrace
     heuristic: bool = True
 
 
@@ -113,11 +106,11 @@ def solve_two_stage(p: PortfolioProblem) -> PortfolioSolution:
         if L <= 0:
             a = tuple(0.0 for _ in l)
             m, n = 0.0, float(sum(p.c))
-            return PortfolioSolution(a, m, n, 0.0, StageTrace(m, n))
+            return PortfolioSolution(a, m, n, 0.0)
         m = L / float(l.sum())
         a = tuple(m for _ in l)
         n = float(sum(p.c))
-        return PortfolioSolution(a, m, n, _approx_prob(p.models[0], n, m, p.threshold), StageTrace(m, n))
+        return PortfolioSolution(a, m, n, _approx_prob(p.models[0], n, m, p.threshold))
 
     if isinstance(p.constraint, GridConstraint):
         feasible = [tuple(float(v) for v in cand) for cand in p.constraint.candidates if p.constraint.satisfied(cand)]
@@ -130,7 +123,7 @@ def solve_two_stage(p: PortfolioProblem) -> PortfolioSolution:
         # breaking remaining ties lexicographically
         best = min(stage2, key=lambda cand: (_recipe_stats(cand, p.c)[1], cand))
         m, n = _recipe_stats(best, p.c)
-        return PortfolioSolution(best, m, n, _approx_prob(p.models[0], n, m, p.threshold), StageTrace(m_star, n))
+        return PortfolioSolution(best, m, n, _approx_prob(p.models[0], n, m, p.threshold))
 
     raise UnsupportedConstraint(f"unknown constraint type {type(p.constraint).__name__}")
 

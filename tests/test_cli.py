@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -373,3 +374,29 @@ def test_option_like_tokens_still_rejected(extra, bivln_cfg, capsys):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 
+
+
+def test_check_default_grid_is_1_5_9(capsys, como_cfg):
+    rc, payload = _run_json(capsys, ["check", "--joint", como_cfg, "--assumption", "A5"])
+    assert rc == 0 and payload["grid"] == np.logspace(1.0, 5.0, 9).tolist()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--assumption", "A3", "--joint", {"kind": "bivariate_lognormal", "mu": 0.0, "sigma": 1.0, "rho": -0.9}],
+        ["--assumption", "A4", "--joint", {"kind": "bivariate_lognormal", "mu": 0.0, "sigma": 1.0, "rho": -0.9}],
+        ["--assumption", "A5", "--joint", {"kind": "min_construction", "alpha": 2.0}],
+        ["--assumption", "SUBEXP", "--model", {"family": "lognormal", "mu": 0.0, "sigma": 1.0}],
+    ],
+)
+def test_check_rejects_levels_where_the_auxiliary_is_not_positive(argv, tmp_path, capsys):
+    # f(x) <= 0 for a lognormal at x <= e^mu (and log-Weibull at x <= 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(argv[-1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["check", *argv[:-1], str(cfg), "--grid-log", "-0.5:3:8"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "x = 0.31622776601683794" in err

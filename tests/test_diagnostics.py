@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.special import log_ndtr
 from tailagg import (
     AuxiliaryNotDiverging,
     bivariate_lognormal,
+    bivariate_normal_orthant_log,
     check_asy_indep,
     check_conditional,
     check_joint_aux,
@@ -30,7 +32,6 @@ from tailagg.diagnostics import (
     DIVERGING,
     INCONCLUSIVE,
     _first_marginal,
-    _joint_log_survival,
     _safe_exp,
 )
 
@@ -261,7 +262,7 @@ def _per_point(model, corner, focal, level, grid):
     s = level * _first_marginal(model).auxiliary()(grid)
     vals = []
     for xi, si in zip(grid, s):
-        log_joint, _ = _joint_log_survival(model, *corner(xi, si))
+        log_joint = model.joint_log_survival(*corner(xi, si))
         log_marg = float(model.marginal_log_survival(focal, xi))
         vals.append(_safe_exp(log_joint - log_marg) if log_joint > -math.inf else 0.0)
     return tuple(vals)
@@ -281,6 +282,143 @@ def test_check_values_equal_a_per_point_reference(name):
     if model.kind == "bivariate_lognormal":
         asy = check_asy_indep(model, grid)
         assert asy.values == _per_point(model, lambda x, s: (x, x), 0, 1.0, grid)
+
+
+def _orthant_log_reference(model, x, y):
+    # log P(X > x, Y > y) by kind: for a bivariate lognormal with rho in
+    # (-1, 1) the trivial and one-margin orthants, the product at rho = 0 and
+    # the quadrature otherwise; the log of the closed form for the rest
+    if model.kind == "bivariate_lognormal" and -1.0 < model.rho < 1.0:
+        if x <= 0 and y <= 0:
+            return 0.0
+        t1 = (math.log(x) - model.mu) / model.sigma if x > 0 else -math.inf
+        t2 = (math.log(y) - model.mu) / model.sigma if y > 0 else -math.inf
+        if t1 == -math.inf:
+            return float(log_ndtr(-t2))
+        if t2 == -math.inf:
+            return float(log_ndtr(-t1))
+        if model.rho == 0.0:
+            return float(log_ndtr(-t1) + log_ndtr(-t2))
+        return bivariate_normal_orthant_log(t1, t2, model.rho)
+    p = model.joint_survival(x, y)
+    return math.log(p) if p > 0 else -math.inf
+
+
+_CORNER_ENDS = (-1.0, 0.0, 0.5, 1.0, 3.0, 40.0)
+
+
+@pytest.mark.parametrize("name", _EVERY_KIND)
+def test_joint_log_survival_equals_the_orthant_by_kind(name):
+    model = _EVERY_KIND[name]
+    for x in _CORNER_ENDS:
+        for y in _CORNER_ENDS:
+            assert model.joint_log_survival(x, y) == _orthant_log_reference(model, x, y), (x, y)
+
+
+def _conditional_mc_reference(model, pairs, focal, n, seed):
+    # rejection estimate of P(other > s | focal > x) per (x, s), one substream
+    # per point, blank below 100 conditioning hits
+    other = 1 - focal
+    vals = []
+    for k, (x, s) in enumerate(pairs):
+        rows = model.sample(n, seed, stream=k)
+        hits = rows[:, focal] > x
+        if int(hits.sum()) < 100:
+            vals.append(math.nan)
+        else:
+            vals.append(float(np.mean(rows[hits, other] > s)))
+    return vals
+
+
+def _joint_aux_mc_reference(model, s, grid, n, seed):
+    # sampled P(X > s, Y > s) over the exact P(X > x), one substream per point
+    vals = []
+    for k, (si, log_marg) in enumerate(zip(s, model.marginal_log_survival(0, grid).tolist())):
+        rows = model.sample(n, seed, stream=k)
+        num = float(np.mean((rows[:, 0] > si) & (rows[:, 1] > si)))
+        den = math.exp(log_marg)
+        vals.append(num / den if den > 0 else math.inf)
+    return vals
+
+
+@pytest.mark.parametrize("name", _EVERY_KIND)
+def test_mc_checks_equal_rejection_references(name):
+    model = _EVERY_KIND[name]
+    grid = np.logspace(0.2, 2.5, 5)
+    n, seed = 3000, 11
+    f = _first_marginal(model).auxiliary()
+    for which, focal, t in (("A3", 0, 1.5), ("A4", 1, 0.5)):
+        rep = check_conditional(model, which, t, grid, method="mc", mc_n=n, seed=seed)
+        ref = _conditional_mc_reference(model, list(zip(grid, t * f(grid))), focal, n, seed)
+        np.testing.assert_array_equal(rep.values, ref)
+        assert rep.method == "monte_carlo" and (rep.mc_n, rep.seed) == (n, seed)
+        # the deepest point has too few conditioning hits
+        assert math.isnan(ref[-1]) and not math.isnan(ref[0])
+    for L in (0.5, 2.0):
+        rep = check_joint_aux(model, L, grid, method="mc", mc_n=n, seed=seed)
+        np.testing.assert_array_equal(rep.values, _joint_aux_mc_reference(model, L * f(grid), grid, n, seed))
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 0.5])
+def test_pair_checks_name_their_exact_route(rho):
+    # only a correlated bivariate lognormal needs the orthant quadrature
+    model = bivariate_lognormal(0.0, 1.0, rho)
+    want = "quadrature" if rho in (-0.5, 0.5) else "closed_form"
+    reports = [
+        check_conditional(model, "A3", 1.0),
+        check_conditional(model, "A4", 1.0),
+        check_joint_aux(model, 1.0),
+        check_asy_indep(model),
+    ]
+    assert [r.method for r in reports] == [want] * 4
+    assert check_joint_aux(model, 1.0, method="mc", mc_n=1000).method == "monte_carlo"
+
+
+def test_other_kinds_are_closed_form():
+    for name, model in _EVERY_KIND.items():
+        if model.kind != "bivariate_lognormal":
+            assert check_conditional(model, "A4", 1.0).method == "closed_form", name
+            assert check_joint_aux(model, 1.0).method == "closed_form", name
+
+
+_BELOW_E_MU = np.logspace(-0.5, 3.0, 8)  # starts at 0.316 < e^0 and passes x = 1
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g: check_conditional(bivariate_lognormal(0.0, 1.0, -0.9), "A3", 1.0, g),
+        lambda g: check_conditional(bivariate_lognormal(0.0, 1.0, -0.9), "A4", 1.0, g),
+        lambda g: check_conditional(iid_pair(LN), "A3", 1.0, g, method="mc", mc_n=1000),
+        lambda g: check_joint_aux(bivariate_lognormal(0.0, 1.0, 0.5), 1.0, g),
+        lambda g: check_mda_gumbel(LN, g),
+        lambda g: check_subexp_criterion(LN, 1.0, g),
+    ],
+)
+def test_levels_reject_a_non_positive_auxiliary(check):
+    # f(x) = x / log x is negative below x = 1 and infinite at x = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"x = 0\.316.*f\(x\) = -"):
+            check(_BELOW_E_MU)
+        with pytest.raises(ValueError, match=r"x = 1\.0 \(f\(x\) = inf\)"):
+            check(_BELOW_E_MU[1:])
+        check(_BELOW_E_MU[2:])
+
+
+def test_levels_reject_a_nan_auxiliary():
+    # log_weibull(1.5): f(x) = x / (1.5 sqrt(log x)) is nan below x = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"x = 0\.5 \(f\(x\) = nan\)"):
+            check_mda_gumbel(log_weibull(1.5), np.array([0.5, 2.0]))
+
+
+def test_constant_auxiliary_keeps_grids_below_one():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_joint_aux(comonotone_inverse(exponential(1.0)), 2.0, _BELOW_E_MU)
+    assert rep.grid == tuple(_BELOW_E_MU)
 
 
 # ---------------------------------------------------------------- subexponentiality

@@ -16,7 +16,6 @@ from tailagg import (
     UnsupportedKind,
     bivariate_lognormal,
     bivariate_normal_orthant_log,
-    bivln_joint_log_survival,
     check_asy_indep,
     comonotone_inverse,
     exponential,
@@ -252,7 +251,7 @@ def test_asy_indep_ratio_decreasing_for_all_rho():
 def test_asy_indep_ratio_vs_monte_carlo():
     m = bivariate_lognormal(0.0, 1.0, 0.9)
     x = 3.0
-    ratio = math.exp(bivln_joint_log_survival(m, x, x) - m.marginal_model(0).log_survival(x))
+    ratio = math.exp(m.joint_log_survival(x, x) - m.marginal_model(0).log_survival(x))
     s = m.sample(10**6, seed=17)
     hits = s[:, 0] > x
     emp = float(np.mean(s[hits, 1] > x))
