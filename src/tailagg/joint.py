@@ -3,6 +3,11 @@
 Sampling is inverse-CDF on a counter-based Philox stream (no ziggurat, no
 Box-Muller) so that any (seed, stream) pair regenerates the same draws and
 parallel substreams stay reproducible.  Determinism outranks raw speed here.
+A draw is two steps: `_uniforms` fills an array from the stream, and
+`JointModel.rows` transforms it elementwise into rows of the joint law.  So
+the Monte Carlo estimators can draw a chunk block by block into reused
+scratch and get, row for row, what `JointModel.sample` returns for the
+whole chunk.
 
 Joint survival P(X > x, Y > y) is exact for every kind except the bivariate
 lognormal with rho strictly inside (-1, 1), whose orthant probabilities have
@@ -48,6 +53,8 @@ _FIELDS = {
     MIN_CONSTRUCTION: {"alpha": None},
     MIXED_MIN: {"base": None, "lighter": None},
 }
+# uniforms each pair construction turns into one row
+_UNIFORMS_PER_ROW = {BIVARIATE_LOGNORMAL: 2, COMONOTONE_INVERSE: 1, MIN_CONSTRUCTION: 3, MIXED_MIN: 3}
 # keys whose values are not plain numbers: nested model configs and the dimension
 _READERS = {"marginal": model_from_config, "base": model_from_config, "lighter": model_from_config, "dim": config_integer}
 
@@ -60,9 +67,15 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence([int(seed), int(stream)])))
 
 
-def _uniforms(seed: int, stream: int, shape) -> np.ndarray:
-    u = _stream(seed, stream).random(shape)
-    return np.clip(u, _U_LO, _U_HI, out=u)
+def _uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous out with gen's next uniforms, clipped into (0, 1); return out.
+
+    The clip keeps ndtri and the quantiles finite.  Successive calls continue
+    gen's stream, so filling the row blocks of an array one after another
+    gives the same values as one fill of the whole.
+    """
+    gen.random(out=out)
+    return np.clip(out, _U_LO, _U_HI, out=out)
 
 
 @dataclass(frozen=True)
@@ -128,30 +141,39 @@ class JointModel:
 
     # -- sampling ---------------------------------------------------------------
 
+    @property
+    def uniform_dim(self) -> int:
+        """Uniforms per row: the width of the block `rows` takes."""
+        return self.dim if self.kind == IID_PAIR else _UNIFORMS_PER_ROW[self.kind]
+
     def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
         """n iid rows from the joint law; deterministic given (seed, stream, n)."""
         if n < 1:
             raise ValueError("n must be >= 1")
+        return self.rows(_uniforms(_stream(seed, stream), np.empty((n, self.uniform_dim))))
+
+    def rows(self, u: np.ndarray) -> np.ndarray:
+        """Rows of the joint law from a (k, uniform_dim) block of uniforms in (0, 1).
+
+        Every step is elementwise along the rows, so the rows of a block equal
+        the same rows of a transform of the whole array.
+        """
         kind = self.kind
         if kind == IID_PAIR:
-            u = _uniforms(seed, stream, (n, self.dim))
             return self.marginal.quantile(u)
         if kind == BIVARIATE_LOGNORMAL:
-            u = _uniforms(seed, stream, (n, 2))
             g = ndtri(u)
             z1 = g[:, 0]
             z2 = self.rho * g[:, 0] + math.sqrt(1.0 - self.rho * self.rho) * g[:, 1]
             return np.exp(self.mu + self.sigma * np.column_stack([z1, z2]))
         if kind == COMONOTONE_INVERSE:
-            u = _uniforms(seed, stream, n)
+            u = u[:, 0]
             v = np.clip(1.0 - u, _U_LO, _U_HI)
             return np.column_stack([self.marginal.quantile(u), self.marginal.quantile(v)])
         if kind == MIN_CONSTRUCTION:
-            u = _uniforms(seed, stream, (n, 3))
             c = log_weibull(self.alpha).quantile(u)
             return np.column_stack([np.minimum(c[:, 0], c[:, 1]), np.minimum(c[:, 1], c[:, 2])])
         # mixed_min
-        u = _uniforms(seed, stream, (n, 3))
         v = np.clip(1.0 - u[:, 0], _U_LO, _U_HI)
         x = np.minimum(self.base.quantile(u[:, 0]), self.lighter.quantile(u[:, 1]))
         y = np.minimum(self.base.quantile(v), self.lighter.quantile(u[:, 2]))

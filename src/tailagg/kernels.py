@@ -13,9 +13,9 @@ variance than the raw indicator.
 
 One kernel serves every d >= 2, column by column: the correlation mix, the
 terms, the conditional means and the largest and sum of the other terms are
-elementwise passes over chunk-long columns, never reductions along rows of d
-elements.  Each column of the Cholesky factor L of the equicorrelated matrix
-is constant below the diagonal, so W_i = p_i + L[i,i] Z_i where the prefix
+elementwise passes over columns, never reductions along rows of d elements.
+Each column of the Cholesky factor L of the equicorrelated matrix is constant
+below the diagonal, so W_i = p_i + L[i,i] Z_i where the prefix
 p_i = sum_{k<i} L[i,k] Z_k grows by one column per term; p_{d-1} is also the
 last term's conditional mean, and L[d-1,d-1] every term's conditional
 standard deviation.  At d = 2 the largest and the sum of the other terms are
@@ -24,23 +24,24 @@ on the same operands as in the two-term kernel this one replaced
 (W_1 = rho Z_0 + sqrt(1 - rho^2) Z_1, conditional means rho W_1 and rho Z_0),
 so d = 2 results are bit-identical to it.
 
-The kernel returns an (len(xs), 2) array whose row j holds the (sum, sum of
-squares) of the per-replication values at xs[j], so the caller can merge
-chunks in a fixed order regardless of how they were scheduled.  The work that
-does not depend on the threshold is done once per chunk; the thresholds are
-then scored one after another on those draws, so memory does not grow with
-their number and every row equals the result of a one-threshold call.
+A call scores the rows it is given, one row block of a chunk in the
+estimator, and writes their replication values at xs[j] into row j of the
+caller's out: the block's columns of the chunk's buffer of shape
+(len(xs), chunk rows), whose rows the caller reduces to (sum, sum of
+squares) once the chunk is done.  The threshold-independent work is done
+once per call, that is once per block, and the thresholds are then scored
+one after another on it, so every row equals the result of a one-threshold
+call.  The chunk's buffer is what grows with the number of thresholds m:
+m x chunk x 8 B per chunk in flight (28 MiB at m = 7 and 2^19 rows).  A
+block's own arrays (at most 4d + 1 of _BLOCK doubles, 5 at d = 2) stay in
+the per-core L2 cache while the elementwise passes run over them, most with
+`out=`, instead of each pass streaming a chunk-long array through DRAM.
 
-Each threshold walks the chunk in row blocks of _BLOCK rows.  A block's
-scratch (a few arrays of _BLOCK doubles) stays in the per-core L2 cache
-while the dozen-odd elementwise passes of the score run over it with `out=`,
-instead of each pass streaming and allocating a chunk-long temporary.  The
-blocks write the replication values into one chunk-long vector v, reused by
-every threshold, and the (sum, sum of squares) are taken over the whole of v.
-The result is bit-identical to scoring the whole chunk in one pass: every
+The result is bit-identical to running the whole chunk in one pass: every
 elementwise operation is the same IEEE operation on the same operands in the
 same order (an elementwise ufunc's value for one element does not depend on
-where the array starts or ends), and the two reductions see the same vector.
+where the array starts or ends), and the two reductions see the same whole
+vector.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ from scipy.special import erfc
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# rows per block: 16384 doubles (128 kB) per scratch array
+# rows per block of a chunk: 16384 doubles (128 kB) per array of the block
 _BLOCK = 1 << 14
 
 
 def _blocks(n: int):
+    """(lo, hi) of each row block of n rows, in order; the last may be partial."""
     for lo in range(0, n, _BLOCK):
         yield lo, min(lo + _BLOCK, n)
 
@@ -76,11 +78,11 @@ def _score(m, x: float, s, nu: float, sig: float, mean, sd: float, out: np.ndarr
     out *= 0.5
 
 
-def _fold(op, cols: list, out: np.ndarray) -> np.ndarray:
-    """op over cols in order, into out; a single column is returned itself, uncopied."""
+def _fold(op, cols: list) -> np.ndarray:
+    """op over cols in order; a single column is returned itself, uncopied."""
     if len(cols) == 1:
         return cols[0]
-    op(cols[0], cols[1], out=out)
+    out = op(cols[0], cols[1])
     for col in cols[2:]:
         op(out, col, out=out)
     return out
@@ -108,16 +110,20 @@ def equicorr_chunk(
     sig: np.ndarray,
     rho: float,
     xs: Sequence[float],
+    out: np.ndarray,
 ) -> np.ndarray:
-    """One chunk of the conditional estimator at every threshold in xs.
+    """The conditional estimator's replication values of the rows of z, at every threshold in xs.
 
-    z is (n, d) iid standard normal, d >= 2, with any strides; it is not
-    written.  rho must lie in (-1/(d-1), 1) so the equicorrelated matrix is
-    positive definite.  The conditional law of W_i given the others has
+    z is (k, d) iid standard normal, d >= 2, with any strides; it is not
+    written.  out is (len(xs), k) with contiguous rows, such as a column slice
+    of a chunk's replication buffer; row j receives the values at xs[j], and
+    out is returned.  rho must lie in (-1/(d-1), 1) so the equicorrelated
+    matrix is positive definite.  The conditional law of W_i given the others
+    has
       mean  rho * sum_{j != i} W_j / (1 + (d-2) rho)
       var   L[d-1, d-1]^2 = 1 - (d-1) rho^2 / (1 + (d-2) rho)
     """
-    n, d = z.shape
+    k, d = z.shape
     below, diag = _equicorr_cholesky(d, rho)
     w = [z[:, 0]]
     p = np.multiply(below[0], z[:, 0])
@@ -131,12 +137,7 @@ def equicorr_chunk(
     # the last term's conditional mean is its prefix p; every other term's is c times
     # the sum of the other w
     c = rho / (1.0 + (d - 2) * rho)
-    means = []
-    for i in range(d - 1):
-        m = np.empty(n)
-        np.multiply(c, _fold(np.add, w[:i] + w[i + 1 :], m), out=m)
-        means.append(m)
-    means.append(p)
+    means = [np.multiply(c, _fold(np.add, w[:i] + w[i + 1 :])) for i in range(d - 1)] + [p]
 
     t = []
     for i, wi in enumerate(w):
@@ -144,25 +145,18 @@ def equicorr_chunk(
         ti = np.multiply(sig[i], wi, out=wi if i else None)
         ti += nu[i]
         t.append(np.exp(ti, out=ti))
+    # the largest and the sum of the other terms; at d = 2 the other term itself
+    others = [t[:i] + t[i + 1 :] for i in range(d)]
+    m_other = [_fold(np.maximum, o) for o in others]
+    s_other = [_fold(np.add, o) for o in others]
 
-    out = np.empty((len(xs), 2))
-    v = np.empty(n)
-    size = min(n, _BLOCK)
-    b, m_other, s_other = (np.empty(size) for _ in range(3))
+    b = np.empty(k)
     for j, x in enumerate(xs):
-        for lo, hi in _blocks(n):
-            k = hi - lo
-            vb = v[lo:hi]
-            tb = [ti[lo:hi] for ti in t]
-            for i in range(d):
-                others = tb[:i] + tb[i + 1 :]
-                mb = _fold(np.maximum, others, m_other[:k])
-                sb = _fold(np.add, others, s_other[:k])
-                # the first term writes v, the others are added to it
-                _score(mb, x, sb, nu[i], sig[i], means[i][lo:hi], diag[-1], b[:k] if i else vb)
-                if i:
-                    vb += b[:k]
-        out[j] = v.sum(), np.dot(v, v)
+        for i in range(d):
+            # the first term writes row j, the others are added to it
+            _score(m_other[i], x, s_other[i], nu[i], sig[i], means[i], diag[-1], b if i else out[j])
+            if i:
+                out[j] += b
     return out
 
 

@@ -13,6 +13,14 @@ Replications are partitioned into fixed-size substreams keyed by
 sum-of-squares) pairs, so results are bit-identical no matter how many
 workers ran the chunks.
 
+Each chunk runs as one loop over row blocks of `kernels._BLOCK` rows, end to
+end: the block's uniforms are drawn from the chunk's Philox generator into
+scratch reused by every block, then turned into normals in place and scored
+(conditional MC), or into rows of the joint law and counted (plain MC).
+Successive draws continue one stream and every stage is elementwise, so the
+values equal those of drawing and transforming the whole chunk at once,
+while the block's arrays stay in cache.
+
 The conditional route samples each chunk once and scores it at every
 requested threshold (common random numbers).  A one-threshold call is the
 same engine with one threshold, so a curve entry equals, bit for bit, the
@@ -31,7 +39,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import kernels
-from .joint import JointModel, _uniforms
+from .joint import JointModel, _stream, _uniforms
 from .models import norm_sf
 
 CHUNK = 1 << 19
@@ -124,7 +132,9 @@ def plain_mc(
 ) -> EstimateResult:
     """Fraction of sampled rows with sum_i a_i X_i > x.
 
-    std_error is the binomial sqrt(p(1-p)/n).
+    Each block of a chunk's uniforms is turned into rows by `JointModel.rows`,
+    the transform `JointModel.sample` applies to a whole draw, and its hits are
+    counted as integers.  std_error is the binomial sqrt(p(1-p)/n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -135,11 +145,10 @@ def plain_mc(
 
     def run(item):
         k, size = item
-        rows = model.sample(size, key[0], stream=_substream(key, k))
-        return float(np.sum(rows @ a > x))
+        blocks = _block_uniforms(key, k, size, model.uniform_dim)
+        return sum(int(np.count_nonzero(model.rows(u) @ a > x)) for _, _, u in blocks)
 
-    counts = _map_chunks(run, n, workers)
-    hits = sum(counts)
+    hits = float(sum(_map_chunks(run, n, workers)))
     p = hits / n
     se = math.sqrt(p * (1.0 - p) / n)
     root = seed if isinstance(seed, int) else None
@@ -156,6 +165,18 @@ def _substream(key: tuple, k: int) -> int:
     return s
 
 
+def _block_uniforms(key: tuple, k: int, size: int, width: int):
+    """(lo, hi, u) for each row block of chunk k, u the block's (hi - lo, width) uniforms.
+
+    All blocks draw in turn from the chunk's one generator into the same
+    scratch, so each u is overwritten by the next block's.
+    """
+    gen = _stream(key[0], _substream(key, k))
+    scratch = np.empty((min(size, kernels._BLOCK), width))
+    for lo, hi in kernels._blocks(size):
+        yield lo, hi, _uniforms(gen, scratch[: hi - lo])
+
+
 def _map_chunks(fn, n: int, workers: int) -> list:
     items = list(_chunk_ranges(n))
     if workers <= 1:
@@ -168,9 +189,11 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
     """Conditional MC of P(sum_i exp(nu_i + sig_i Z_i) > x) for every x in xs.
 
     One pass over the chunks samples each chunk once and scores it at every
-    positive threshold; each threshold's chunk moments are then reduced in
-    chunk order.  The normals overwrite the uniforms they come from, and the
-    kernel reads their columns in place.  An x <= 0 is certain and draws
+    positive threshold.  In each block the normals overwrite the uniforms
+    they come from, and the kernel reads their columns in place and writes
+    the block's columns of v, the chunk's replication values with one row per
+    threshold.  Each row of v is reduced once the chunk is done, and the
+    chunk moments are reduced in chunk order.  An x <= 0 is certain and draws
     nothing.
     """
     nu = np.asarray(nu, dtype=float)
@@ -180,9 +203,9 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
         raise ValueError("need at least two terms with matching volatilities")
     if np.any(sig <= 0):
         raise ValueError("volatilities must be positive")
-    lo = -1.0 / (d - 1)
-    if not lo < rho < 1.0:
-        raise ValueError(f"rho must lie in ({lo:.4g}, 1) for {d} terms")
+    rho_min = -1.0 / (d - 1)
+    if not rho_min < rho < 1.0:
+        raise ValueError(f"rho must lie in ({rho_min:.4g}, 1) for {d} terms")
     if n < 1:
         raise ValueError("n must be >= 1")
     root = seed if isinstance(seed, int) else None
@@ -194,11 +217,13 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
 
         def run(item):
             k, size = item
-            u = _uniforms(key[0], _substream(key, k), (size, d))
-            return kernels.equicorr_chunk(ndtri(u, out=u), nu, sig, rho, positive)
+            v = np.empty((len(positive), size))
+            for lo, hi, u in _block_uniforms(key, k, size, d):
+                kernels.equicorr_chunk(ndtri(u, out=u), nu, sig, rho, positive, v[:, lo:hi])
+            return [(float(vj.sum()), float(np.dot(vj, vj))) for vj in v]
 
         for part in _map_chunks(run, n, workers):
-            for acc, (t, tsq) in zip(sums, part.tolist()):
+            for acc, (t, tsq) in zip(sums, part):
                 acc[0] += t
                 acc[1] += tsq
     moments = iter(sums)

@@ -52,9 +52,15 @@ def _unblocked(z, nu, sig, rho, xs):
     return out
 
 
+def _moments(z, nu, sig, rho, xs):
+    """(sum, sum of squares) of the kernel's values at each threshold, reduced as the estimator reduces a chunk."""
+    v = equicorr_chunk(z, nu, sig, rho, xs, np.empty((len(xs), len(z))))
+    return np.array([(vj.sum(), np.dot(vj, vj)) for vj in v])
+
+
 def test_python_kernel_values_are_probability_like():
     z = np.random.default_rng(1).standard_normal((10_000, 2))
-    out = equicorr_chunk(z, np.zeros(2), np.ones(2), 0.3, [20.0])
+    out = _moments(z, np.zeros(2), np.ones(2), 0.3, [20.0])
     assert out.shape == (1, 2)
     tot, totsq = out[0]
     assert 0.0 <= tot / 10_000 <= 1.0
@@ -66,19 +72,19 @@ def test_pair_kernel_rows_equal_one_threshold_calls():
     nu, sig = np.array([0.2, -0.1]), np.array([1.0, 1.4])
     xs = [3.0, 10.0, 50.0, 2000.0]
     for rho in (-0.9, 0.0, 0.9):
-        rows = equicorr_chunk(z, nu, sig, rho, xs)
+        rows = _moments(z, nu, sig, rho, xs)
         assert rows.shape == (len(xs), 2)
         for x, row in zip(xs, rows):
-            assert row.tolist() == equicorr_chunk(z, nu, sig, rho, [x])[0].tolist()
+            assert row.tolist() == _moments(z, nu, sig, rho, [x])[0].tolist()
 
 
 def test_equicorr_kernel_rows_equal_one_threshold_calls():
     z = np.random.default_rng(6).standard_normal((20_000, 3))
     nu, sig = np.array([0.0, 0.3, -0.2]), np.array([1.0, 0.8, 1.2])
     xs = [5.0, 40.0, 300.0]
-    rows = equicorr_chunk(z, nu, sig, 0.25, xs)
+    rows = _moments(z, nu, sig, 0.25, xs)
     for x, row in zip(xs, rows):
-        assert row.tolist() == equicorr_chunk(z, nu, sig, 0.25, [x])[0].tolist()
+        assert row.tolist() == _moments(z, nu, sig, 0.25, [x])[0].tolist()
 
 
 def _equicorr_by_argsort(z, nu, sig, rho, xs):
@@ -122,14 +128,14 @@ def test_equicorr_kernel_equals_argsort_reference_with_ties(d):
     xs = [2.0, 20.0, 200.0]
     for nu, sig in ((np.zeros(d), np.ones(d)), (rng.normal(size=d) * 0.2, 0.8 + 0.4 * rng.random(d))):
         for rho in (0.0, 0.4):
-            got = equicorr_chunk(z, nu, sig, rho, xs)
+            got = _moments(z, nu, sig, rho, xs)
             np.testing.assert_allclose(got, _equicorr_by_argsort(z, nu, sig, rho, xs), rtol=1e-12, atol=0)
 
 
-# block boundaries: empty-tail, one-short, exact, one-over and ragged multi-block chunks
+# one row, the sizes around _BLOCK (the rows the estimator passes per call), and a ragged multiple
 _SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17]
-# NaN and extreme thresholds between ordinary ones, so a v carried over from one
-# threshold to the next, or a block left unwritten, shows in the next row
+# NaN and extreme thresholds between ordinary ones, so a value carried over from one
+# threshold to the next, or a row left unwritten, shows in the next row
 _XS = [4.0, float("nan"), 1e-3, 30.0, 1e12, 250.0]
 
 
@@ -141,7 +147,7 @@ def test_pair_kernel_equals_unblocked_reference(n, rho):
     z[::3, 1] = z[::3, 0]
     before = z.copy()
     nu, sig = np.array([0.2, -0.1]), np.array([1.0, 1.4])
-    got = equicorr_chunk(z, nu, sig, rho, _XS)
+    got = _moments(z, nu, sig, rho, _XS)
     assert np.array_equal(z, before)
     assert np.array_equal(got, _unblocked(np.ascontiguousarray(z), nu, sig, rho, _XS), equal_nan=True)
     assert np.isnan(got[1]).all() and np.isfinite(np.delete(got, 1, axis=0)).all()
@@ -159,6 +165,17 @@ def test_equicorr_kernel_equals_unblocked_reference(n, d):
     before = z.copy()
     for nu, sig in ((np.zeros(d), np.ones(d)), (rng.normal(size=d) * 0.2, 0.8 + 0.4 * rng.random(d))):
         for rho in (-0.9 / (d - 1), 0.0, 0.9):
-            got = equicorr_chunk(z, nu, sig, rho, _XS)
+            got = _moments(z, nu, sig, rho, _XS)
             assert np.array_equal(z, before)
             assert np.array_equal(got, _unblocked(np.ascontiguousarray(z), nu, sig, rho, _XS), equal_nan=True)
+
+
+def test_kernel_writes_only_its_column_slice():
+    # the estimator hands each call the block's columns of a chunk-wide buffer
+    z = np.random.default_rng(3).standard_normal((700, 3))
+    nu, sig, xs = np.zeros(3), np.ones(3), [5.0, 50.0]
+    buf = np.full((2, 1000), -1.0)
+    got = equicorr_chunk(z, nu, sig, 0.2, xs, buf[:, 200:900])
+    assert np.shares_memory(got, buf)
+    assert (buf[:, :200] == -1.0).all() and (buf[:, 900:] == -1.0).all()
+    assert np.array_equal(buf[:, 200:900], equicorr_chunk(z, nu, sig, 0.2, xs, np.empty((2, 700))))

@@ -7,6 +7,7 @@ from scipy.special import erfc, ndtr, ndtri
 from tailagg import (
     approx_sum_pair,
     bivariate_lognormal,
+    comonotone_inverse,
     cond_mc_lognormal,
     cond_mc_lognormal_curve,
     cond_mc_terms,
@@ -14,12 +15,16 @@ from tailagg import (
     exact_lognormal_single,
     iid_pair,
     lognormal,
+    min_construction,
+    mixed_min,
     plain_mc,
     ratio_vs_asymptotic,
     weibull_type,
 )
 from tailagg import rare_event, tables
+from tailagg.kernels import _BLOCK, _blocks
 from tailagg.rare_event import EstimateResult
+from test_kernels import _unblocked
 
 LN = lognormal(0.0, 1.0)
 
@@ -211,6 +216,11 @@ def _table_thresholds():
     return [float(x) for x in sorted(xs)]
 
 
+def _chunk_uniforms(key, k, shape):
+    # chunk k's uniforms in one draw of the whole chunk
+    return rare_event._uniforms(rare_event._stream(key[0], rare_event._substream(key, k)), np.empty(shape))
+
+
 def _reference_pair_estimate(mu, rho, x, n, seed):
     # one threshold at a time, with the d = 2 estimator written out inline and
     # the chunks reduced in order: the arithmetic every curve entry must match
@@ -218,7 +228,7 @@ def _reference_pair_estimate(mu, rho, x, n, seed):
     sc = math.sqrt(1.0 - rho * rho)
     total = total_sq = 0.0
     for k, size in rare_event._chunk_ranges(n):
-        z = ndtri(rare_event._uniforms(key[0], rare_event._substream(key, k), (size, 2)))
+        z = ndtri(_chunk_uniforms(key, k, (size, 2)))
         w1, w2 = z[:, 0], rho * z[:, 0] + sc * z[:, 1]
         t1, t2 = np.exp(mu + w1), np.exp(mu + w2)
         v = 0.5 * erfc((((np.log(np.maximum(t2, x - t2)) - mu) - rho * w2) / sc) * (1.0 / math.sqrt(2.0)))
@@ -286,6 +296,78 @@ def test_curve_with_one_positive_coefficient_is_exact():
     curve = cond_mc_lognormal_curve(0.0, 1.0, 0.3, [0.0, 2.0], [5.0, 10.0], 1000, 9)
     assert curve == [cond_mc_lognormal(0.0, 1.0, 0.3, [0.0, 2.0], x, 1000, 9) for x in (5.0, 10.0)]
     assert all(r.method == "exact" for r in curve)
+
+
+# ---------------------------------------------------------------- row blocks within a chunk
+
+# a chunk runs one row block of kernels._BLOCK rows at a time, end to end; these
+# chunks span several blocks and end in a partial one
+N_BLOCKS = 2 * _BLOCK + 17  # inside one chunk
+MULTI_CHUNK = 2 * _BLOCK + 5
+N_MULTI = 3 * MULTI_CHUNK + _BLOCK + 3  # three multi-block chunks and a partial one
+# x = 1e-3 is all but certain, so every row counts in the sums and a dropped one shows
+BLOCK_XS = [1e-3, 4.0, 30.0, 1e12]
+
+
+def _whole_chunk_curve(nu, sig, rho, xs, n, seed):
+    # each chunk drawn, transformed and scored whole, with whole-vector reductions
+    key = rare_event._seed_key(seed)
+    nu, sig = np.asarray(nu, dtype=float), np.asarray(sig, dtype=float)
+    sums = np.zeros((len(xs), 2))
+    for k, size in rare_event._chunk_ranges(n):
+        sums += _unblocked(ndtri(_chunk_uniforms(key, k, (size, len(nu)))), nu, sig, rho, xs)
+    root = seed if isinstance(seed, int) else None
+    return [EstimateResult.from_moments(t, tsq, n, "cond_mc", root) for t, tsq in sums.tolist()]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("chunk, n", [(rare_event.CHUNK, N_BLOCKS), (MULTI_CHUNK, N_MULTI)], ids=["one_chunk", "chunks"])
+def test_blocked_chunks_equal_a_whole_chunk_reference(monkeypatch, d, chunk, n):
+    monkeypatch.setattr(rare_event, "CHUNK", chunk)
+    nu, sig = np.linspace(-0.2, 0.3, d), np.linspace(0.8, 1.2, d)
+    for rho, seed in ((0.4, 8), (-0.8 / (d - 1), (3, 1))):
+        ref = _whole_chunk_curve(nu, sig, rho, BLOCK_XS, n, seed)
+        assert rare_event._cond_mc_curve(nu, sig, rho, BLOCK_XS, n, seed, 2) == ref
+        assert [cond_mc_terms(nu, sig, rho, x, n, seed) for x in BLOCK_XS] == ref
+
+
+PLAIN_KINDS = [
+    iid_pair(LN),
+    iid_pair(LN, dim=3),
+    bivariate_lognormal(0.0, 1.0, 0.4),
+    bivariate_lognormal(0.0, 1.0, -1.0),
+    comonotone_inverse(weibull_type(0.5)),
+    min_construction(2.0),
+    mixed_min(LN, lognormal(0.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize("model", PLAIN_KINDS, ids=lambda m: f"{m.kind}-{m.dim}")
+@pytest.mark.parametrize("chunk, n", [(rare_event.CHUNK, N_BLOCKS), (MULTI_CHUNK, N_MULTI)], ids=["one_chunk", "chunks"])
+def test_blocked_plain_mc_equals_whole_chunk_sample_count(monkeypatch, model, chunk, n):
+    monkeypatch.setattr(rare_event, "CHUNK", chunk)
+    a = np.linspace(1.0, 1.5, model.dim)
+    key = (6, 2)
+    # x = 0.5 is passed by most rows of every kind, so a dropped row shows in the count
+    for x in (0.5, 8.0):
+        hits = sum(
+            int(np.count_nonzero(model.sample(size, key[0], stream=rare_event._substream(key, k)) @ a > x))
+            for k, size in rare_event._chunk_ranges(n)
+        )
+        for workers in (1, 2):
+            r = plain_mc(model, a, x, n, key, workers)
+            assert (r.estimate, r.ess) == (hits / n, hits)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_draws_continue_one_philox_stream(d):
+    key, k, n = (4, 9), 2, N_BLOCKS
+    whole = _chunk_uniforms(key, k, (n, d))
+    # each block's uniforms live in scratch the next block overwrites
+    blocks = [(lo, hi, u.copy()) for lo, hi, u in rare_event._block_uniforms(key, k, n, d)]
+    assert [(lo, hi) for lo, hi, _ in blocks] == list(_blocks(n))
+    for lo, hi, u in blocks:
+        assert np.array_equal(u, whole[lo:hi])
 
 
 # ---------------------------------------------------------------- effective sample size
