@@ -209,6 +209,11 @@ _CHECKS = ("A1", "A2", "A3", "A4", "A5", "SUBEXP", "ASYINDEP")
 def cmd_check(args) -> int:
     grid = args.grid_log
     name = args.assumption.upper()
+    if args.method == "mc":
+        if name not in ("A3", "A4", "A5"):
+            raise TailAggError(f"{name} has no Monte Carlo route; --method mc applies to A3, A4 and A5")
+        if args.seed is None:
+            raise TailAggError("--method mc is stochastic; pass --seed")
     if name in ("A1", "A2", "SUBEXP"):
         if not args.model:
             raise TailAggError(f"{name} checks a marginal model; pass --model")
@@ -227,11 +232,11 @@ def cmd_check(args) -> int:
         joint = joint_from_config(_load_json(args.joint))
         if name in ("A3", "A4"):
             report = diagnostics.check_conditional(
-                joint, name, args.t, grid, method=args.method, mc_n=args.mc_n, seed=args.seed or 0
+                joint, name, args.t, grid, method=args.method, mc_n=args.mc_n, seed=args.seed
             )
         elif name == "A5":
             report = diagnostics.check_joint_aux(
-                joint, args.L, grid, method=args.method, mc_n=args.mc_n, seed=args.seed or 0
+                joint, args.L, grid, method=args.method, mc_n=args.mc_n, seed=args.seed
             )
         else:
             report = diagnostics.check_asy_indep(joint, grid)
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--L", type=_parse_finite, default=1.0)
     pc.add_argument("--t", type=_parse_finite, default=1.0)
     pc.add_argument("--grid-log", type=_parse_grid, help="log10 grid lo:hi:count (default 1:5:9)")
-    pc.add_argument("--method", choices=("auto", "closed_form", "mc"), default="auto")
+    pc.add_argument("--method", choices=("auto", "mc"), default="auto", help="mc samples A3/A4/A5 (needs --seed)")
     pc.add_argument("--mc-n", type=_parse_count, default=10**6)
     pc.add_argument("--seed", type=int)
     pc.add_argument("--csv", help="also write (x, value) rows here")

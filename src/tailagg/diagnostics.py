@@ -26,6 +26,7 @@ import numpy as np
 from .errors import AuxiliaryNotDiverging, UnsupportedKind
 from .joint import BIVARIATE_LOGNORMAL, MIXED_MIN, JointModel
 from .models import AuxiliaryFn, TailModel
+from .rare_event import _count_rows
 
 A1_MDA = "A1_MDA"
 A2_TAIL_RATIO = "A2_TailRatio"
@@ -162,16 +163,17 @@ def _pair_method(model: JointModel) -> str:
 
 
 def _sampled_hits(model: JointModel, corners, focal: int, n: int, seed: int):
-    """(corner hits, focal hits) among n draws per corner (u, v), one substream per grid point.
+    """(corner hits, focal hits) among n draws per corner (u, v), keyed (seed, k) at grid point k.
 
     A corner hit has X > u and Y > v; a focal hit passes the corner in the
     focal coordinate alone.
     """
-    hits = []
-    for k, corner in enumerate(corners):
-        above = model.sample(n, seed, stream=k) > corner
-        hits.append((int(np.count_nonzero(above.all(axis=1))), int(np.count_nonzero(above[:, focal]))))
-    return hits
+
+    def test(rows, corner):
+        above = rows > corner
+        return np.stack((above.all(axis=1), above[:, focal]))
+
+    return [tuple(_count_rows(model, lambda r: test(r, c), n, (seed, k)).tolist()) for k, c in enumerate(corners)]
 
 
 def _pair_report(assumption: str, model: JointModel, g, corners, focal: int, method="auto", mc_n=None, seed=None):
@@ -189,8 +191,8 @@ def _pair_report(assumption: str, model: JointModel, g, corners, focal: int, met
         else:
             vals = [c / m if m >= _MC_MIN_HITS else math.nan for c, m in hits]
         return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), MONTE_CARLO, mc_n, seed)
-    if method not in ("auto", "closed_form"):
-        raise ValueError("method must be auto, closed_form or mc")
+    if method != "auto":
+        raise ValueError("method must be auto or mc")
     vals = []
     for (u, v), log_marg in zip(corners, model.marginal_log_survival(focal, g).tolist()):
         log_joint = model.joint_log_survival(u, v)

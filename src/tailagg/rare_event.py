@@ -16,7 +16,7 @@ workers ran the chunks.
 Each chunk runs as one loop over row blocks of `kernels._BLOCK` rows, end to
 end: the block's uniforms are drawn from the chunk's Philox generator into
 scratch reused by every block, then turned into normals in place and scored
-(conditional MC), or into rows of the joint law and counted (plain MC).
+(conditional MC), or into rows of the joint law and counted (`_count_rows`).
 Successive draws continue one stream and every stage is elementwise, so the
 values equal those of drawing and transforming the whole chunk at once,
 while the block's arrays stay in cache.
@@ -134,26 +134,29 @@ def plain_mc(
 
     Each block of a chunk's uniforms is turned into rows by `JointModel.rows`,
     the transform `JointModel.sample` applies to a whole draw, and its hits are
-    counted as integers.  std_error is the binomial sqrt(p(1-p)/n).
+    counted by `_count_rows`.  std_error is the binomial sqrt(p(1-p)/n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a = np.asarray(a, dtype=float)
     if len(a) != model.dim:
         raise ValueError(f"need {model.dim} coefficients, got {len(a)}")
-    key = _seed_key(seed)
-
-    def run(item):
-        k, size = item
-        blocks = _block_uniforms(key, k, size, model.uniform_dim)
-        return sum(int(np.count_nonzero(model.rows(u) @ a > x)) for _, _, u in blocks)
-
-    hits = float(sum(_map_chunks(run, n, workers)))
+    hits = float(_count_rows(model, lambda rows: rows @ a > x, n, seed, workers))
     p = hits / n
     se = math.sqrt(p * (1.0 - p) / n)
     root = seed if isinstance(seed, int) else None
     # for 0/1 replication values (sum v)^2 / sum v^2 is the hit count
     return EstimateResult(p, n, se, 1.96 * se, PLAIN_MC, root, hits)
+
+
+def _count_rows(model: JointModel, test, n: int, seed, workers: int = 1):
+    """Sum of count_nonzero(test(rows), axis=-1) over n rows of model, drawn and tested block by block."""
+    def run(item):
+        k, size = item
+        blocks = _block_uniforms(_seed_key(seed), k, size, model.uniform_dim)
+        return sum(np.count_nonzero(test(model.rows(u)), axis=-1) for _, _, u in blocks)
+
+    return sum(_map_chunks(run, n, workers))
 
 
 def _substream(key: tuple, k: int) -> int:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from tailagg import bivariate_lognormal, check_conditional
 from tailagg.cli import _parse_count, main
 from tailagg.tables import make_table1, read_csv_rows
 
@@ -374,6 +375,51 @@ def test_option_like_tokens_still_rejected(extra, bivln_cfg, capsys):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 
+
+
+def test_check_mc_route_prints_its_seed_and_values(capsys, tmp_path):
+    cfg = tmp_path / "bvln.json"
+    cfg.write_text(json.dumps({"kind": "bivariate_lognormal", "mu": 0.0, "sigma": 1.0, "rho": 0.3}))
+    rc, payload = _run_json(
+        capsys,
+        ["check", "--assumption", "A3", "--joint", str(cfg), "--method", "mc", "--mc-n", "1e4",
+         "--seed", "3", "--grid-log", "0.5:1:2"],
+    )
+    assert rc == 0
+    want = check_conditional(bivariate_lognormal(0.0, 1.0, 0.3), "A3", 1.0, np.logspace(0.5, 1.0, 2),
+                             method="mc", mc_n=10_000, seed=3)
+    assert payload["values"] == list(want.values)
+    assert payload["method"] == "monte_carlo" and payload["mc"] == {"n": 10_000, "seed": 3}
+
+
+def test_check_mc_route_requires_seed(capsys, bivln_cfg):
+    rc = main(["check", "--assumption", "A5", "--joint", bivln_cfg, "--method", "mc", "--mc-n", "1e4"])
+    assert rc == 2
+    err = capsys.readouterr()
+    assert "pass --seed" in err.err and err.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--assumption", "ASYINDEP", "--joint", {"kind": "bivariate_lognormal", "mu": 0.0, "sigma": 1.0, "rho": 0.3}],
+        ["--assumption", "SUBEXP", "--model", {"family": "lognormal", "mu": 0.0, "sigma": 1.0}],
+    ],
+)
+def test_check_rejects_mc_where_there_is_no_mc_route(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(argv[-1]))
+    rc = main(["check", *argv[:-1], str(cfg), "--method", "mc", "--mc-n", "1e4", "--seed", "3"])
+    assert rc == 2
+    err = capsys.readouterr()
+    assert err.err.startswith(f"error: {argv[1]} has no Monte Carlo route") and err.out == ""
+
+
+def test_check_method_closed_form_is_gone(como_cfg):
+    # it selected the same exact route as auto
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--assumption", "A5", "--joint", como_cfg, "--method", "closed_form"])
+    assert exc.value.code == 2
 
 
 def test_check_default_grid_is_1_5_9(capsys, como_cfg):

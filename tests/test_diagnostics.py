@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
+from tailagg import kernels, rare_event
 from tailagg import (
     AuxiliaryNotDiverging,
     bivariate_lognormal,
@@ -33,6 +35,7 @@ from tailagg.diagnostics import (
     INCONCLUSIVE,
     _first_marginal,
     _safe_exp,
+    _sampled_hits,
 )
 
 LN = lognormal(0.0, 1.0)
@@ -357,6 +360,70 @@ def test_mc_checks_equal_rejection_references(name):
     for L in (0.5, 2.0):
         rep = check_joint_aux(model, L, grid, method="mc", mc_n=n, seed=seed)
         np.testing.assert_array_equal(rep.values, _joint_aux_mc_reference(model, L * f(grid), grid, n, seed))
+
+
+def _keyed_rows(model, n, key):
+    # the n rows of key, each chunk drawn whole from its own Philox substream
+    return np.concatenate([
+        model.rows(rare_event._uniforms(
+            rare_event._stream(key[0], rare_event._substream(key, c)), np.empty((size, model.uniform_dim))
+        ))
+        for c, size in rare_event._chunk_ranges(n)
+    ])
+
+
+def _keyed_hits(model, corners, focal, n, seed):
+    # (corner hits, focal hits) at grid point k among the rows of key (seed, k)
+    hits = []
+    for k, corner in enumerate(corners):
+        above = _keyed_rows(model, n, (seed, k)) > corner
+        hits.append((int(np.count_nonzero(above.all(axis=1))), int(np.count_nonzero(above[:, focal]))))
+    return hits
+
+
+@pytest.mark.parametrize("name", _EVERY_KIND)
+def test_mc_checks_equal_per_chunk_references_across_chunks(monkeypatch, name):
+    # three chunks of two full blocks and a partial one, then a partial chunk
+    monkeypatch.setattr(kernels, "_BLOCK", 1000)
+    monkeypatch.setattr(rare_event, "CHUNK", 2500)
+    model = _EVERY_KIND[name]
+    grid = np.logspace(0.2, 2.5, 5)
+    n, seed = 3 * 2500 + 700, 5
+    f = _first_marginal(model).auxiliary()
+    for which, focal, t in (("A3", 0, 1.5), ("A4", 1, 0.5)):
+        s = t * f(grid)
+        corners = list(zip(grid, s)) if focal == 0 else list(zip(s, grid))
+        hits = _keyed_hits(model, corners, focal, n, seed)
+        # the focal counts catch a lost row even where no row hits the corner
+        assert _sampled_hits(model, corners, focal, n, seed) == hits
+        rep = check_conditional(model, which, t, grid, method="mc", mc_n=n, seed=seed)
+        np.testing.assert_array_equal(rep.values, [c / m if m >= 100 else math.nan for c, m in hits])
+        assert not math.isnan(rep.values[0])
+    dens = [math.exp(v) for v in model.marginal_log_survival(0, grid).tolist()]
+    for L in (0.5, 2.0):
+        corners = [(s, s) for s in L * f(grid)]
+        hits = _keyed_hits(model, corners, 0, n, seed)
+        assert _sampled_hits(model, corners, 0, n, seed) == hits
+        rep = check_joint_aux(model, L, grid, method="mc", mc_n=n, seed=seed)
+        np.testing.assert_array_equal(rep.values, [c / n / d if d > 0 else math.inf for (c, _), d in zip(hits, dens)])
+
+
+def test_pair_checks_take_auto_or_mc_only():
+    with pytest.raises(ValueError, match="method must be auto or mc"):
+        check_conditional(iid_pair(LN), "A3", 1.0, method="closed_form")
+
+
+def test_mc_check_memory_stays_one_block_whatever_mc_n():
+    # two chunks, 62 blocks of 16384 rows: a whole draw would hold n x 3 uniforms of 8 B
+    model, n = min_construction(2.0), 10**6
+    tracemalloc.start()
+    try:
+        rep = check_conditional(model, "A3", 1.0, np.array([2.0, 4.0]), method="mc", mc_n=n, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not math.isnan(rep.values[0])
+    assert peak < n * model.uniform_dim * 8 / 8
 
 
 @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 0.5])
