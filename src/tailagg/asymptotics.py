@@ -157,6 +157,18 @@ def _lint_near_ties(a: Sequence[float]) -> None:
                 )
 
 
+def _surrogate(model: TailModel, a: Sequence[float], c: Sequence[float], x: float) -> ApproxResult:
+    """N_d * P(X_1 > x/m_d), X_1 ~ model, for coefficients a with max a_i > 0.
+
+    m_d = max a_i and N_d sums c_i over the exact argmax set; the value is
+    formed in log space.
+    """
+    m_d = max(a)
+    n_d = float(sum(c[i] for i in range(len(a)) if a[i] == m_d))
+    log_value = math.log(n_d) + float(model.log_survival(x / m_d))
+    return ApproxResult(math.exp(log_value), log_value, ApproxRecipe(tuple(c), m_d, n_d), model)
+
+
 def approx_linear(
     models: Sequence[TailModel],
     a: Sequence[float],
@@ -178,11 +190,7 @@ def approx_linear(
     if not any(v > 0 for v in a):
         raise ValueError("at least one coefficient must be positive")
     _lint_near_ties(a)
-    cs = _resolve_c(models, x, c, allow_zero=False)
-    m_d = max(a)
-    n_d = sum(cs[i] for i in range(len(a)) if a[i] == m_d)
-    log_value = math.log(n_d) + float(models[0].log_survival(x / m_d))
-    return ApproxResult(math.exp(log_value), log_value, ApproxRecipe(tuple(cs), m_d, n_d), models[0])
+    return _surrogate(models[0], a, _resolve_c(models, x, c, allow_zero=False), x)
 
 
 def approx_sum_d(
@@ -202,11 +210,7 @@ def approx_sum_d(
     for m in models:
         if not m.nonnegative:
             raise ValueError(f"plain-sum recipe requires nonnegative risks ({m.family} is signed)")
-    cs = _resolve_c(models, x, c, allow_zero=True)
-    m_d = 1.0
-    n_d = sum(cs)
-    log_value = math.log(n_d) + float(models[0].log_survival(x / m_d))
-    return ApproxResult(math.exp(log_value), log_value, ApproxRecipe(tuple(cs), m_d, n_d), models[0])
+    return _surrogate(models[0], [1.0] * len(models), _resolve_c(models, x, c, allow_zero=True), x)
 
 
 def approx_sum_pair(

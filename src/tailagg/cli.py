@@ -189,16 +189,18 @@ def cmd_simulate(args) -> int:
         "rel_se": _finite_or_none(est.std_error / est.estimate) if est.estimate else None,
     }
     try:
-        models = _marginals(joint, len(a))
-        approx = approx_linear(models, a, args.threshold)
+        approx = approx_linear(_marginals(joint, len(a)), a, args.threshold)
+    except TailAggError:
+        approx = None
+    # no ratio where the recipe does not apply or its value underflows to 0
+    payload["ratio_vs_asymptotic"] = None
+    if approx is not None and approx.value > 0:
         rv = ratio_vs_asymptotic(est, approx)
         payload["ratio_vs_asymptotic"] = {
             "ratio": rv.ratio,
             "half_width": _finite_or_none(rv.half_width),
             "asymptotic_value": approx.value,
         }
-    except TailAggError:
-        payload["ratio_vs_asymptotic"] = None
     _emit(payload, args.out)
     return 0
 

@@ -26,10 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .asymptotics import _surrogate
 from .errors import InfeasibleConstraint, UnsupportedConstraint
 from .joint import BIVARIATE_LOGNORMAL, JointModel
-from .models import TailModel
-from .rare_event import cond_mc_lognormal, exact_lognormal_single
+from .rare_event import EXACT, cond_mc_lognormal, exact_lognormal_single
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,12 @@ class PortfolioSolution:
     heuristic: bool = True
 
 
-def _recipe_stats(a: Sequence[float], c: Sequence[float]):
-    m = max(a)
-    n = sum(c[i] for i in range(len(a)) if a[i] == m)
-    return m, n
-
-
-def _approx_prob(model: TailModel, c_sum: float, m: float, x: float) -> float:
-    if m == 0.0:
-        return 0.0
-    return math.exp(math.log(c_sum) + float(model.log_survival(x / m)))
+def _solution(p: PortfolioProblem, a: tuple) -> PortfolioSolution:
+    """The surrogate at allocation a; the all-zero allocation has m_d = 0 and probability 0."""
+    if max(a) == 0.0:
+        return PortfolioSolution(a, 0.0, float(sum(p.c)), 0.0)
+    s = _surrogate(p.models[0], a, p.c, p.threshold)
+    return PortfolioSolution(a, s.recipe.m_d, s.recipe.N_d, s.value)
 
 
 def solve_two_stage(p: PortfolioProblem) -> PortfolioSolution:
@@ -103,14 +99,8 @@ def solve_two_stage(p: PortfolioProblem) -> PortfolioSolution:
         if len(l) != len(p.models):
             raise ValueError("constraint and model dimensions differ")
         L = p.constraint.L
-        if L <= 0:
-            a = tuple(0.0 for _ in l)
-            m, n = 0.0, float(sum(p.c))
-            return PortfolioSolution(a, m, n, 0.0)
-        m = L / float(l.sum())
-        a = tuple(m for _ in l)
-        n = float(sum(p.c))
-        return PortfolioSolution(a, m, n, _approx_prob(p.models[0], n, m, p.threshold))
+        m = 0.0 if L <= 0 else L / float(l.sum())
+        return _solution(p, tuple(m for _ in l))
 
     if isinstance(p.constraint, GridConstraint):
         feasible = [tuple(float(v) for v in cand) for cand in p.constraint.candidates if p.constraint.satisfied(cand)]
@@ -118,12 +108,10 @@ def solve_two_stage(p: PortfolioProblem) -> PortfolioSolution:
         if not feasible:
             raise InfeasibleConstraint("no candidate satisfies the constraint")
         m_star = min(max(cand) for cand in feasible)
-        stage2 = [cand for cand in feasible if max(cand) == m_star]
+        stage2 = [_solution(p, cand) for cand in feasible if max(cand) == m_star]
         # among minimax-optimal candidates minimize the tie constant,
         # breaking remaining ties lexicographically
-        best = min(stage2, key=lambda cand: (_recipe_stats(cand, p.c)[1], cand))
-        m, n = _recipe_stats(best, p.c)
-        return PortfolioSolution(best, m, n, _approx_prob(p.models[0], n, m, p.threshold))
+        return min(stage2, key=lambda sol: (sol.N_d, sol.a))
 
     raise UnsupportedConstraint(f"unknown constraint type {type(p.constraint).__name__}")
 
@@ -163,11 +151,12 @@ def grid_verify(
     """Audit the two-stage solution on a grid over the binding 2-asset constraint.
 
     a1 sweeps 0, grid_step, ... up to L/l1; a2 is set from the binding
-    constraint.  Probabilities come from the conditional estimator except at
-    the single-asset endpoints, which are exact.  E1 is the grid minimum, E2
-    the estimate at the two-stage solution, and relative_error their gap
-    (E2 - E1)/E1.  Per-point substreams are derived from (seed, grid index),
-    so enlarging the worker pool cannot change any estimate.
+    constraint.  Every point is scored by `cond_mc_lognormal`, which is exact
+    at the single-asset endpoints.  E1 is the grid minimum, E2 the estimate at
+    the two-stage solution a* (read from the grid only when a* is a grid
+    point, within the 1e-9 * grid_step slack of k_max), and relative_error
+    their gap (E2 - E1)/E1.  Per-point substreams are derived from (seed, grid
+    index), so enlarging the worker pool cannot change any estimate.
     """
     if not isinstance(p.constraint, LinearConstraint) or len(p.models) != 2:
         raise UnsupportedConstraint("grid_verify audits the 2-asset linear-constraint study")
@@ -184,13 +173,8 @@ def grid_verify(
     for k in range(k_max + 1):
         a1 = k * grid_step
         a2 = max((L - l1 * a1) / l2, 0.0)
-        if a1 <= 0.0 or a2 <= 0.0:
-            coef = a2 if a1 <= 0.0 else a1
-            est = exact_lognormal_single(joint.mu, joint.sigma, coef, x)
-            points.append(GridPoint(a1, a2, est, 0.0, True, est == 0.0))
-            continue
         res = cond_mc_lognormal(joint.mu, joint.sigma, joint.rho, [a1, a2], x, n, (seed, k), workers=workers)
-        points.append(GridPoint(a1, a2, res.estimate, res.std_error, False, res.estimate == 0.0))
+        points.append(GridPoint(a1, a2, res.estimate, res.std_error, res.method == EXACT, res.estimate == 0.0))
 
     k_min = int(np.argmin([pt.estimate for pt in points]))
     e1 = points[k_min].estimate
@@ -198,7 +182,7 @@ def grid_verify(
 
     star = solve_two_stage(p).a
     k_star = int(round(star[0] / grid_step))
-    if 0 <= k_star <= k_max and abs(points[k_star].a1 - star[0]) < grid_step / 2:
+    if 0 <= k_star <= k_max and abs(points[k_star].a1 - star[0]) <= 1e-9 * grid_step:
         e2 = points[k_star].estimate
     else:
         res = cond_mc_lognormal(joint.mu, joint.sigma, joint.rho, list(star), x, n, (seed, 10**6), workers=workers)

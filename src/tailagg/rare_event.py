@@ -182,7 +182,7 @@ def _block_uniforms(key: tuple, k: int, size: int, width: int):
 
 def _map_chunks(fn, n: int, workers: int) -> list:
     items = list(_chunk_ranges(n))
-    if workers <= 1:
+    if workers <= 1 or len(items) == 1:  # a pool cannot split one chunk
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

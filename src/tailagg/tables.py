@@ -14,11 +14,11 @@ published cells are internally inconsistent (see the repository notes).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Optional
 
 from .asymptotics import approx_sum_pair
@@ -92,9 +92,31 @@ TABLE7 = (
     (20, 0.04, 1.3241e-6, 2.4023e-6, 0.8142),
 )
 
-RHO_BY_TABLE = {2: -0.9, 3: 0.0, 4: 0.9, 5: -0.9, 6: 0.0, 7: 0.9}
+# the three studies: the exact countermonotone pair, the conditional-MC
+# simulation of the equal-weight sum, and the grid audit of the optimizer
+COMONOTONE, SIM, OPT = "comonotone", "sim", "opt"
+# table id -> (study, rho, published rows)
+PUBLISHED = {
+    1: (COMONOTONE, -1.0, TABLE1),
+    2: (SIM, -0.9, TABLE2),
+    3: (SIM, 0.0, TABLE3),
+    4: (SIM, 0.9, TABLE4),
+    5: (OPT, -0.9, TABLE5),
+    6: (OPT, 0.0, TABLE6),
+    7: (OPT, 0.9, TABLE7),
+}
+_HEADERS = {
+    COMONOTONE: ("threshold", "actual_probability", "asymptotic_approximation", "ratio"),
+    SIM: ("threshold", "simulation_estimate", "asymptotic_approximation", "ratio", "half_width"),
+    OPT: ("threshold", "a1_tilde", "E1", "E2", "relative_error"),
+}
 SIM_BUDGET = 10**7
 GRID_BUDGET = 10**4
+
+
+def _display_unit(printed: float, sig_figs: int) -> float:
+    exp10 = math.floor(math.log10(abs(printed))) if printed != 0.0 else 0
+    return 10.0 ** (exp10 - (sig_figs - 1))
 
 
 def displayed_match(value: float, printed: float, sig_figs: int = 5) -> bool:
@@ -106,14 +128,7 @@ def displayed_match(value: float, printed: float, sig_figs: int = 5) -> bool:
     """
     if printed == 0.0:
         return abs(value) < 1e-12
-    exp10 = math.floor(math.log10(abs(printed)))
-    unit = 10.0 ** (exp10 - (sig_figs - 1))
-    return abs(value - printed) <= unit * 1.0000001
-
-
-def _display_unit(printed: float, sig_figs: int) -> float:
-    exp10 = math.floor(math.log10(abs(printed))) if printed != 0.0 else 0
-    return 10.0 ** (exp10 - (sig_figs - 1))
+    return abs(value - printed) <= _display_unit(printed, sig_figs) * 1.0000001
 
 
 def _sig_figs_of(printed: float) -> int:
@@ -128,7 +143,7 @@ def combined_half_width(hw_a: float, hw_b: float) -> float:
     return math.sqrt(hw_a * hw_a + hw_b * hw_b)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CellFlag:
     table: int
     threshold: float
@@ -180,46 +195,26 @@ def make_opt_table(rho: float, thresholds, n: int, seed: int, workers: int = 1):
 
 def compare_to_published(table_id: int, rows) -> list:
     """Flags for regenerated cells that disagree with the published table."""
+    study, _, published = PUBLISHED[table_id]
     flags = []
-    if table_id == 1:
-        for (x, actual, asym, ratio), (xp, pa, ps, pr) in zip(rows, TABLE1):
-            for col, ours, pub, figs in (
-                ("actual", actual, pa, _sig_figs_of(pa)),
-                ("asymptotic", asym, ps, _sig_figs_of(ps)),
-                ("ratio", ratio, pr, 5),
-            ):
-                if not displayed_match(ours, pub, figs):
-                    flags.append(CellFlag(1, x, col, ours, pub, _display_unit(pub, figs)))
-        return flags
-    if table_id in (2, 3, 4):
-        pub = {2: TABLE2, 3: TABLE3, 4: TABLE4}[table_id]
-        for (x, est, asym, ratio, hw), (xp, pe, ps, pr, phw) in zip(rows, pub):
-            tol = 3.0 * combined_half_width(hw, phw)
-            if abs(ratio - pr) > tol:
-                flags.append(CellFlag(table_id, x, "ratio", ratio, pr, tol))
-        return flags
-    pub = {5: TABLE5, 6: TABLE6, 7: TABLE7}[table_id]
-    for (x, a1, e1, e2, rel), (xp, pa1, pe1, pe2, prel) in zip(rows, pub):
-        if abs(a1 - pa1) > 0.02:
-            flags.append(CellFlag(table_id, x, "a1_tilde", a1, pa1, 0.02))
-        if pe2 > 0 and abs(e2 - pe2) > max(0.5 * pe2, 3e-4):
-            flags.append(CellFlag(table_id, x, "E2", e2, pe2, max(0.5 * pe2, 3e-4)))
+    for row, pub in zip(rows, published):
+        x = row[0]
+        if study == COMONOTONE:
+            figs = (_sig_figs_of(pub[1]), _sig_figs_of(pub[2]), 5)
+            for col, ours, printed, f in zip(("actual", "asymptotic", "ratio"), row[1:], pub[1:], figs):
+                if not displayed_match(ours, printed, f):
+                    flags.append(CellFlag(table_id, x, col, ours, printed, _display_unit(printed, f)))
+        elif study == SIM:
+            tol = 3.0 * combined_half_width(row[4], pub[4])
+            if abs(row[3] - pub[3]) > tol:
+                flags.append(CellFlag(table_id, x, "ratio", row[3], pub[3], tol))
+        else:
+            if abs(row[1] - pub[1]) > 0.02:
+                flags.append(CellFlag(table_id, x, "a1_tilde", row[1], pub[1], 0.02))
+            tol = max(0.5 * pub[3], 3e-4)
+            if pub[3] > 0 and abs(row[3] - pub[3]) > tol:
+                flags.append(CellFlag(table_id, x, "E2", row[3], pub[3], tol))
     return flags
-
-
-_HEADERS = {
-    1: ("threshold", "actual_probability", "asymptotic_approximation", "ratio"),
-    2: ("threshold", "simulation_estimate", "asymptotic_approximation", "ratio", "half_width"),
-    5: ("threshold", "a1_tilde", "E1", "E2", "relative_error"),
-}
-
-
-def _header_for(table_id: int):
-    if table_id == 1:
-        return _HEADERS[1]
-    if table_id in (2, 3, 4):
-        return _HEADERS[2]
-    return _HEADERS[5]
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -281,19 +276,18 @@ def reproduce_tables(
     report = {"seed": seed, "budget_scale": budget_scale, "tables": {}, "flags": []}
     all_flags = []
     for w in which:
-        if w == 1:
-            rows = make_table1()
-            n_used = 0
-        elif w in (2, 3, 4):
-            thresholds = [r[0] for r in {2: TABLE2, 3: TABLE3, 4: TABLE4}[w]]
+        study, rho, published = PUBLISHED[w]
+        thresholds = [r[0] for r in published]
+        if study == COMONOTONE:
+            rows, n_used = make_table1(), 0
+        elif study == SIM:
             n_used = max(int(SIM_BUDGET * budget_scale), 1000)
-            rows = make_sim_table(RHO_BY_TABLE[w], thresholds, n_used, seed, workers)
+            rows = make_sim_table(rho, thresholds, n_used, seed, workers)
         else:
-            thresholds = [r[0] for r in {5: TABLE5, 6: TABLE6, 7: TABLE7}[w]]
             n_used = max(int(GRID_BUDGET * budget_scale), 100)
-            rows = make_opt_table(RHO_BY_TABLE[w], thresholds, n_used, seed, workers)
+            rows = make_opt_table(rho, thresholds, n_used, seed, workers)
         path = os.path.join(out_dir, f"table{w}.csv")
-        write_csv(path, _header_for(w), rows)
+        write_csv(path, _HEADERS[study], rows)
         flags = compare_to_published(w, rows)
         all_flags.extend(flags)
         report["tables"][str(w)] = {
@@ -302,17 +296,7 @@ def reproduce_tables(
             "rows": [list(r) for r in rows],
             "flagged_cells": len(flags),
         }
-    report["flags"] = [
-        {
-            "table": f.table,
-            "threshold": f.threshold,
-            "column": f.column,
-            "ours": f.ours,
-            "published": f.published,
-            "tolerance": f.tolerance,
-        }
-        for f in all_flags
-    ]
+    report["flags"] = [dataclasses.asdict(f) for f in all_flags]
     report["table1_ok"] = 1 not in which or not any(f.table == 1 for f in all_flags)
     atomic_write_text(os.path.join(out_dir, "report.json"), json.dumps(report, indent=2))
     return report

@@ -446,3 +446,13 @@ def test_check_rejects_levels_where_the_auxiliary_is_not_positive(argv, tmp_path
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "x = 0.31622776601683794" in err
+
+
+def test_simulate_with_an_underflowing_approximation_prints_a_null_ratio(tmp_path, capsys):
+    cfg = tmp_path / "rho03.json"
+    cfg.write_text(json.dumps({"kind": "bivariate_lognormal", "mu": 0.0, "sigma": 1.0, "rho": 0.3}))
+    argv = ["simulate", "--joint", str(cfg), "--coeffs", "1,1", "--threshold", "1e200", "--n", "1e3", "--seed", "1"]
+    rc, payload = _run_json(capsys, argv)
+    assert rc == 0
+    assert payload["ratio_vs_asymptotic"] is None
+    assert payload["estimate"] == 0.0 and payload["n"] == 1000 and payload["method"] == "cond_mc"

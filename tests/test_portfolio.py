@@ -12,6 +12,7 @@ from tailagg import (
     UnsupportedConstraint,
     approx_linear,
     bivariate_lognormal,
+    cond_mc_lognormal,
     grid_verify,
     lognormal,
     single_asset_extremes,
@@ -198,3 +199,25 @@ def test_problem_validation():
         PortfolioProblem((LN, LN), (0.5, 1.0), LinearConstraint((1.0, 1.0), 1.0), 10.0)
     with pytest.raises(ValueError):
         PortfolioProblem((LN, LN), (1.0, 1.0), LinearConstraint((1.0, 1.0), 1.0), -1.0)
+
+
+@pytest.mark.parametrize("step", [0.03, 1.0])
+def test_grid_verify_E2_off_the_grid_is_the_estimate_at_the_solution(step):
+    # a* = (0.2, 0.2) is no grid point for these steps; the nearest one
+    # (a1 = 0.21, or the endpoint a1 = 0) must not stand in for it
+    p = _problem(threshold=5.0)
+    joint = bivariate_lognormal(0.0, 1.0, 0.0)
+    audit = grid_verify(p, joint, grid_step=step, n=10**4, seed=3)
+    at_star = cond_mc_lognormal(0.0, 1.0, 0.0, [0.2, 0.2], 5.0, 10**4, (3, 10**6))
+    assert audit.E2 == at_star.estimate
+    assert audit.E2 == pytest.approx(0.0017104, rel=1e-4)
+    assert audit.E2 != audit.points[round(0.2 / step)].estimate
+
+
+@pytest.mark.parametrize("step", [0.01, 0.02, 0.05, 0.1])
+def test_grid_verify_E2_on_the_grid_is_read_from_the_grid(step):
+    p = _problem(threshold=5.0)
+    audit = grid_verify(p, bivariate_lognormal(0.0, 1.0, 0.0), grid_step=step, n=200, seed=3)
+    k = round(0.2 / step)
+    assert audit.points[k].a1 == 0.2
+    assert audit.E2 == audit.points[k].estimate

@@ -449,3 +449,17 @@ def test_weibull_pair_sum_ratio_matches_quadrature():
     denom = 2.0 * sf(x)
     ratio = r.estimate / denom
     assert abs(ratio - oracle) <= 3.0 * r.std_error / denom
+
+
+def test_one_chunk_runs_inline_without_a_pool(monkeypatch):
+    kw = dict(mu=0.0, sigma=1.0, rho=0.3, a=[1.0, 2.0], x=20.0, n=5000, seed=11)
+    serial = cond_mc_lognormal(**kw, workers=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool built")
+
+    monkeypatch.setattr(rare_event, "ThreadPoolExecutor", no_pool)
+    assert cond_mc_lognormal(**kw, workers=4) == serial
+    # two chunks still go to the pool
+    with pytest.raises(AssertionError, match="thread pool built"):
+        plain_mc(iid_pair(LN), [1.0, 1.0], 5.0, rare_event.CHUNK + 1, seed=4, workers=2)
