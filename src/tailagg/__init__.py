@@ -80,6 +80,7 @@ from .rare_event import (
     cond_mc_lognormal_curve,
     cond_mc_terms,
     exact_comonotone_lognormal,
+    exact_lognormal_pair,
     exact_lognormal_single,
     plain_mc,
     ratio_vs_asymptotic,

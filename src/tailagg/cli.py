@@ -30,7 +30,7 @@ from .joint import BIVARIATE_LOGNORMAL, JointModel, joint_from_config
 from .models import lognormal, model_from_config
 from .portfolio import LinearConstraint, PortfolioProblem, grid_verify, single_asset_extremes, solve_two_stage
 from .rare_event import cond_mc_lognormal, exact_comonotone_lognormal, plain_mc, ratio_vs_asymptotic
-from .tables import atomic_write_text, reproduce_tables, write_csv
+from .tables import _finite_or_none, atomic_write_text, e2_mc_fields, reproduce_tables, write_csv
 
 
 def _load_json(path: str) -> dict:
@@ -106,11 +106,9 @@ def _parse_constraint(text: str) -> LinearConstraint:
     idx = sorted(coeffs)
     if idx != list(range(1, len(idx) + 1)):
         raise ValueError("constraint terms must cover a1..ad")
+    if not all(math.isfinite(v) for v in (L, *coeffs.values())):
+        raise ValueError(f"numbers must be finite, got {text!r}")
     return LinearConstraint(tuple(coeffs[i] for i in idx), L)
-
-
-def _finite_or_none(v: float):
-    return v if math.isfinite(v) else None
 
 
 def _marginals(joint: JointModel, count: int) -> list:
@@ -285,6 +283,7 @@ def cmd_optimize(args) -> int:
             "n": audit.n,
             "seed": audit.seed,
             "single_asset_extremes": list(single_asset_extremes(problem, joint)),
+            "E2_mc": e2_mc_fields(audit),
         }
         if args.csv:
             write_csv(

@@ -13,9 +13,11 @@ optimum forces every coordinate to the common maximum, so the solution is the
 equal allocation a_i = L / sum_j l_j and stage (ii) is degenerate.
 
 The surrogate is a heuristic at finite thresholds (solutions carry
-`heuristic=True`); `grid_verify` is the audit path, re-estimating the tail
-probability on a one-dimensional sweep of the constraint set exactly as the
-reference simulation study does.
+`heuristic=True`); `grid_verify` is the audit path.  It sweeps the binding
+constraint of the 2-asset study on the grid of the reference simulation
+study, but scores every point by exact quadrature where that study used one
+simulation per point, and checks the conditional Monte Carlo estimator at the
+two-stage solution against the exact value there.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .asymptotics import _surrogate
 from .errors import InfeasibleConstraint, UnsupportedConstraint
 from .joint import BIVARIATE_LOGNORMAL, JointModel
-from .rare_event import EXACT, cond_mc_lognormal, exact_lognormal_single
+from .rare_event import EstimateResult, cond_mc_lognormal, exact_lognormal_pair, exact_lognormal_single
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,8 @@ def solve_two_stage(p: PortfolioProblem) -> PortfolioSolution:
 
 @dataclass(frozen=True)
 class GridPoint:
+    """One audited allocation; estimate is its exact probability, so std_error is 0 and exact True."""
+
     a1: float
     a2: float
     estimate: float
@@ -128,7 +132,7 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class GridAudit:
-    """Naive sweep of the 2-asset constraint set with per-point estimates."""
+    """Exact sweep of the 2-asset constraint set, with one Monte Carlo check at a*."""
 
     a_tilde: tuple
     E1: float
@@ -138,6 +142,7 @@ class GridAudit:
     n: int
     seed: int
     threshold: float
+    E2_mc: EstimateResult
 
 
 def grid_verify(
@@ -151,12 +156,15 @@ def grid_verify(
     """Audit the two-stage solution on a grid over the binding 2-asset constraint.
 
     a1 sweeps 0, grid_step, ... up to L/l1; a2 is set from the binding
-    constraint.  Every point is scored by `cond_mc_lognormal`, which is exact
-    at the single-asset endpoints.  E1 is the grid minimum, E2 the estimate at
-    the two-stage solution a* (read from the grid only when a* is a grid
-    point, within the 1e-9 * grid_step slack of k_max), and relative_error
-    their gap (E2 - E1)/E1.  Per-point substreams are derived from (seed, grid
-    index), so enlarging the worker pool cannot change any estimate.
+    constraint.  Every point, and the two-stage solution a* when it is off the
+    grid, is scored exactly by one `exact_lognormal_pair` call, which gives a
+    point with a zero coefficient `exact_lognormal_single`.  E1 is the grid
+    minimum, attained at a_tilde, E2 the exact probability at a* (read from
+    the grid only when a* is a grid point, within the 1e-9 * grid_step slack
+    of k_max), and relative_error their gap (E2 - E1)/E1.  E2_mc is the
+    audit's one Monte Carlo estimate: `cond_mc_lognormal` at a* with n
+    replications keyed (seed, 10**6), which checks the estimator against E2
+    and is the same for every worker count.
     """
     if not isinstance(p.constraint, LinearConstraint) or len(p.models) != 2:
         raise UnsupportedConstraint("grid_verify audits the 2-asset linear-constraint study")
@@ -168,27 +176,21 @@ def grid_verify(
     L = p.constraint.L
     x = p.threshold
     k_max = int(math.floor(L / l1 / grid_step + 1e-9))
-
-    points = []
-    for k in range(k_max + 1):
-        a1 = k * grid_step
-        a2 = max((L - l1 * a1) / l2, 0.0)
-        res = cond_mc_lognormal(joint.mu, joint.sigma, joint.rho, [a1, a2], x, n, (seed, k), workers=workers)
-        points.append(GridPoint(a1, a2, res.estimate, res.std_error, res.method == EXACT, res.estimate == 0.0))
-
-    k_min = int(np.argmin([pt.estimate for pt in points]))
-    e1 = points[k_min].estimate
-    a_tilde = (points[k_min].a1, points[k_min].a2)
-
+    a1s = [k * grid_step for k in range(k_max + 1)]
+    a2s = [max((L - l1 * a1) / l2, 0.0) for a1 in a1s]
     star = solve_two_stage(p).a
     k_star = int(round(star[0] / grid_step))
-    if 0 <= k_star <= k_max and abs(points[k_star].a1 - star[0]) <= 1e-9 * grid_step:
-        e2 = points[k_star].estimate
-    else:
-        res = cond_mc_lognormal(joint.mu, joint.sigma, joint.rho, list(star), x, n, (seed, 10**6), workers=workers)
-        e2 = res.estimate
+    on_grid = 0 <= k_star <= k_max and abs(a1s[k_star] - star[0]) <= 1e-9 * grid_step
+    cells = (a1s, a2s) if on_grid else (a1s + [star[0]], a2s + [star[1]])
+
+    probs = exact_lognormal_pair(joint.mu, joint.sigma, joint.rho, *cells, x).tolist()
+    e2 = probs[k_star] if on_grid else probs.pop()
+    points = tuple(GridPoint(a1, a2, pr, 0.0, True, pr == 0.0) for a1, a2, pr in zip(a1s, a2s, probs))
+    k_min = int(np.argmin(probs))
+    e1 = probs[k_min]
     rel = (e2 - e1) / e1 if e1 > 0 else math.inf
-    return GridAudit(a_tilde, e1, e2, rel, tuple(points), n, seed, x)
+    e2_mc = cond_mc_lognormal(joint.mu, joint.sigma, joint.rho, list(star), x, n, (seed, 10**6), workers=workers)
+    return GridAudit((a1s[k_min], a2s[k_min]), e1, e2, rel, points, n, seed, x, e2_mc)
 
 
 def single_asset_extremes(p: PortfolioProblem, joint: JointModel) -> tuple:

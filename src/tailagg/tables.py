@@ -2,8 +2,9 @@
 
 Table 1 is deterministic (exact countermonotone formula vs the two-term
 approximation).  Tables 2-4 are the conditional-MC study of the equal-weight
-bivariate lognormal sum at rho = -0.9, 0, 0.9; Tables 5-7 the grid audit of
-the two-asset optimizer under the constraint 2 a1 + 3 a2 >= 1.
+bivariate lognormal sum at rho = -0.9, 0, 0.9, reported beside the exact
+values; Tables 5-7 the grid audit of the two-asset optimizer under the
+constraint 2 a1 + 3 a2 >= 1, exact, with its Monte Carlo check at a*.
 
 `compare_to_published` flags any regenerated stochastic cell outside three
 combined half-widths of the published one (combined in quadrature).  Flags
@@ -29,6 +30,7 @@ from .rare_event import (  # noqa: F401  cond_mc_lognormal stays reachable as ta
     cond_mc_lognormal,
     cond_mc_lognormal_curve,
     exact_comonotone_lognormal,
+    exact_lognormal_pair,
     ratio_vs_asymptotic,
 )
 
@@ -181,16 +183,16 @@ def make_sim_table(rho: float, thresholds, n: int, seed: int, workers: int = 1):
     return rows
 
 
-def make_opt_table(rho: float, thresholds, n: int, seed: int, workers: int = 1):
-    """Rows (threshold, a1_tilde, E1, E2, relative_error)."""
+def make_opt_table(rho: float, thresholds, n: int, seed: int, workers: int = 1) -> list:
+    """The grid audit (`GridAudit`) of the two-asset study at each threshold.
+
+    Its table row is (threshold, a1_tilde, E1, E2, relative_error), all exact.
+    """
     model = lognormal(0.0, 1.0)
     joint = bivariate_lognormal(0.0, 1.0, rho)
-    rows = []
-    for x in thresholds:
-        prob = PortfolioProblem((model, model), (1.0, 1.0), LinearConstraint((2.0, 3.0), 1.0), float(x))
-        audit = grid_verify(prob, joint, grid_step=0.01, n=n, seed=seed, workers=workers)
-        rows.append((float(x), audit.a_tilde[0], audit.E1, audit.E2, audit.relative_error))
-    return rows
+    constraint = LinearConstraint((2.0, 3.0), 1.0)
+    problems = [PortfolioProblem((model, model), (1.0, 1.0), constraint, float(x)) for x in thresholds]
+    return [grid_verify(p, joint, grid_step=0.01, n=n, seed=seed, workers=workers) for p in problems]
 
 
 def compare_to_published(table_id: int, rows) -> list:
@@ -215,6 +217,21 @@ def compare_to_published(table_id: int, rows) -> list:
             if pub[3] > 0 and abs(row[3] - pub[3]) > tol:
                 flags.append(CellFlag(table_id, x, "E2", row[3], pub[3], tol))
     return flags
+
+
+def _finite_or_none(v: float):
+    return v if math.isfinite(v) else None
+
+
+def e2_mc_fields(audit) -> dict:
+    """JSON fields of a grid audit's Monte Carlo estimate at a*, with its z against the exact E2."""
+    mc = audit.E2_mc
+    return {
+        "estimate": mc.estimate,
+        "std_error": _finite_or_none(mc.std_error),
+        "ess": _finite_or_none(mc.ess),
+        "z": (mc.estimate - audit.E2) / mc.std_error if mc.std_error > 0 else None,
+    }
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -278,14 +295,23 @@ def reproduce_tables(
     for w in which:
         study, rho, published = PUBLISHED[w]
         thresholds = [r[0] for r in published]
+        extra = {}
         if study == COMONOTONE:
             rows, n_used = make_table1(), 0
         elif study == SIM:
             n_used = max(int(SIM_BUDGET * budget_scale), 1000)
             rows = make_sim_table(rho, thresholds, n_used, seed, workers)
+            exact = exact_lognormal_pair(0.0, 1.0, rho, 1.0, 1.0, thresholds).tolist()
+            # z on the ratio scale, where the row's half-width is 1.96 standard errors
+            extra["exact"] = [
+                {"threshold": x, "exact": p, "z": (ratio - p / asym) * 1.96 / hw if hw > 0 else None}
+                for (x, _, asym, ratio, hw), p in zip(rows, exact)
+            ]
         else:
             n_used = max(int(GRID_BUDGET * budget_scale), 100)
-            rows = make_opt_table(rho, thresholds, n_used, seed, workers)
+            audits = make_opt_table(rho, thresholds, n_used, seed, workers)
+            rows = [(a.threshold, a.a_tilde[0], a.E1, a.E2, a.relative_error) for a in audits]
+            extra["E2_mc"] = [{"threshold": a.threshold, **e2_mc_fields(a)} for a in audits]
         path = os.path.join(out_dir, f"table{w}.csv")
         write_csv(path, _HEADERS[study], rows)
         flags = compare_to_published(w, rows)
@@ -295,6 +321,7 @@ def reproduce_tables(
             "n": n_used,
             "rows": [list(r) for r in rows],
             "flagged_cells": len(flags),
+            **extra,
         }
     report["flags"] = [dataclasses.asdict(f) for f in all_flags]
     report["table1_ok"] = 1 not in which or not any(f.table == 1 for f in all_flags)

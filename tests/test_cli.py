@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from tailagg import bivariate_lognormal, check_conditional
+from tailagg import bivariate_lognormal, check_conditional, cond_mc_lognormal, exact_lognormal_pair
 from tailagg.cli import _parse_count, main
 from tailagg.tables import make_table1, read_csv_rows
 
@@ -156,6 +156,26 @@ def test_optimize_command_with_verify(capsys, bivln_cfg, tmp_path):
         assert row[2] == pt_est
 
 
+def test_optimize_verify_audit_is_exact_with_one_mc_check(capsys, bivln_cfg, tmp_path):
+    csv_path = tmp_path / "points.csv"
+    rc, payload = _run_json(
+        capsys,
+        ["optimize", "--joint", bivln_cfg, "--constraint", "2*a1+3*a2>=1", "--threshold", "5",
+         "--verify", "--grid-step", "0.03", "--n", "1e4", "--seed", "3", "--csv", str(csv_path)],
+    )
+    assert rc == 0
+    audit = payload["audit"]
+    assert audit["E2"] == float(exact_lognormal_pair(0.0, 1.0, 0.0, 0.2, 0.2, 5.0))
+    mc = audit["E2_mc"]
+    want = cond_mc_lognormal(0.0, 1.0, 0.0, [0.2, 0.2], 5.0, 10**4, (3, 10**6))
+    assert (mc["estimate"], mc["std_error"], mc["ess"]) == (want.estimate, want.std_error, want.ess)
+    assert mc["z"] == (want.estimate - audit["E2"]) / want.std_error
+    header, rows = read_csv_rows(str(csv_path))
+    assert header == ["a1", "a2", "estimate", "std_error", "exact", "zero_hits"]
+    assert all(r[3] == 0.0 and r[4] == 1.0 for r in rows)
+    assert min(r[2] for r in rows) == audit["E1"]
+
+
 def test_optimize_verify_requires_seed(bivln_cfg):
     rc = main(["optimize", "--joint", bivln_cfg, "--constraint", "2*a1+3*a2>=1", "--threshold", "10", "--verify"])
     assert rc == 2
@@ -164,6 +184,16 @@ def test_optimize_verify_requires_seed(bivln_cfg):
 def test_constraint_parser_errors(bivln_cfg):
     rc = main(["optimize", "--joint", bivln_cfg, "--constraint", "2*a1+3*a2<=1", "--threshold", "10"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "constraint", ["2*a1+3*a2>=inf", "2*a1+3*a2>=nan", "1e999*a1+3*a2>=1"], ids=["inf_bound", "nan_bound", "inf_coeff"]
+)
+def test_nonfinite_constraint_is_an_error(bivln_cfg, capsys, constraint):
+    rc = main(["optimize", "--joint", bivln_cfg, "--constraint", constraint, "--threshold", "5"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert "numbers must be finite" in err
 
 
 def test_reproduce_table1_deterministic(tmp_path, capsys):

@@ -13,6 +13,7 @@ from tailagg import (
     approx_linear,
     bivariate_lognormal,
     cond_mc_lognormal,
+    exact_lognormal_pair,
     grid_verify,
     lognormal,
     single_asset_extremes,
@@ -209,8 +210,10 @@ def test_grid_verify_E2_off_the_grid_is_the_estimate_at_the_solution(step):
     joint = bivariate_lognormal(0.0, 1.0, 0.0)
     audit = grid_verify(p, joint, grid_step=step, n=10**4, seed=3)
     at_star = cond_mc_lognormal(0.0, 1.0, 0.0, [0.2, 0.2], 5.0, 10**4, (3, 10**6))
-    assert audit.E2 == at_star.estimate
-    assert audit.E2 == pytest.approx(0.0017104, rel=1e-4)
+    assert audit.E2_mc.estimate == at_star.estimate
+    assert audit.E2_mc.estimate == pytest.approx(0.0017104, rel=1e-4)
+    assert audit.E2 == float(exact_lognormal_pair(0.0, 1.0, 0.0, 0.2, 0.2, 5.0))
+    assert audit.E2 == pytest.approx(1.7196e-3, rel=1e-4)
     assert audit.E2 != audit.points[round(0.2 / step)].estimate
 
 
@@ -221,3 +224,24 @@ def test_grid_verify_E2_on_the_grid_is_read_from_the_grid(step):
     k = round(0.2 / step)
     assert audit.points[k].a1 == 0.2
     assert audit.E2 == audit.points[k].estimate
+
+
+def test_grid_verify_rejects_rho_beyond_the_exact_route():
+    with pytest.raises(ValueError, match="rho"):
+        grid_verify(_problem(), bivariate_lognormal(0.0, 1.0, 0.99995), n=100, seed=1)
+
+
+@pytest.mark.parametrize("step", [0.01, 0.03])
+def test_grid_verify_makes_one_monte_carlo_call_at_the_solution(monkeypatch, step):
+    from tailagg import portfolio
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cond_mc_lognormal(*args, **kwargs)
+
+    monkeypatch.setattr(portfolio, "cond_mc_lognormal", counted)
+    audit = grid_verify(_problem(threshold=5.0), bivariate_lognormal(0.0, 1.0, 0.3), grid_step=step, n=1000, seed=4)
+    assert [(c[3], c[6]) for c in calls] == [([0.2, 0.2], (4, 10**6))]
+    assert all(pt.exact and pt.std_error == 0.0 for pt in audit.points)

@@ -1,9 +1,10 @@
-"""compare_to_published on every reference table, and the flag records of report.json."""
+"""compare_to_published on every reference table, and the flag records and exact values of report.json."""
 
 import json
 
 import pytest
 
+from tailagg import exact_lognormal_pair
 from tailagg.tables import OPT, PUBLISHED, SIM, combined_half_width, compare_to_published, reproduce_tables
 
 SIM_TABLES = [t for t, (study, _, _) in PUBLISHED.items() if study == SIM]
@@ -64,3 +65,19 @@ def test_report_flags_keep_their_keys_in_order(tmp_path, monkeypatch):
     flag = on_disk["flags"][0]
     assert (flag["table"], flag["threshold"], flag["column"], flag["published"]) == (1, 10.0, "actual", 2.0 * first[1])
     assert not report["table1_ok"]
+
+
+def test_report_carries_exact_values_and_the_mc_check(tmp_path):
+    report = json.loads(json.dumps(reproduce_tables([2, 5], str(tmp_path), budget_scale=0.002, seed=42)))
+    sim = report["tables"]["2"]
+    assert all(len(r) == 5 for r in sim["rows"])
+    assert [e["threshold"] for e in sim["exact"]] == [r[0] for r in sim["rows"]]
+    for (x, est, asym, _, hw), e in zip(sim["rows"], sim["exact"]):
+        assert e["exact"] == float(exact_lognormal_pair(0.0, 1.0, -0.9, 1.0, 1.0, x))
+        assert e["z"] == pytest.approx((est - e["exact"]) / (hw * asym / 1.96), rel=1e-9)
+
+    opt = report["tables"]["5"]
+    assert all(len(r) == 5 for r in opt["rows"])
+    for (x, a1, e1, e2, _), mc in zip(opt["rows"], opt["E2_mc"]):
+        assert mc["threshold"] == x and 0.0 <= a1 <= 0.5 and e1 <= e2
+        assert mc["z"] == pytest.approx((mc["estimate"] - e2) / mc["std_error"], rel=1e-12)
