@@ -1,8 +1,10 @@
 """Bivariate dependence structures with seeded samplers and closed forms.
 
 Sampling is inverse-CDF on a counter-based Philox stream (no ziggurat, no
-Box-Muller) so that any (seed, stream) pair regenerates the same draws and
-parallel substreams stay reproducible.  Determinism outranks raw speed here.
+Box-Muller).  A stream is named by a seed and a spawn key of further words,
+through numpy's `SeedSequence(seed, spawn_key=...)`, so any key regenerates
+the same draws and distinct keys name distinct streams.  Determinism outranks
+raw speed here.
 A draw is two steps: `_uniforms` fills an array from the stream, and
 `JointModel.rows` transforms it elementwise into rows of the joint law.  So
 the Monte Carlo estimators can draw a chunk block by block into reused
@@ -19,6 +21,7 @@ stays accurate far below the double-precision underflow threshold.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,9 +65,26 @@ _U_LO = 1e-300
 _U_HI = 1.0 - 1e-16
 
 
-def _stream(seed: int, stream: int) -> np.random.Generator:
-    """Philox generator for substream `stream` of root `seed`."""
-    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence([int(seed), int(stream)])))
+def _seed_key(seed) -> tuple:
+    """The key a seed names, validated: (seed,) for one word, the words of a tuple or list.
+
+    Every word must be a nonnegative integer (not a bool): the seed below
+    2^128 and each further word below 2^32.  SeedSequence splits a larger
+    integer into 32-bit words, so (0, 2^32) and (0, 0, 1) would name one
+    stream.  Anything else raises ValueError naming the key.
+    """
+    key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    bounds = [2**128] + [2**32] * (len(key) - 1)
+    if not key or not all(
+        isinstance(w, numbers.Integral) and not isinstance(w, bool) and 0 <= w < b for w, b in zip(key, bounds)
+    ):
+        raise ValueError(f"a seed key is a seed in [0, 2^128) and words in [0, 2^32), got {seed!r}")
+    return tuple(int(w) for w in key)
+
+
+def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
+    """Philox generator for `SeedSequence(seed, spawn_key=spawn_key)`: the one way a key becomes draws."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
 def _uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -147,10 +167,10 @@ class JointModel:
         return self.dim if self.kind == IID_PAIR else _UNIFORMS_PER_ROW[self.kind]
 
     def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
-        """n iid rows from the joint law; deterministic given (seed, stream, n)."""
+        """n iid rows from the joint law: the rows of chunk `stream` of key (seed,), drawn whole."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        return self.rows(_uniforms(_stream(seed, stream), np.empty((n, self.uniform_dim))))
+        return self.rows(_uniforms(_stream(*_seed_key((seed, stream))), np.empty((n, self.uniform_dim))))
 
     def rows(self, u: np.ndarray) -> np.ndarray:
         """Rows of the joint law from a (k, uniform_dim) block of uniforms in (0, 1).

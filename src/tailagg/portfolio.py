@@ -163,8 +163,8 @@ def grid_verify(
     the grid only when a* is a grid point, within the 1e-9 * grid_step slack
     of k_max), and relative_error their gap (E2 - E1)/E1.  E2_mc is the
     audit's one Monte Carlo estimate: `cond_mc_lognormal` at a* with n
-    replications keyed (seed, 10**6), which checks the estimator against E2
-    and is the same for every worker count.
+    replications keyed by seed, which checks the estimator against E2 and is
+    the same for every worker count.
     """
     if not isinstance(p.constraint, LinearConstraint) or len(p.models) != 2:
         raise UnsupportedConstraint("grid_verify audits the 2-asset linear-constraint study")
@@ -189,7 +189,7 @@ def grid_verify(
     k_min = int(np.argmin(probs))
     e1 = probs[k_min]
     rel = (e2 - e1) / e1 if e1 > 0 else math.inf
-    e2_mc = cond_mc_lognormal(joint.mu, joint.sigma, joint.rho, list(star), x, n, (seed, 10**6), workers=workers)
+    e2_mc = cond_mc_lognormal(joint.mu, joint.sigma, joint.rho, list(star), x, n, seed, workers=workers)
     return GridAudit((a1s[k_min], a2s[k_min]), e1, e2, rel, points, n, seed, x, e2_mc)
 
 

@@ -10,8 +10,10 @@ Four routes:
     equicorrelated lognormal terms (the workhorse for deep tails);
     cond_mc_lognormal_curve scores one set of draws at several thresholds.
 
-Replications are partitioned into fixed-size substreams keyed by
-(seed, chunk index); merging is an ordered reduction of per-chunk (sum,
+Replications are partitioned into fixed-size chunks.  Chunk k of the key
+(seed, *words) draws from the Philox stream of
+`SeedSequence(seed, spawn_key=(*words, k))`, so distinct (key, chunk) pairs
+never share a stream; merging is an ordered reduction of per-chunk (sum,
 sum-of-squares) pairs, so results are bit-identical no matter how many
 workers ran the chunks.
 
@@ -42,7 +44,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtri
 
 from . import kernels
-from .joint import JointModel, _stream, _uniforms
+from .joint import JointModel, _seed_key, _stream, _uniforms
 from .models import norm_sf
 
 CHUNK = 1 << 19
@@ -61,7 +63,8 @@ class EstimateResult:
     std_error: float
     half_width95: float
     method: str
-    seed: Optional[int] = None
+    # the seed key the estimate was drawn from (`_seed_key`); None for closed forms
+    seed: Optional[tuple] = None
     # effective sample size (sum v)^2 / sum v^2 of the replication values v;
     # NaN for exact results
     ess: float = math.nan
@@ -105,7 +108,7 @@ def exact_comonotone_lognormal(mu: float, x: float) -> EstimateResult:
 def exact_lognormal_single(mu: float, sigma: float, a: float, x: float) -> float:
     """P(a X > x) for X lognormal(mu, sigma); the degenerate one-asset case."""
     if a <= 0:
-        return 0.0 if x > 0 else 1.0
+        return 0.0 if x >= 0 else 1.0
     if x <= 0:
         return 1.0
     return float(norm_sf((math.log(x / a) - mu) / sigma))
@@ -200,7 +203,7 @@ def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.n
     out = np.empty(x.shape)
     pair = (a1 > 0.0) & (a2 > 0.0) & (x > 0.0)
     for i in np.flatnonzero(~pair):
-        # a1 + a2 is the one positive coefficient, or x <= 0 makes the event certain
+        # at most one positive coefficient (a1 + a2), or x <= 0 makes the event certain
         out[i] = exact_lognormal_single(mu, sigma, float(a1[i] + a2[i]), float(x[i]))
     if pair.any():
         out[pair] = _pair_quadrature(mu, sigma, rho, a1[pair], a2[pair], x[pair])
@@ -215,10 +218,6 @@ def _chunk_ranges(n: int):
         yield k, size
         done += size
         k += 1
-
-
-def _seed_key(seed) -> tuple:
-    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
 
 
 def plain_mc(
@@ -240,31 +239,24 @@ def plain_mc(
     a = np.asarray(a, dtype=float)
     if len(a) != model.dim:
         raise ValueError(f"need {model.dim} coefficients, got {len(a)}")
-    hits = float(_count_rows(model, lambda rows: rows @ a > x, n, seed, workers))
+    key = _seed_key(seed)
+    hits = float(_count_rows(model, lambda rows: rows @ a > x, n, key, workers))
     p = hits / n
     se = math.sqrt(p * (1.0 - p) / n)
-    root = seed if isinstance(seed, int) else None
     # for 0/1 replication values (sum v)^2 / sum v^2 is the hit count
-    return EstimateResult(p, n, se, 1.96 * se, PLAIN_MC, root, hits)
+    return EstimateResult(p, n, se, 1.96 * se, PLAIN_MC, key, hits)
 
 
 def _count_rows(model: JointModel, test, n: int, seed, workers: int = 1):
     """Sum of count_nonzero(test(rows), axis=-1) over n rows of model, drawn and tested block by block."""
+    key = _seed_key(seed)
+
     def run(item):
         k, size = item
-        blocks = _block_uniforms(_seed_key(seed), k, size, model.uniform_dim)
+        blocks = _block_uniforms(key, k, size, model.uniform_dim)
         return sum(np.count_nonzero(test(model.rows(u)), axis=-1) for _, _, u in blocks)
 
     return sum(_map_chunks(run, n, workers))
-
-
-def _substream(key: tuple, k: int) -> int:
-    # fold extra key words into the stream id so (seed, point, chunk) streams
-    # never collide for the magnitudes used here
-    s = k
-    for w in key[1:]:
-        s = s * 1_000_003 + int(w)
-    return s
 
 
 def _block_uniforms(key: tuple, k: int, size: int, width: int):
@@ -273,7 +265,7 @@ def _block_uniforms(key: tuple, k: int, size: int, width: int):
     All blocks draw in turn from the chunk's one generator into the same
     scratch, so each u is overwritten by the next block's.
     """
-    gen = _stream(key[0], _substream(key, k))
+    gen = _stream(*key, k)
     scratch = np.empty((min(size, kernels._BLOCK), width))
     for lo, hi in kernels._blocks(size):
         yield lo, hi, _uniforms(gen, scratch[: hi - lo])
@@ -310,13 +302,11 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
         raise ValueError(f"rho must lie in ({rho_min:.4g}, 1) for {d} terms")
     if n < 1:
         raise ValueError("n must be >= 1")
-    root = seed if isinstance(seed, int) else None
+    key = _seed_key(seed)
     xs = [float(x) for x in xs]
     positive = [x for x in xs if not x <= 0.0]  # NaN included: only x <= 0 is certain
     sums = [[0.0, 0.0] for _ in positive]
     if positive:
-        key = _seed_key(seed)
-
         def run(item):
             k, size = item
             v = np.empty((len(positive), size))
@@ -330,9 +320,9 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
                 acc[1] += tsq
     moments = iter(sums)
     return [
-        EstimateResult(1.0, n, 0.0, 0.0, COND_MC, root)
+        EstimateResult(1.0, n, 0.0, 0.0, COND_MC, key)
         if x <= 0.0
-        else EstimateResult.from_moments(*next(moments), n, COND_MC, root)
+        else EstimateResult.from_moments(*next(moments), n, COND_MC, key)
         for x in xs
     ]
 
@@ -373,8 +363,7 @@ def _lognormal_terms(mu: float, sigma: float, rho: float, a: Sequence[float]):
 def _exact_below_two_terms(mu: float, sigma: float, a_pos: np.ndarray, x: float, seed) -> EstimateResult:
     # with no positive coefficient the sum is 0, which exact_lognormal_single covers at a = 0
     a1 = float(a_pos[0]) if len(a_pos) else 0.0
-    root = seed if isinstance(seed, int) else None
-    return EstimateResult(exact_lognormal_single(mu, sigma, a1, x), 0, 0.0, 0.0, EXACT, root)
+    return EstimateResult(exact_lognormal_single(mu, sigma, a1, x), 0, 0.0, 0.0, EXACT, _seed_key(seed))
 
 
 def cond_mc_lognormal(

@@ -75,6 +75,15 @@ def test_simulate_command_cond(capsys, bivln_cfg):
     assert payload["half_width95"] == pytest.approx(1.96 * payload["std_error"], rel=1e-12)
 
 
+@pytest.mark.parametrize("method", ["cond", "plain"])
+def test_simulate_rejects_a_negative_seed_naming_it(capsys, bivln_cfg, method):
+    rc = main(["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "10", "--n", "1e4",
+               "--seed", "-1", "--method", method])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "seed key" in err and "got -1" in err
+
+
 def test_simulate_requires_seed(bivln_cfg):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--joint", bivln_cfg, "--coeffs", "1,1", "--threshold", "10", "--n", "1e4"])
@@ -167,7 +176,7 @@ def test_optimize_verify_audit_is_exact_with_one_mc_check(capsys, bivln_cfg, tmp
     audit = payload["audit"]
     assert audit["E2"] == float(exact_lognormal_pair(0.0, 1.0, 0.0, 0.2, 0.2, 5.0))
     mc = audit["E2_mc"]
-    want = cond_mc_lognormal(0.0, 1.0, 0.0, [0.2, 0.2], 5.0, 10**4, (3, 10**6))
+    want = cond_mc_lognormal(0.0, 1.0, 0.0, [0.2, 0.2], 5.0, 10**4, 3)
     assert (mc["estimate"], mc["std_error"], mc["ess"]) == (want.estimate, want.std_error, want.ess)
     assert mc["z"] == (want.estimate - audit["E2"]) / want.std_error
     header, rows = read_csv_rows(str(csv_path))

@@ -319,12 +319,12 @@ def test_joint_log_survival_equals_the_orthant_by_kind(name):
 
 
 def _conditional_mc_reference(model, pairs, focal, n, seed):
-    # rejection estimate of P(other > s | focal > x) per (x, s), one substream
-    # per point, blank below 100 conditioning hits
+    # rejection estimate of P(other > s | focal > x) per (x, s), the rows of
+    # key (seed, k) at point k, blank below 100 conditioning hits
     other = 1 - focal
     vals = []
     for k, (x, s) in enumerate(pairs):
-        rows = model.sample(n, seed, stream=k)
+        rows = _keyed_rows(model, n, (seed, k))
         hits = rows[:, focal] > x
         if int(hits.sum()) < 100:
             vals.append(math.nan)
@@ -334,10 +334,10 @@ def _conditional_mc_reference(model, pairs, focal, n, seed):
 
 
 def _joint_aux_mc_reference(model, s, grid, n, seed):
-    # sampled P(X > s, Y > s) over the exact P(X > x), one substream per point
+    # sampled P(X > s, Y > s) over the exact P(X > x), the rows of key (seed, k) at point k
     vals = []
     for k, (si, log_marg) in enumerate(zip(s, model.marginal_log_survival(0, grid).tolist())):
-        rows = model.sample(n, seed, stream=k)
+        rows = _keyed_rows(model, n, (seed, k))
         num = float(np.mean((rows[:, 0] > si) & (rows[:, 1] > si)))
         den = math.exp(log_marg)
         vals.append(num / den if den > 0 else math.inf)
@@ -363,11 +363,9 @@ def test_mc_checks_equal_rejection_references(name):
 
 
 def _keyed_rows(model, n, key):
-    # the n rows of key, each chunk drawn whole from its own Philox substream
+    # the n rows of key, each chunk drawn whole from its own Philox stream
     return np.concatenate([
-        model.rows(rare_event._uniforms(
-            rare_event._stream(key[0], rare_event._substream(key, c)), np.empty((size, model.uniform_dim))
-        ))
+        model.rows(rare_event._uniforms(rare_event._stream(*key, c), np.empty((size, model.uniform_dim))))
         for c, size in rare_event._chunk_ranges(n)
     ])
 

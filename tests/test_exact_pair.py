@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from tailagg import cond_mc_lognormal, exact_lognormal_pair, exact_lognormal_single
+from tailagg import cond_mc_lognormal, exact_comonotone_lognormal, exact_lognormal_pair, exact_lognormal_single
 
 
 def _trapezoid_pair(rho, a1, a2, x, points=400_001):
@@ -78,6 +78,56 @@ def test_one_term_and_certain_cells_are_closed_forms():
     got = exact_lognormal_pair(0.0, 1.0, 0.5, [0.0, 0.5, 0.0, 1.0, 1.0], [2.0, 0.0, 0.0, 1.0, 1.0], [10.0, 10.0, 10.0, 0.0, -3.0])
     want = [exact_lognormal_single(0.0, 1.0, 2.0, 10.0), exact_lognormal_single(0.0, 1.0, 0.5, 10.0), 0.0, 1.0, 1.0]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        lambda x: exact_lognormal_single(0.0, 1.0, 0.0, x),
+        lambda x: float(exact_lognormal_pair(0.0, 1.0, 0.3, 0.0, 0.0, x)),
+        lambda x: cond_mc_lognormal(0.0, 1.0, 0.3, [0.0, 0.0], x, 100, 1).estimate,
+    ],
+    ids=["single", "pair", "cond_mc"],
+)
+def test_a_sum_with_no_positive_coefficient_exceeds_only_negative_thresholds(tail):
+    # the sum is 0, and P(0 > x) is 0 for every x >= 0
+    assert [tail(x) for x in (0.0, 1.0, -1.0)] == [0.0, 0.0, 1.0]
+
+
+def test_pair_tends_to_the_countermonotone_closed_form_at_rate_one_minus_rho_squared():
+    """The gap to `exact_comonotone_lognormal` vanishes at the rate q = 1 - rho^2 as rho -> -1.
+
+    With Z2 = rho Z1 + s V, s = sqrt(q), the tail is E[K(s V)] for a smooth
+    K, and V -> -V cancels the odd orders in s: the tail is
+    K(0) + q K''(0) / 2 + O(q^2).  K(0), the tail of exp(Z1) + exp(rho Z1),
+    differs from the rho = -1 closed form by O(1 + rho) = O(q).  So the
+    relative gap is C q (1 + D q + O(q^2)), and the observed order
+    p = log(gap_a / gap_b) / log(q_a / q_b) between two values of rho is
+    1 + D (q_a - q_b) / log(q_a / q_b) + O(q_a^2).  Each bound lies halfway
+    between this expansion and the nearest failure it guards against:
+
+    * |p - 1| < 1/4, since an odd first-order term (gap ~ s) gives p = 1/2,
+      and a quadrature error that does not shrink with q gives p near 0;
+    * on the ladder rho = -0.99, -0.999, -0.9999, p - 1 keeps its sign and
+      shrinks by the factor `even` (about 0.10) from the first pair to the
+      second; were the next term odd (gap ~ q (1 + D s)) the factor would be
+      `odd` (about 0.32), so it must lie below their geometric mean.
+    """
+    xs = [3.0, 10.0, 30.0, 100.0, 1000.0, 2000.0]
+    rhos = np.array([-0.99, -0.999, -0.9999])
+    q = 1.0 - rhos * rhos
+    s = np.sqrt(q)
+    closed = np.array([exact_comonotone_lognormal(0.0, x).estimate for x in xs])
+    gap = np.array([exact_lognormal_pair(0.0, 1.0, rho, 1.0, 1.0, xs) for rho in rhos]) / closed - 1.0
+    shrink = gap[:-1] / gap[1:]
+    assert np.all(shrink > 0.0)
+    log_q = np.log(q[:-1] / q[1:])
+    p = np.log(shrink) / log_q[:, None]
+    assert np.all(np.abs(p - 1.0) < 0.25)
+    even = (q[1] - q[2]) / log_q[1] / ((q[0] - q[1]) / log_q[0])
+    odd = (s[1] - s[2]) / log_q[1] / ((s[0] - s[1]) / log_q[0])
+    factor = (p[1] - 1.0) / (p[0] - 1.0)
+    assert np.all((factor > 0.0) & (factor < math.sqrt(even * odd)))
 
 
 def test_symmetric_in_the_two_terms():

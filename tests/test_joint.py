@@ -50,6 +50,20 @@ def test_sampler_determinism_and_streams():
         assert np.all(a > 0)
 
 
+def test_sample_is_chunk_stream_of_key_seed():
+    from tailagg import rare_event
+
+    for m in KINDS.values():
+        _, _, u = next(rare_event._block_uniforms((5,), 3, 1000, m.uniform_dim))
+        assert np.array_equal(m.sample(1000, seed=5, stream=3), m.rows(u))
+
+
+@pytest.mark.parametrize("seed, stream", [(1.7, 0), (True, 0), (-1, 0), (1, -1), (1, 0.5), (1, 2**32)])
+def test_sample_rejects_malformed_keys(seed, stream):
+    with pytest.raises(ValueError, match="seed key"):
+        KINDS["iid"].sample(10, seed, stream)
+
+
 def test_comonotone_exponential_is_minus_log_uniforms():
     # X = -log U and Y = -log(1-U): e^{-X} + e^{-Y} = 1 row by row
     m = comonotone_inverse(exponential(1.0))

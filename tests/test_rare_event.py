@@ -218,7 +218,7 @@ def _table_thresholds():
 
 def _chunk_uniforms(key, k, shape):
     # chunk k's uniforms in one draw of the whole chunk
-    return rare_event._uniforms(rare_event._stream(key[0], rare_event._substream(key, k)), np.empty(shape))
+    return rare_event._uniforms(rare_event._stream(*key, k), np.empty(shape))
 
 
 def _reference_pair_estimate(mu, rho, x, n, seed):
@@ -235,7 +235,7 @@ def _reference_pair_estimate(mu, rho, x, n, seed):
         v += 0.5 * erfc((((np.log(np.maximum(t1, x - t1)) - mu) - rho * w1) / sc) * (1.0 / math.sqrt(2.0)))
         total += float(v.sum())
         total_sq += float(np.dot(v, v))
-    return EstimateResult.from_moments(total, total_sq, n, "cond_mc", seed)
+    return EstimateResult.from_moments(total, total_sq, n, "cond_mc", key)
 
 
 def test_curve_matches_a_per_threshold_reference(small_chunks):
@@ -316,8 +316,7 @@ def _whole_chunk_curve(nu, sig, rho, xs, n, seed):
     sums = np.zeros((len(xs), 2))
     for k, size in rare_event._chunk_ranges(n):
         sums += _unblocked(ndtri(_chunk_uniforms(key, k, (size, len(nu)))), nu, sig, rho, xs)
-    root = seed if isinstance(seed, int) else None
-    return [EstimateResult.from_moments(t, tsq, n, "cond_mc", root) for t, tsq in sums.tolist()]
+    return [EstimateResult.from_moments(t, tsq, n, "cond_mc", key) for t, tsq in sums.tolist()]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -351,7 +350,7 @@ def test_blocked_plain_mc_equals_whole_chunk_sample_count(monkeypatch, model, ch
     # x = 0.5 is passed by most rows of every kind, so a dropped row shows in the count
     for x in (0.5, 8.0):
         hits = sum(
-            int(np.count_nonzero(model.sample(size, key[0], stream=rare_event._substream(key, k)) @ a > x))
+            int(np.count_nonzero(model.rows(_chunk_uniforms(key, k, (size, model.uniform_dim))) @ a > x))
             for k, size in rare_event._chunk_ranges(n)
         )
         for workers in (1, 2):
@@ -368,6 +367,51 @@ def test_block_draws_continue_one_philox_stream(d):
     assert [(lo, hi) for lo, hi, _ in blocks] == list(_blocks(n))
     for lo, hi, u in blocks:
         assert np.array_equal(u, whole[lo:hi])
+
+
+# ---------------------------------------------------------------- seed keys
+
+
+def _first_block(key, k):
+    return next(rare_event._block_uniforms(key, k, 100, 2))[2].copy()
+
+
+def test_a_trailing_zero_word_names_another_key():
+    kw = dict(mu=0.0, sigma=1.0, rho=0.3, a=[1.0, 1.0], x=50.0, n=10**5)
+    assert cond_mc_lognormal(seed=(42, 0), **kw).estimate != cond_mc_lognormal(seed=42, **kw).estimate
+
+
+@pytest.mark.parametrize("s, k", [(1, 1), (42, 3)])
+def test_chunk_0_of_key_s_k_is_not_chunk_k_of_key_s(s, k):
+    assert not np.array_equal(_first_block((s, k), 0), _first_block((s,), k))
+
+
+def test_estimates_carry_their_seed_key():
+    assert cond_mc_lognormal(0.0, 1.0, 0.3, [1.0, 1.0], 50.0, 100, 7).seed == (7,)
+    assert cond_mc_lognormal(0.0, 1.0, 0.3, [0.0, 1.0], 50.0, 100, [7, np.int64(2)]).seed == (7, 2)
+    assert plain_mc(iid_pair(LN), [1.0, 1.0], 10.0, 100, (7, 2)).seed == (7, 2)
+
+
+MALFORMED_KEYS = [1.7, (1, 0.5), True, (1, True), np.bool_(True), -1, (1, -1), (), "3", None, 2**128, (1, 2**32)]
+
+
+@pytest.mark.parametrize("seed", MALFORMED_KEYS, ids=repr)
+def test_malformed_seed_keys_are_rejected_before_any_draw(monkeypatch, seed):
+    def no_draws(*args):
+        raise AssertionError("drew for a malformed key")
+
+    monkeypatch.setattr(rare_event, "_uniforms", no_draws)
+    calls = [
+        lambda: cond_mc_lognormal(0.0, 1.0, 0.3, [1.0, 1.0], 50.0, 100, seed),
+        # calls that draw nothing check the key too: certain thresholds, a one-term sum
+        lambda: cond_mc_lognormal_curve(0.0, 1.0, 0.3, [1.0, 1.0], [0.0, -1.0], 100, seed),
+        lambda: cond_mc_lognormal(0.0, 1.0, 0.3, [0.0, 2.0], 10.0, 100, seed),
+        lambda: plain_mc(iid_pair(LN), [1.0, 1.0], 10.0, 100, seed),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="seed key") as exc:
+            call()
+        assert repr(seed) in str(exc.value)
 
 
 # ---------------------------------------------------------------- effective sample size
