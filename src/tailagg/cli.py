@@ -297,8 +297,6 @@ def cmd_optimize(args) -> int:
 
 def cmd_reproduce_tables(args) -> int:
     which = [int(v) for v in args.which.split(",")] if args.which else list(range(1, 8))
-    if any(w > 1 for w in which) and args.seed is None:
-        raise TailAggError("tables 2..7 are stochastic; pass --seed")
     report = reproduce_tables(which, args.out_dir, budget_scale=args.budget_scale, seed=args.seed, workers=args.workers)
     print(json.dumps({k: report[k] for k in ("seed", "budget_scale", "table1_ok")}, indent=2))
     for f in report["flags"]:

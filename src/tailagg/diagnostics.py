@@ -181,13 +181,14 @@ def _pair_report(assumption: str, model: JointModel, g, corners, focal: int, met
 
     method="mc" samples the corners instead.  A3/A4 then report the share of
     focal hits that are corner hits, blank below _MC_MIN_HITS focal hits;
-    A5 divides the corner-hit frequency by the exact marginal.
+    A5 divides the corner-hit frequency by the exact marginal, in log space,
+    so a marginal that underflows does not turn zero hits into inf.
     """
     if method == "mc":
         hits = _sampled_hits(model, corners, focal, mc_n, seed)
         if assumption == A5_JOINT_AUX:
-            dens = [math.exp(v) for v in model.marginal_log_survival(focal, g).tolist()]
-            vals = [c / mc_n / den if den > 0 else math.inf for (c, _), den in zip(hits, dens)]
+            log_margs = model.marginal_log_survival(focal, g).tolist()
+            vals = [_safe_exp(math.log(c / mc_n) - lm) if c else 0.0 for (c, _), lm in zip(hits, log_margs)]
         else:
             vals = [c / m if m >= _MC_MIN_HITS else math.nan for c, m in hits]
         return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), MONTE_CARLO, mc_n, seed)

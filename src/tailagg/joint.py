@@ -11,11 +11,13 @@ the Monte Carlo estimators can draw a chunk block by block into reused
 scratch and get, row for row, what `JointModel.sample` returns for the
 whole chunk.
 
-Joint survival P(X > x, Y > y) is exact for every kind except the bivariate
-lognormal with rho strictly inside (-1, 1), whose orthant probabilities have
-no closed form; those are computed by adaptive 1-d quadrature on an
-exponent-shifted integrand (absolute tolerance 1e-14 after shifting), which
-stays accurate far below the double-precision underflow threshold.
+The joint survival P(X > x, Y > y) has one route, `joint_log_survival`, which
+works in log space for every kind.  It is exact for every kind except the
+bivariate lognormal with rho strictly inside (-1, 1), whose orthant
+probabilities have no closed form; those are computed by adaptive 1-d
+quadrature on an exponent-shifted integrand (absolute tolerance 1e-14 after
+shifting).  Both stay accurate far below the double-precision underflow
+threshold.
 """
 
 from __future__ import annotations
@@ -156,9 +158,6 @@ class JointModel:
             return self.base.log_survival(x) + self.lighter.log_survival(x)
         return self.marginal_model(i).log_survival(x)
 
-    def marginal_survival(self, i: int, x):
-        return np.exp(self.marginal_log_survival(i, x))
-
     # -- sampling ---------------------------------------------------------------
 
     @property
@@ -201,46 +200,31 @@ class JointModel:
 
     # -- joint survival -----------------------------------------------------------
 
-    def joint_survival(self, x: float, y: float) -> float:
-        """P(X > x, Y > y) in closed form.
+    def joint_log_survival(self, x: float, y: float) -> float:
+        """log P(X > x, Y > y), computed in log space for every kind.
 
-        Raises UnsupportedKind for bivariate_lognormal with rho in (-1, 1);
-        callers needing those orthants should use `joint_log_survival`
-        (quadrature) or Monte Carlo.
+        Each closed form adds log-survivals, so it stays finite where the
+        probability underflows; a bivariate lognormal with rho in (-1, 1) goes
+        through the orthant quadrature, except at rho = 0 and where a
+        threshold is <= 0 (a one-margin or trivial orthant).
         """
         kind = self.kind
         if kind == IID_PAIR:
             if self.dim != 2:
-                raise UnsupportedKind("joint_survival is a pair quantity")
-            return float(np.exp(self.marginal.log_survival(x) + self.marginal.log_survival(y)))
+                raise UnsupportedKind("the joint survival is a pair quantity")
+            return self.marginal.log_survival(x) + self.marginal.log_survival(y)
         if kind == COMONOTONE_INVERSE:
-            return _countermonotone_overlap(self.marginal, x, y)
-        if kind == BIVARIATE_LOGNORMAL:
-            if self.rho == -1.0:
-                # Y = exp(2 mu) / X: the pair is countermonotone
-                return _countermonotone_overlap(lognormal(self.mu, self.sigma), x, y)
-            raise UnsupportedKind(
-                "bivariate lognormal orthants for rho in (-1, 1) have no closed form; "
-                "use joint_log_survival (quadrature) or Monte Carlo"
-            )
+            return _countermonotone_log_overlap(self.marginal, x, y)
         if kind == MIN_CONSTRUCTION:
             f = log_weibull(self.alpha)
-            return float(np.exp(f.log_survival(x) + f.log_survival(max(x, y)) + f.log_survival(y)))
-        # mixed_min: countermonotone overlap of the base pair times the independent minima
-        overlap = _countermonotone_overlap(self.base, x, y)
-        return overlap * float(np.exp(self.lighter.log_survival(x) + self.lighter.log_survival(y)))
-
-    def joint_log_survival(self, x: float, y: float) -> float:
-        """log P(X > x, Y > y) for every kind.
-
-        The log of `joint_survival` where that is closed; a bivariate
-        lognormal with rho in (-1, 1) goes through the orthant quadrature,
-        except at rho = 0 and where a threshold is <= 0 (a one-margin or
-        trivial orthant).
-        """
-        if self.kind != BIVARIATE_LOGNORMAL or self.rho == -1.0:
-            p = self.joint_survival(x, y)
-            return math.log(p) if p > 0 else -math.inf
+            return f.log_survival(x) + f.log_survival(max(x, y)) + f.log_survival(y)
+        if kind == MIXED_MIN:
+            # countermonotone overlap of the base pair times the independent minima
+            lighter = self.lighter.log_survival(x) + self.lighter.log_survival(y)
+            return _countermonotone_log_overlap(self.base, x, y) + lighter
+        if self.rho == -1.0:
+            # Y = exp(2 mu) / X: the pair is countermonotone
+            return _countermonotone_log_overlap(lognormal(self.mu, self.sigma), x, y)
         if x <= 0 and y <= 0:
             return 0.0
         t1 = (math.log(x) - self.mu) / self.sigma if x > 0 else -math.inf
@@ -254,9 +238,19 @@ class JointModel:
         return bivariate_normal_orthant_log(t1, t2, self.rho)
 
 
-def _countermonotone_overlap(marginal: TailModel, x, y) -> float:
-    """P(Q(U) > x, Q(1 - U) > y): the U-interval F(x) < U < 1 - F(y)."""
-    return max(0.0, float(marginal.survival(x)) + float(marginal.survival(y)) - 1.0)
+def _countermonotone_log_overlap(marginal: TailModel, x, y) -> float:
+    """log P(Q(U) > x, Q(1 - U) > y): the log length of the U-interval F(x) < U < 1 - F(y).
+
+    The length is sf(a) - F(b), a the threshold with the smaller survival, and
+    is formed as log sf(a) + log1p(-F(b)/sf(a)), so neither a deep sf(a) nor a
+    small F(b) is lost to the cancellation in sf(x) + sf(y) - 1.
+    """
+    log_sf_a, log_sf_b = sorted((marginal.log_survival(x), marginal.log_survival(y)))
+    cdf_b = -math.expm1(log_sf_b)
+    if cdf_b == 0.0:
+        return log_sf_a
+    log_ratio = math.log(cdf_b) - log_sf_a
+    return log_sf_a + math.log1p(-math.exp(log_ratio)) if log_ratio < 0.0 else -math.inf
 
 
 # -- bivariate normal orthant via quadrature --------------------------------------

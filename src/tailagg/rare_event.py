@@ -107,8 +107,8 @@ def exact_comonotone_lognormal(mu: float, x: float) -> EstimateResult:
 
 def exact_lognormal_single(mu: float, sigma: float, a: float, x: float) -> float:
     """P(a X > x) for X lognormal(mu, sigma); the degenerate one-asset case."""
-    if a <= 0:
-        return 0.0 if x >= 0 else 1.0
+    if a <= 0:  # the sum is 0
+        return 0.0 if x >= 0 else 1.0 if x < 0 else math.nan
     if x <= 0:
         return 1.0
     return float(norm_sf((math.log(x / a) - mu) / sigma))

@@ -23,7 +23,7 @@ import tempfile
 from typing import Optional
 
 from .asymptotics import approx_sum_pair
-from .joint import bivariate_lognormal
+from .joint import _seed_key, bivariate_lognormal
 from .models import lognormal
 from .portfolio import LinearConstraint, PortfolioProblem, grid_verify
 from .rare_event import (  # noqa: F401  cond_mc_lognormal stays reachable as tables.cond_mc_lognormal
@@ -286,7 +286,9 @@ def reproduce_tables(
         raise ValueError("table ids must be within 1..7")
     if not 0.0 < budget_scale <= 1.0:
         raise ValueError("budget_scale must be in (0, 1]")
-    if any(w > 1 for w in which) and seed is None:
+    if seed is not None:
+        _seed_key(seed)  # a malformed seed is rejected before any table is written
+    elif any(w > 1 for w in which):
         raise ValueError("a seed is required for the stochastic tables (2..7)")
     os.makedirs(out_dir, exist_ok=True)
 

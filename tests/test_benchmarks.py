@@ -1,4 +1,4 @@
-"""Every script under benchmarks/ imports: the private names it reaches into still exist."""
+"""Every script under benchmarks/ imports, and the perfbench tracer installs: the names they reach into still exist."""
 
 import importlib.util
 import sys
@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "benchmarks").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "benchmarks").glob("*.py"))
 
 
 def test_there_are_scripts():
@@ -21,3 +22,20 @@ def test_script_imports_without_running(monkeypatch, path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_tracer_installs_and_uninstalls():
+    # install() looks up every name it wraps, so a deleted one fails here
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from tailagg import joint
+
+    orig = joint.bivariate_normal_orthant_log
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert joint.bivariate_normal_orthant_log is not orig
+    finally:
+        tracer.uninstall()
+    assert joint.bivariate_normal_orthant_log is orig

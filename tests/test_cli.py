@@ -224,6 +224,13 @@ def test_reproduce_stochastic_requires_seed(tmp_path):
     assert rc == 2
 
 
+def test_reproduce_rejects_a_malformed_seed_before_writing_any_table(tmp_path, capsys):
+    rc = main(["reproduce-tables", "--which", "1,2", "--seed", "-1", "--out-dir", str(tmp_path / "d")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "d" / "table1.csv").exists()
+
+
 def test_reproduce_table2_scaled_budget(tmp_path, capsys):
     out = tmp_path / "t2"
     rc = main(["reproduce-tables", "--which", "2", "--budget-scale", "0.002", "--seed", "42", "--out-dir", str(out)])

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import log_ndtr
@@ -171,7 +172,7 @@ def test_conditional_mc_agrees_with_closed_form():
     mc = check_conditional(m, "A3", t=1.0, x_grid=grid, method="mc", mc_n=200_000, seed=8)
     assert mc.method == "monte_carlo"
     for x, v_mc, v_ex in zip(grid, mc.values, exact.values):
-        hits = 200_000 * float(m.marginal_survival(0, x))
+        hits = 200_000 * float(np.exp(m.marginal_log_survival(0, x)))
         se = math.sqrt(max(v_ex * (1 - v_ex), 1e-12) / hits)
         assert abs(v_mc - v_ex) <= 3.0 * se + 1e-3, x
 
@@ -180,6 +181,22 @@ def test_conditional_mc_marks_starved_points_inconclusive():
     rep = check_conditional(iid_pair(LN), "A3", t=1.0, x_grid=np.array([10.0, 1e3, 1e6]), method="mc", mc_n=2000, seed=1)
     assert math.isnan(rep.values[-1])
     assert rep.trend.kind == INCONCLUSIVE
+
+
+def test_conditional_deep_grid_weibull_pair_does_not_underflow():
+    # A3 of an iid pair is sf(f(x)); f(1e6) = 2000 for weibull_type(0.5), while
+    # P(X > x, Y > f(x)) = e^-1000 e^-sqrt(2000) underflows in linear space
+    rep = check_conditional(iid_pair(weibull_type(0.5)), "A3", 1.0, [10.0, 1e3, 1e6])
+    assert rep.values[-1] == pytest.approx(math.exp(-math.sqrt(2000.0)), rel=1e-12, abs=0.0)
+
+
+def test_conditional_deep_grid_min_construction_does_not_underflow():
+    # X = X1 ^ X2, Y = X2 ^ X3, P(Xi > t) = exp(-(log t)^2): A3 is P(X3 > f(x))
+    # with f(x) = x / (4 log x), about 3.4e-177 at x = 10^10.75
+    x = 10**10.75
+    rep = check_conditional(min_construction(2.0), "A3", 1.0, [10.0, 1e3, x])
+    fx = x / (4.0 * math.log(x))
+    assert rep.values[-1] == pytest.approx(math.exp(-math.log(fx) ** 2), rel=1e-12, abs=0.0)
 
 
 def test_conditional_report_determinism():
@@ -244,6 +261,13 @@ def test_joint_aux_mc_cross_check():
         assert abs(v_mc - v_ex) <= 3.0 * se + 1e-6
 
 
+def test_joint_aux_mc_without_hits_reads_zero_where_the_marginal_underflows():
+    # P(X > 1e6) = e^-1000 underflows; no row hits the corner, so the ratio is 0, not inf
+    rep = check_joint_aux(iid_pair(weibull_type(0.5)), 1.0, [10.0, 1e3, 1e6], method="mc", mc_n=1000, seed=1)
+    assert rep.values[1:] == (0.0, 0.0) and rep.values[0] > 0
+    assert rep.trend.kind == CONVERGING_TO_CONSTANT and rep.trend.limit == 0.0
+
+
 # ---------------------------------------------------------------- per-point reference
 
 _EVERY_KIND = {
@@ -290,7 +314,7 @@ def test_check_values_equal_a_per_point_reference(name):
 def _orthant_log_reference(model, x, y):
     # log P(X > x, Y > y) by kind: for a bivariate lognormal with rho in
     # (-1, 1) the trivial and one-margin orthants, the product at rho = 0 and
-    # the quadrature otherwise; the log of the closed form for the rest
+    # the quadrature otherwise; for the rest the closed form at 50 digits
     if model.kind == "bivariate_lognormal" and -1.0 < model.rho < 1.0:
         if x <= 0 and y <= 0:
             return 0.0
@@ -303,8 +327,41 @@ def _orthant_log_reference(model, x, y):
         if model.rho == 0.0:
             return float(log_ndtr(-t1) + log_ndtr(-t2))
         return bivariate_normal_orthant_log(t1, t2, model.rho)
-    p = model.joint_survival(x, y)
-    return math.log(p) if p > 0 else -math.inf
+    with mpmath.workdps(50):
+        if model.kind == "iid_pair":
+            p = _sf_reference(model.marginal, x) * _sf_reference(model.marginal, y)
+        elif model.kind == "min_construction":
+            # X = X1 ^ X2, Y = X2 ^ X3 with P(Xi > t) = exp(-(log t)^alpha) above 1
+            p = mpmath.mpf(1)
+            for t in (x, max(x, y), y):
+                p *= mpmath.exp(-mpmath.log(t) ** model.alpha) if t > 1 else 1
+        elif model.kind == "mixed_min":
+            # the base pair's countermonotone overlap times the independent lighter minima
+            p = _overlap_reference(model.base, x, y)
+            p *= _sf_reference(model.lighter, x) * _sf_reference(model.lighter, y)
+        elif model.kind == "comonotone_inverse":
+            p = _overlap_reference(model.marginal, x, y)
+        else:  # bivariate lognormal at rho = -1: Y = exp(2 mu) / X
+            p = _overlap_reference(lognormal(model.mu, model.sigma), x, y)
+        return float(mpmath.log(p)) if p > 0 else -math.inf
+
+
+def _overlap_reference(m, x, y):
+    # P(Q(U) > x, Q(1 - U) > y): the length of the U-interval F(x) < U < 1 - F(y)
+    return max(_sf_reference(m, x) + _sf_reference(m, y) - 1, 0)
+
+
+def _sf_reference(m, t):
+    # P(X > t) for the catalog marginals of _EVERY_KIND, at the working precision
+    t = mpmath.mpf(t)
+    if t <= 0:
+        return mpmath.mpf(1)
+    if m.family == "lognormal":
+        return mpmath.ncdf(-(mpmath.log(t) - m.mu) / m.sigma)
+    if m.family == "exponential":
+        return mpmath.exp(-m.rate * t)
+    assert m.family == "weibull_type"
+    return mpmath.exp(-(t**m.alpha))
 
 
 _CORNER_ENDS = (-1.0, 0.0, 0.5, 1.0, 3.0, 40.0)
@@ -315,7 +372,12 @@ def test_joint_log_survival_equals_the_orthant_by_kind(name):
     model = _EVERY_KIND[name]
     for x in _CORNER_ENDS:
         for y in _CORNER_ENDS:
-            assert model.joint_log_survival(x, y) == _orthant_log_reference(model, x, y), (x, y)
+            got, want = model.joint_log_survival(x, y), _orthant_log_reference(model, x, y)
+            if model.kind == "bivariate_lognormal" and -1.0 < model.rho < 1.0:
+                assert got == want, (x, y)  # the same route, bit for bit
+            else:
+                # the closed form to 1e-12 relative in the probability
+                assert got == want or abs(got - want) <= 1e-12, (x, y, got, want)
 
 
 def _conditional_mc_reference(model, pairs, focal, n, seed):
@@ -334,13 +396,13 @@ def _conditional_mc_reference(model, pairs, focal, n, seed):
 
 
 def _joint_aux_mc_reference(model, s, grid, n, seed):
-    # sampled P(X > s, Y > s) over the exact P(X > x), the rows of key (seed, k) at point k
+    # sampled P(X > s, Y > s) over the exact P(X > x), divided in log space,
+    # the rows of key (seed, k) at point k
     vals = []
     for k, (si, log_marg) in enumerate(zip(s, model.marginal_log_survival(0, grid).tolist())):
         rows = _keyed_rows(model, n, (seed, k))
         num = float(np.mean((rows[:, 0] > si) & (rows[:, 1] > si)))
-        den = math.exp(log_marg)
-        vals.append(num / den if den > 0 else math.inf)
+        vals.append(_safe_exp(math.log(num) - log_marg) if num > 0 else 0.0)
     return vals
 
 
@@ -397,13 +459,14 @@ def test_mc_checks_equal_per_chunk_references_across_chunks(monkeypatch, name):
         rep = check_conditional(model, which, t, grid, method="mc", mc_n=n, seed=seed)
         np.testing.assert_array_equal(rep.values, [c / m if m >= 100 else math.nan for c, m in hits])
         assert not math.isnan(rep.values[0])
-    dens = [math.exp(v) for v in model.marginal_log_survival(0, grid).tolist()]
+    log_margs = model.marginal_log_survival(0, grid).tolist()
     for L in (0.5, 2.0):
         corners = [(s, s) for s in L * f(grid)]
         hits = _keyed_hits(model, corners, 0, n, seed)
         assert _sampled_hits(model, corners, 0, n, seed) == hits
         rep = check_joint_aux(model, L, grid, method="mc", mc_n=n, seed=seed)
-        np.testing.assert_array_equal(rep.values, [c / n / d if d > 0 else math.inf for (c, _), d in zip(hits, dens)])
+        want = [_safe_exp(math.log(c / n) - lm) if c else 0.0 for (c, _), lm in zip(hits, log_margs)]
+        np.testing.assert_array_equal(rep.values, want)
 
 
 def test_pair_checks_take_auto_or_mc_only():

@@ -94,6 +94,13 @@ def test_a_sum_with_no_positive_coefficient_exceeds_only_negative_thresholds(tai
     assert [tail(x) for x in (0.0, 1.0, -1.0)] == [0.0, 0.0, 1.0]
 
 
+@pytest.mark.parametrize("a", [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]], ids=["none", "one", "two"])
+def test_a_nan_threshold_gives_nan_whatever_the_coefficients(a):
+    # a NaN threshold decides nothing, also where the sum is the constant 0
+    assert math.isnan(exact_lognormal_single(0.0, 1.0, a[0], math.nan))
+    assert math.isnan(cond_mc_lognormal(0.0, 1.0, 0.3, a, math.nan, 100, 1).estimate)
+
+
 def test_pair_tends_to_the_countermonotone_closed_form_at_rate_one_minus_rho_squared():
     """The gap to `exact_comonotone_lognormal` vanishes at the rate q = 1 - rho^2 as rho -> -1.
 

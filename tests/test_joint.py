@@ -117,7 +117,7 @@ def test_marginals_match_empirically_ks():
         s = m.sample(10**5, seed=31)
         for i in (0, 1):
             def cdf(x, _i=i):
-                return 1.0 - m.marginal_survival(_i, x)
+                return 1.0 - np.exp(m.marginal_log_survival(_i, x))
 
             stat = kstest(s[:, i], cdf).statistic
             assert stat < crit, (name, i, stat)
@@ -129,21 +129,25 @@ def test_marginals_match_empirically_ks():
 def test_min_construction_joint_survival_factorization():
     m = min_construction(2.0)
     # at x = y = e each of the three components contributes exp(-1)
-    assert m.joint_survival(math.e, math.e) == pytest.approx(math.exp(-3.0), rel=1e-12)
+    assert math.exp(m.joint_log_survival(math.e, math.e)) == pytest.approx(math.exp(-3.0), rel=1e-12)
     # marginal is the doubled-exponent log-Weibull
     assert m.marginal_model(0).survival(math.e) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_comonotone_joint_survival_interval_overlap():
     m = comonotone_inverse(exponential(1.0))
-    assert m.joint_survival(math.log(2.0), math.log(2.0)) == 0.0
-    assert m.joint_survival(math.log(4.0 / 3.0), math.log(4.0 / 3.0)) == pytest.approx(0.5, abs=1e-15)
+    assert math.exp(m.joint_log_survival(math.log(2.0), math.log(2.0))) == 0.0
+    assert math.exp(m.joint_log_survival(math.log(4.0 / 3.0), math.log(4.0 / 3.0))) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_comonotone_overlap_keeps_a_small_cdf_against_a_deep_survival():
+    # sf(40) + sf(1e-20) - 1 cancels to 0 in linear space; the overlap is e^-40 - 1e-20
+    got = comonotone_inverse(exponential(1.0)).joint_log_survival(40.0, 1e-20)
+    assert got == pytest.approx(math.log(math.exp(-40.0) - 1e-20), rel=1e-12)
 
 
 def test_bivln_closed_form_only_at_rho_extreme():
-    assert bivariate_lognormal(0.0, 1.0, -1.0).joint_survival(1.0, 1.0) >= 0.0
-    with pytest.raises(UnsupportedKind):
-        bivariate_lognormal(0.0, 1.0, 0.5).joint_survival(1.0, 1.0)
+    assert math.exp(bivariate_lognormal(0.0, 1.0, -1.0).joint_log_survival(1.0, 1.0)) >= 0.0
 
 
 def test_exchangeability_of_symmetric_kinds():
@@ -151,7 +155,7 @@ def test_exchangeability_of_symmetric_kinds():
     for name in ("iid", "como", "minc", "mixed"):
         m = KINDS[name]
         for x, y in pts:
-            assert m.joint_survival(x, y) == pytest.approx(m.joint_survival(y, x), rel=1e-12)
+            assert math.exp(m.joint_log_survival(x, y)) == pytest.approx(math.exp(m.joint_log_survival(y, x)), rel=1e-12)
 
 
 def test_sampler_agrees_with_closed_form_joint_survival():
@@ -160,7 +164,7 @@ def test_sampler_agrees_with_closed_form_joint_survival():
         if name == "bivln":
             continue  # no closed form inside (-1, 1); quadrature is checked separately
         s = m.sample(n, seed=41)
-        q = m.marginal_survival(0, 0.0)  # noqa: F841  (support sanity)
+        q = np.exp(m.marginal_log_survival(0, 0.0))  # noqa: F841  (support sanity)
         marg = m.sample(1, seed=0)  # noqa: F841
         probe = [
             (np.quantile(s[:, 0], 0.5), np.quantile(s[:, 1], 0.5)),
@@ -170,7 +174,7 @@ def test_sampler_agrees_with_closed_form_joint_survival():
             (np.quantile(s[:, 0], 0.99), np.quantile(s[:, 1], 0.5)),
         ]
         for x, y in probe:
-            p = m.joint_survival(float(x), float(y))
+            p = math.exp(m.joint_log_survival(float(x), float(y)))
             emp = float(np.mean((s[:, 0] > x) & (s[:, 1] > y)))
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(emp - p) <= 3.0 * se + 1e-9, (name, x, y, emp, p)
