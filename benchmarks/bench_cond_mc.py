@@ -5,6 +5,12 @@ Prints, and writes as one JSON record:
                        of `rare_event.CHUNK` rows, ns per row (not per
                        threshold), best of --repeats, keyed d<d>_m<m>_w<workers>
                        for d = 2, 3, m = 1, 7 and 1 and 2 workers
+  cpu_per_wall         for the same keys, process CPU seconds
+                       (`time.process_time`) over wall seconds of the call
+                       timed in pipeline_ns_per_row: about 1 at w1 and up
+                       to 2 at w2 on two cores; a thread outside the worker
+                       pool, such as a spinning BLAS helper, shows as ~2 at
+                       w1
   peak_mb_per_chunk    tracemalloc peak of one one-chunk, one-worker
                        `cond_mc_lognormal_curve` call, MB, keyed d<d>_m<m>
                        for m = 1, 7, 19: the chunk's replication values grow
@@ -18,7 +24,8 @@ Prints, and writes as one JSON record:
                                     threshold scored, including the
                                     threshold-independent work (mix, terms,
                                     conditional means) shared by all m
-                         reduction  sum and dot of one chunk-long row of
+                         reduction  sum, then sum of the squares taken in
+                                    place, of one chunk-long row of
                                     replication values, per threshold
   leads                the two open kernel leads of ROADMAP item 4 at d = 2:
                          ndtr       the kernel with `ndtr(-z)` in place of
@@ -81,15 +88,22 @@ def _best(fn, repeats: int, setup=lambda: None) -> float:
     return best
 
 
-def pipeline(repeats: int) -> dict:
+def pipeline(repeats: int) -> tuple:
+    # (ns per row, cpu per wall) of the fastest of repeats calls per key
     n = 2 * CHUNK
-    out = {}
+    ns, cpu = {}, {}
     for d in (2, 3):
         for m in (1, 7):
             for workers in (1, 2):
-                s = _best(lambda _: cond_mc_lognormal_curve(0.0, 1.0, RHO, [1.0] * d, XS[m], n, 42, workers), repeats)
-                out[f"d{d}_m{m}_w{workers}"] = s * 1e9 / n
-    return out
+                best = (float("inf"), float("nan"))
+                for _ in range(repeats):
+                    w0, c0 = time.perf_counter(), time.process_time()
+                    cond_mc_lognormal_curve(0.0, 1.0, RHO, [1.0] * d, XS[m], n, 42, workers)
+                    wall = time.perf_counter() - w0
+                    best = min(best, (wall, (time.process_time() - c0) / wall))
+                key = f"d{d}_m{m}_w{workers}"
+                ns[key], cpu[key] = best[0] * 1e9 / n, best[1]
+    return ns, cpu
 
 
 def peak_per_chunk() -> dict:
@@ -119,8 +133,11 @@ def _per_block(fn):
 def stages(repeats: int) -> dict:
     per_row = 1e9 / CHUNK
     out = {}
-    v = np.random.default_rng(1).random(CHUNK)
-    out["reduction"] = _best(lambda _: (v.sum(), np.dot(v, v)), repeats) * per_row
+    v0 = np.random.default_rng(1).random(CHUNK)
+    v = np.empty_like(v0)
+    out["reduction"] = _best(
+        lambda _: (v.sum(), np.square(v, out=v).sum()), repeats, lambda: np.copyto(v, v0)
+    ) * per_row
     for d in (2, 3):
         u = np.empty((kernels._BLOCK, d))
 
@@ -193,7 +210,8 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=5, help="timings per figure; the best is kept")
     args = ap.parse_args(argv)
 
-    record = {"pipeline_ns_per_row": pipeline(args.repeats), "peak_mb_per_chunk": peak_per_chunk()}
+    ns, cpu = pipeline(args.repeats)
+    record = {"pipeline_ns_per_row": ns, "cpu_per_wall": cpu, "peak_mb_per_chunk": peak_per_chunk()}
     if hasattr(JointModel, "rows"):
         record["stages_ns_per_row"] = stages(args.repeats)
         record["leads"] = leads(args.repeats)

@@ -40,7 +40,8 @@ the per-core L2 cache while the elementwise passes run over them, most with
 The result is bit-identical to running the whole chunk in one pass: every
 elementwise operation is the same IEEE operation on the same operands in the
 same order (an elementwise ufunc's value for one element does not depend on
-where the array starts or ends), and the two reductions see the same whole
+where the array starts or ends), and the two reductions, numpy pairwise sums
+of the values and of their squares with no BLAS call, see the same whole
 vector.
 """
 

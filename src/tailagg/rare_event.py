@@ -15,7 +15,11 @@ Replications are partitioned into fixed-size chunks.  Chunk k of the key
 `SeedSequence(seed, spawn_key=(*words, k))`, so distinct (key, chunk) pairs
 never share a stream; merging is an ordered reduction of per-chunk (sum,
 sum-of-squares) pairs, so results are bit-identical no matter how many
-workers ran the chunks.
+workers ran the chunks.  Each chunk row is reduced by two numpy pairwise
+sums, of the values and then of their squares, and never by BLAS, whose
+threaded dot product would make the last bits depend on the BLAS build and
+its thread count (and its spinning helper thread would take a core from the
+worker pool).
 
 Each chunk runs as one loop over row blocks of `kernels._BLOCK` rows, end to
 end: the block's uniforms are drawn from the chunk's Philox generator into
@@ -312,7 +316,8 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
             v = np.empty((len(positive), size))
             for lo, hi, u in _block_uniforms(key, k, size, d):
                 kernels.equicorr_chunk(ndtri(u, out=u), nu, sig, rho, positive, v[:, lo:hi])
-            return [(float(vj.sum()), float(np.dot(vj, vj))) for vj in v]
+            # the row is dead once summed, so it is squared in place
+            return [(float(vj.sum()), float(np.square(vj, out=vj).sum())) for vj in v]
 
         for part in _map_chunks(run, n, workers):
             for acc, (t, tsq) in zip(sums, part):

@@ -48,14 +48,14 @@ def _unblocked(z, nu, sig, rho, xs):
             b = np.maximum(functools.reduce(np.maximum, others), x - functools.reduce(np.add, others))
             term = _phibar(((np.log(b) - nu[i]) / sig[i] - means[i]) / L[d - 1][d - 1])
             v = term if i == 0 else v + term
-        out[j] = v.sum(), np.dot(v, v)
+        out[j] = v.sum(), np.square(v, out=v).sum()
     return out
 
 
 def _moments(z, nu, sig, rho, xs):
     """(sum, sum of squares) of the kernel's values at each threshold, reduced as the estimator reduces a chunk."""
     v = equicorr_chunk(z, nu, sig, rho, xs, np.empty((len(xs), len(z))))
-    return np.array([(vj.sum(), np.dot(vj, vj)) for vj in v])
+    return np.array([(vj.sum(), np.square(vj, out=vj).sum()) for vj in v])
 
 
 def test_python_kernel_values_are_probability_like():
@@ -114,7 +114,7 @@ def _equicorr_by_argsort(z, nu, sig, rho, xs):
             b = np.maximum(m_other, x - (s_all - t[:, i]))
             cond_mean = rho * (w_sum - w[:, i]) / denom
             v += _phibar(((np.log(b) - nu[i]) / sig[i] - cond_mean) / cond_sd)
-        out[j] = v.sum(), np.dot(v, v)
+        out[j] = v.sum(), np.square(v, out=v).sum()
     return out
 
 

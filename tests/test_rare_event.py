@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +197,30 @@ def test_cond_mc_determinism_and_worker_invariance():
     assert r1.std_error == r2.std_error == r3.std_error
 
 
+def test_cond_mc_bits_do_not_depend_on_the_blas_thread_count():
+    # The worker-count tests with CHUNK set to 4096 reduce rows below
+    # OpenBLAS's 10,000-element cutoff for threading a dot product, so they
+    # never reach a threaded BLAS reduction.  n = 10**6 runs two real
+    # 2^19-row chunks; the environment variable is read by OpenBLAS only.
+    code = (
+        "import tailagg\n"
+        "r = tailagg.cond_mc_lognormal(0.0, 1.0, 0.0, [1.0, 1.0], 50.0, 10**6, 5)\n"
+        "print(repr((r.estimate, r.std_error, r.ess)))\n"
+    )
+    src = str(Path(rare_event.__file__).resolve().parents[1])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+
+
 def test_deep_tail_resolution():
     # the conditional route resolves 1e-14 probabilities with a tight CI
     est = cond_mc_lognormal(0.0, 1.0, 0.0, [1.0, 1.0], 2000.0, 10**6, seed=21)
@@ -234,7 +262,7 @@ def _reference_pair_estimate(mu, rho, x, n, seed):
         v = 0.5 * erfc((((np.log(np.maximum(t2, x - t2)) - mu) - rho * w2) / sc) * (1.0 / math.sqrt(2.0)))
         v += 0.5 * erfc((((np.log(np.maximum(t1, x - t1)) - mu) - rho * w1) / sc) * (1.0 / math.sqrt(2.0)))
         total += float(v.sum())
-        total_sq += float(np.dot(v, v))
+        total_sq += float(np.square(v, out=v).sum())
     return EstimateResult.from_moments(total, total_sq, n, "cond_mc", key)
 
 
