@@ -6,8 +6,9 @@ Prints, and writes as one JSON record:
                 counted), median of IMPORT_SAMPLES processes
   check_grid    the per-layer figures in LAYERS from one
                 `perfbench/run.py --workload check_grid --trace 1` run of the
-                same tree: parser build, orthant call, its peak scan and its
-                quadrature, and the call counts behind them
+                same tree: parser build, orthant call and its own time (scan
+                and Gauss-Legendre rule; the orthant calls nothing the tracer
+                times apart), and the call counts behind them
 
 Run from the root of the tree to measure:
 
@@ -35,7 +36,6 @@ LAYERS = (
     "joint.orthant_calls",
     "joint.orthant_ms",
     "joint.orthant_scan_ms",
-    "joint.quad_ms",
     "models.log_survival_calls",
 )
 

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtri
 
 from . import kernels
@@ -118,20 +117,12 @@ def exact_lognormal_single(mu: float, sigma: float, a: float, x: float) -> float
     return float(norm_sf((math.log(x / a) - mu) / sigma))
 
 
-# the d = 2 quadrature: the grid its range scan evaluates the integrand on,
-# how far below the scanned peak (e^-80) the range reaches, and the 24-node
-# Gauss-Legendre rule applied to equal pieces on each side of the kink.  Each
-# g_i steps from 0 to 1 over a width s = sqrt(1 - rho^2) in w, so a side has
-# at least 8 pieces and at least 1.5 / s of them (107 at the largest |rho|);
-# pieces that span more step widths miss the step (a relative error of 3e-3
-# at rho = -0.9999 with 16 pieces).
+# the d = 2 quadrature's range scan: the grid it evaluates the integrand on, and
+# how far below the scanned peak (e^-80) the range reaches; `kernels.gauss_legendre`
+# then integrates each range in `kernels.step_pieces` pieces either side of the kink
 _SCAN = np.linspace(-40.0, 40.0, 1601)
 _SCAN_PHI = np.exp(-0.5 * _SCAN * _SCAN) / math.sqrt(2.0 * math.pi)
-_RANGE = math.exp(-80.0)
-_PIECES = 8
-_PIECES_PER_INV_S = 1.5
-_RHO_MAX = 0.9999
-_GL_NODES, _GL_WEIGHTS = leggauss(24)
+_RANGE = math.exp(-kernels._RANGE_NATS)
 
 
 def _pair_integrand(w, phi, x, nu_i, nu_j, sigma: float, rho: float, s: float) -> np.ndarray:
@@ -159,23 +150,17 @@ def _pair_quadrature(mu: float, sigma: float, rho: float, a1, a2, x) -> np.ndarr
     xx = np.concatenate([x, x])[:, None]
     args = (xx, nu, nu_j, sigma, rho, s)
 
-    # each row's range: the scan points within e^-80 of its peak, and one more on each side
+    # each row's range: the scan points within e^-80 of its peak
     f = _pair_integrand(_SCAN, _SCAN_PHI, *args)
     keep = f >= f.max(axis=1, keepdims=True) * _RANGE
-    last = len(_SCAN) - 1
-    lo = _SCAN[np.maximum(np.argmax(keep, axis=1) - 1, 0)][:, None]
-    hi = _SCAN[np.minimum(last - np.argmax(keep[:, ::-1], axis=1) + 1, last)][:, None]
-    del f, keep  # the scan's arrays go before the rule's are made, to keep the peak low
+    del f  # the scan's values go before the rule's are made, to keep the peak low
 
     # g_i has one kink, where t_j = x/2 switches max(t_j, x - t_j)
-    kink = np.clip((np.log(xx / 2.0) - nu_j) / sigma, lo, hi)
-    pieces = max(_PIECES, math.ceil(_PIECES_PER_INV_S / s))
-    frac = np.arange(pieces + 1) / pieces
-    edges = np.concatenate([lo + (kink - lo) * frac, kink + (hi - kink) * frac[1:]], axis=1)
-    half = 0.5 * np.diff(edges, axis=1)
-    w = (edges[:, :-1, None] + half[:, :, None] * (1.0 + _GL_NODES)).reshape(len(xx), -1)
-    f = _pair_integrand(w, np.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi), *args)
-    per_row = ((f.reshape(half.shape + (-1,)) * _GL_WEIGHTS).sum(axis=2) * half).sum(axis=1)
+    kink = (np.log(xx / 2.0) - nu_j) / sigma
+    per_row = kernels.gauss_legendre(
+        lambda w: _pair_integrand(w, np.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi), *args),
+        _SCAN, keep, kink, kernels.step_pieces(s),
+    )
     return per_row[: len(a1)] + per_row[len(a1) :]
 
 
@@ -187,16 +172,16 @@ def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.n
     is g_1(W_2) + g_2(W_1), so P = sum_i of the integral of phi(w) g_i(w) dw,
     a 1-D integral of a continuous function with one kink (`_pair_integrand`).
     The estimator and its truth share the kernel's `_score`.  A coarse scan on
-    [-40, 40] finds each integrand's range, and a Gauss-Legendre rule on pieces
-    either side of the kink integrates it.  |rho| must be at most 0.9999: the
+    [-40, 40] finds each integrand's range, and `kernels.gauss_legendre`, the
+    rule the bivariate normal orthant uses too, integrates it in pieces either
+    side of the kink.  |rho| must be at most `kernels._RHO_MAX` = 0.9999: the
     pieces narrow with sqrt(1 - rho^2), so their number and cost grow as rho
     nears +-1.  A cell with a zero coefficient or x <= 0 is
     `exact_lognormal_single` of a1 + a2.
     """
     if not (math.isfinite(mu) and 0.0 < sigma < math.inf):
         raise ValueError("need a finite mu and a positive finite sigma")
-    if not abs(rho) <= _RHO_MAX:
-        raise ValueError(f"the quadrature resolves |rho| <= {_RHO_MAX}, got rho = {rho!r}")
+    kernels.check_rho(rho)
     a1, a2, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a1, a2, x)))
     if not np.all(np.isfinite(a1) & np.isfinite(a2) & (a1 >= 0.0) & (a2 >= 0.0)):
         raise ValueError("coefficients must be finite and nonnegative")

@@ -4,10 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.special import log_ndtr
 from scipy.stats import kstest, multivariate_normal
 
 import tailagg
@@ -208,50 +207,101 @@ def test_orthant_quadrature_deep_tail_no_underflow():
     assert math.isfinite(lv9) and lv9 > lv
 
 
-def _orthant_log_scalar_scan(t1, t2, rho):
-    # the orthant routine with its peak scan as a per-point Python loop
-    s = math.sqrt(1.0 - rho * rho)
-    log_sf1 = float(log_ndtr(-t1))
+def _orthant_log_50_digits(t1, t2, rho):
+    # log P(Z1 > t1, Z2 > t2): the integral over z > t1 of phi(z) Phibar((t2 - rho z)/s),
+    # s = sqrt(1 - rho^2), at 50 digits.  The breakpoints sit near t1, where the mass
+    # lies when the step is below t1, and across the step at z = t2/rho, of width s.
+    # mpmath's tolerance is absolute, so the integrand is divided by its largest
+    # value at the breakpoints.
+    with mpmath.workdps(50):
+        t1, t2, rho = mpmath.mpf(t1), mpmath.mpf(t2), mpmath.mpf(rho)
+        s = mpmath.sqrt(1 - rho * rho)
 
-    def log_integrand(z):
-        return float(log_ndtr(-(t2 - rho * z) / s)) + (-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)) - log_sf1
+        def f(z):
+            return mpmath.npdf(z) * mpmath.ncdf(-(t2 - rho * z) / s)
 
-    hi = t1 + 45.0
-    zs = np.linspace(t1, hi, 200)
-    logs = np.array([log_integrand(z) for z in zs])
-    shift = float(np.max(logs))
-    if shift == -math.inf:
-        return -math.inf
-    val, _ = quad(lambda z: math.exp(log_integrand(z) - shift), t1, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
-    if val <= 0.0:
-        return -math.inf
-    return shift + math.log(val) + log_sf1
-
-
-_ORTHANT_SWEEP = [(11.5, 11.5, 0.9), (11.5, 11.5, -0.9)] + [
-    (t1, t2, rho)
-    for t1 in (-3.0, -0.4, 0.0, 1.7, 6.0, 12.0)
-    for t2 in (-2.5, 0.0, 2.2, 8.0, 12.0)
-    for rho in (-0.95, -0.5, 0.3, 0.99)
-]
+        near_t1 = {t1 + d for d in (0, 1e-5, 1e-3, 0.1, 1, 10)}
+        step = {t2 / rho + k * s for k in (0, 1, 4, 16, 64, -1, -4, -16, -64)}
+        points = sorted(z for z in near_t1 | step if z >= t1)
+        scale = max(f(z) for z in points)
+        return float(mpmath.log(mpmath.quad(lambda z: f(z) / scale, points + [mpmath.inf]) * scale))
 
 
-def test_orthant_array_scan_equals_scalar_scan():
-    # the one-call scan does the scalar loop's IEEE operations in its order
-    for t1, t2, rho in _ORTHANT_SWEEP:
-        assert bivariate_normal_orthant_log(t1, t2, rho) == _orthant_log_scalar_scan(t1, t2, rho), (t1, t2, rho)
+_LOG_1E4, _LOG_1E3_5 = math.log(1e4), 3.5 * math.log(10.0)
 
 
-def test_scipy_integrate_loads_on_first_quadrature():
+@pytest.mark.parametrize(
+    "t1, t2, rho, known",
+    # every cell at rho <= -0.99 was off by tens of nats, or -inf, through the
+    # adaptive quadrature this rule replaced; at (20, 20, -0.9999) the mass lies
+    # within 1e-3 of t1; `known` pins the reference itself to the digits given
+    [
+        (1.0, 1.0, -0.9999, "-10016.00009"),
+        (0.0, 1.0, -0.9999, None),
+        (20.0, 20.0, -0.9999, None),
+        (_LOG_1E3_5, _LOG_1E3_5, -0.999, "-64964.971"),
+        (20.0, 20.0, -0.999, None),
+        (_LOG_1E4, _LOG_1E4, -0.99, "-8496.5675071"),
+        (_LOG_1E3_5, 5.0, -0.99, None),
+        (5.0, 3.0, -0.9, None),
+        (5.0, 3.0, 0.3, None),
+        (-1.0, 8.0, 0.9, None),
+        (5.0, 3.0, 0.999, None),
+        (1.0, 1.0, 0.9999, None),
+    ],
+)
+def test_orthant_equals_a_50_digit_reference(t1, t2, rho, known):
+    got, want = bivariate_normal_orthant_log(t1, t2, rho), _orthant_log_50_digits(t1, t2, rho)
+    if known is not None:
+        assert abs(want - float(known)) <= 0.5 * 10.0 ** -len(known.split(".")[1]), want
+    assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+def test_asy_indep_value_at_strong_negative_correlation_equals_a_50_digit_reference():
+    # P(Y > x | X > x) at rho = -0.999 is e^-490.86 at x = 2 and e^-668.17 at 2.25:
+    # above double underflow, so the check prints them; the adaptive quadrature
+    # this rule replaced printed e^-520.84 and e^-703.74
+    grid = [2.0, 2.25]
+    rep = check_asy_indep(bivariate_lognormal(0.0, 1.0, -0.999), grid)
+    for x, got in zip(grid, rep.values):
+        t = math.log(x)
+        with mpmath.workdps(50):
+            log_marginal = float(mpmath.log(mpmath.ncdf(-t)))
+        assert got == pytest.approx(math.exp(_orthant_log_50_digits(t, t, -0.999) - log_marginal), rel=1e-10, abs=0.0), x
+
+
+def test_orthant_keeps_a_nan_threshold_nan():
+    nan = math.nan
+    assert math.isnan(bivariate_normal_orthant_log(nan, 1.0, 0.5))
+    assert math.isnan(bivariate_normal_orthant_log(1.0, nan, -0.5))
+    m = bivariate_lognormal(0.0, 1.0, 0.5)
+    assert math.isnan(m.joint_log_survival(nan, 2.0)) and math.isnan(m.joint_log_survival(2.0, nan))
+
+
+@pytest.mark.parametrize("rho", [0.99995, -0.99995, 1.0 - 1e-12, math.nan])
+def test_orthant_rejects_rho_the_rule_cannot_resolve(rho):
+    # the pieces narrow with sqrt(1 - rho^2): about 1e6 of them at 1 - 1e-12
+    msg = r"resolves \|rho\| <= 0\.9999"
+    with pytest.raises(ValueError, match=msg):
+        bivariate_normal_orthant_log(1.0, 1.0, rho)
+    with pytest.raises(ValueError, match=msg):
+        tailagg.exact_lognormal_pair(0.0, 1.0, rho, 1.0, 1.0, 10.0)
+    if not math.isnan(rho):
+        with pytest.raises(ValueError, match=msg):
+            bivariate_lognormal(0.0, 1.0, rho).joint_log_survival(2.0, 3.0)
+
+
+def test_scipy_integrate_is_never_loaded():
+    # both exact quadratures are numpy Gauss-Legendre; scipy.integrate costs about 0.4 s and 25 MB
     code = (
         "import sys, tailagg, tailagg.cli\n"
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
         "tailagg.bivariate_normal_orthant_log(1.0, 2.0, 0.5)\n"
+        "tailagg.exact_lognormal_pair(0.0, 1.0, 0.5, 1.0, 1.0, 10.0)\n"
         "print('scipy.integrate' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(tailagg.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split("\n")[:2] == ["[]", "True"]
+    assert out == "False\n"
 
 
 def test_asy_indep_ratio_decreasing_for_all_rho():
