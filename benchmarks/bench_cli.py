@@ -4,11 +4,17 @@ Prints, and writes as one JSON record:
   import_cli_s  cold `import tailagg.cli` in a fresh interpreter (numpy,
                 scipy and tailagg are imported; interpreter start-up is not
                 counted), median of IMPORT_SAMPLES processes
+  parser_ms     in-process `cli.build_parser` ms, median of PARSER_SAMPLES
+                builds: "full" with every subcommand, and one entry per
+                subcommand for the parser `main` builds for it (null where
+                build_parser takes no command and main builds the full one)
   check_grid    the per-layer figures in LAYERS from one
                 `perfbench/run.py --workload check_grid --trace 1` run of the
                 same tree: parser build, orthant call and its own time (scan
                 and Gauss-Legendre rule; the orthant calls nothing the tracer
-                times apart), and the call counts behind them
+                times apart), and the call counts behind them; and
+                joint.orthant_ms_per_pass, calls x ms per call, since batching
+                the orthant's points raises the ms per call as the calls fall
 
 Run from the root of the tree to measure:
 
@@ -30,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 IMPORT_SAMPLES = 5
+PARSER_SAMPLES = 501
 LAYERS = (
     "cli.parser_ms",
     "cli.self_ms_per_op",
@@ -51,6 +58,31 @@ def cold_import_s() -> float:
     return statistics.median(runs)
 
 
+# argv[1] builds per figure; a command is timed only where build_parser takes one
+_PARSER_CODE = """
+import inspect, json, statistics, sys, time
+from tailagg import cli
+
+def ms(*args):
+    runs = []
+    for _ in range(int(sys.argv[1])):
+        t = time.perf_counter()
+        cli.build_parser(*args)
+        runs.append(time.perf_counter() - t)
+    return statistics.median(runs) * 1e3
+
+names = list(cli.build_parser()._subparsers._group_actions[0].choices)
+one = "command" in inspect.signature(cli.build_parser).parameters
+print(json.dumps({"full": ms(), **{n: ms(n) if one else None for n in names}}))
+"""
+
+
+def parser_ms() -> dict:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, "-c", _PARSER_CODE, str(PARSER_SAMPLES)]
+    return json.loads(subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout)
+
+
 def check_grid_layers(seed: int, seconds: float) -> dict:
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "check_grid",
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"]
@@ -58,7 +90,9 @@ def check_grid_layers(seed: int, seconds: float) -> dict:
     run = json.loads(last)
     if not run["correct"]:
         raise RuntimeError(f"check_grid: {run['failed']}/{run['attempted']} ops failed")
-    return {name: run["metrics"][name]["value"] for name in LAYERS}
+    layers = {name: run["metrics"][name]["value"] for name in LAYERS}
+    layers["joint.orthant_ms_per_pass"] = layers["joint.orthant_calls"] * layers["joint.orthant_ms"]
+    return layers
 
 
 def main(argv=None) -> int:
@@ -71,11 +105,14 @@ def main(argv=None) -> int:
 
     record = {
         "import_cli_s": cold_import_s(),
+        "parser_ms": parser_ms(),
         "check_grid": check_grid_layers(args.seed, args.seconds),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
     }
     print(f"{'import_cli_s':26s} {record['import_cli_s']:.4g}")
+    for name, value in record["parser_ms"].items():
+        print(f"{'parser_ms ' + name:26s} {value if value is None else format(value, '.4g')}")
     for name, value in record["check_grid"].items():
         print(f"{name:26s} {value:.4g}")
     out = Path(args.out)

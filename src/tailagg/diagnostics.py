@@ -176,8 +176,8 @@ def _sampled_hits(model: JointModel, corners, focal: int, n: int, seed: int):
     return [tuple(_count_rows(model, lambda r: test(r, c), n, (seed, k)).tolist()) for k, c in enumerate(corners)]
 
 
-def _pair_report(assumption: str, model: JointModel, g, corners, focal: int, method="auto", mc_n=None, seed=None):
-    """P(X > u, Y > v) / P(focal > x) over one corner (u, v) per grid point x.
+def _pair_report(assumption: str, model: JointModel, g, u, v, focal: int, method="auto", mc_n=None, seed=None):
+    """P(X > u, Y > v) / P(focal > x) over the grid, with corner arrays u and v aligned with it.
 
     method="mc" samples the corners instead.  A3/A4 then report the share of
     focal hits that are corner hits, blank below _MC_MIN_HITS focal hits;
@@ -185,7 +185,7 @@ def _pair_report(assumption: str, model: JointModel, g, corners, focal: int, met
     so a marginal that underflows does not turn zero hits into inf.
     """
     if method == "mc":
-        hits = _sampled_hits(model, corners, focal, mc_n, seed)
+        hits = _sampled_hits(model, zip(u, v), focal, mc_n, seed)
         if assumption == A5_JOINT_AUX:
             log_margs = model.marginal_log_survival(focal, g).tolist()
             vals = [_safe_exp(math.log(c / mc_n) - lm) if c else 0.0 for (c, _), lm in zip(hits, log_margs)]
@@ -194,10 +194,9 @@ def _pair_report(assumption: str, model: JointModel, g, corners, focal: int, met
         return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), MONTE_CARLO, mc_n, seed)
     if method != "auto":
         raise ValueError("method must be auto or mc")
-    vals = []
-    for (u, v), log_marg in zip(corners, model.marginal_log_survival(focal, g).tolist()):
-        log_joint = model.joint_log_survival(u, v)
-        vals.append(_safe_exp(log_joint - log_marg) if log_joint > -math.inf else 0.0)
+    log_margs = model.marginal_log_survival(focal, g).tolist()
+    log_joints = model.joint_log_survival(u, v).tolist()
+    vals = [_safe_exp(lj - lm) if lj > -math.inf else 0.0 for lj, lm in zip(log_joints, log_margs)]
     return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), _pair_method(model))
 
 
@@ -224,8 +223,8 @@ def check_conditional(
     g = _as_grid(x_grid)
     s = _levels(_first_marginal(model).auxiliary(), g, t)
     if which == "A3":
-        return _pair_report(A3_COND_Y, model, g, list(zip(g, s)), 0, method, mc_n, seed)
-    return _pair_report(A4_COND_X, model, g, list(zip(s, g)), 1, method, mc_n, seed)
+        return _pair_report(A3_COND_Y, model, g, g, s, 0, method, mc_n, seed)
+    return _pair_report(A4_COND_X, model, g, s, g, 1, method, mc_n, seed)
 
 
 def _first_marginal(model: JointModel) -> TailModel:
@@ -249,7 +248,7 @@ def check_joint_aux(
         raise ValueError("L must be positive")
     g = _as_grid(x_grid)
     s = _levels(_first_marginal(model).auxiliary(), g, L)
-    return _pair_report(A5_JOINT_AUX, model, g, list(zip(s, s)), 0, method, mc_n, seed)
+    return _pair_report(A5_JOINT_AUX, model, g, s, s, 0, method, mc_n, seed)
 
 
 def check_subexp_criterion(model: TailModel, L: float, x_grid=None) -> AssumptionReport:
@@ -272,4 +271,4 @@ def check_asy_indep(model: JointModel, x_grid=None) -> AssumptionReport:
     if model.kind != BIVARIATE_LOGNORMAL:
         raise UnsupportedKind("asymptotic-independence ratio is tabulated for the bivariate lognormal")
     g = _as_grid(x_grid)
-    return _pair_report(ASY_INDEP_RATIO, model, g, list(zip(g, g)), 0)
+    return _pair_report(ASY_INDEP_RATIO, model, g, g, g, 0)

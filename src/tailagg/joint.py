@@ -12,11 +12,12 @@ scratch and get, row for row, what `JointModel.sample` returns for the
 whole chunk.
 
 The joint survival P(X > x, Y > y) has one route, `joint_log_survival`, which
-works in log space for every kind.  It is exact for every kind except the
-bivariate lognormal with rho strictly inside (-1, 1), whose orthant
-probabilities have no closed form; those are computed by 1-d Gauss-Legendre
-quadrature (`kernels.gauss_legendre`, the rule of the exact d = 2 pair) of
-the integrand shifted by its peak log value.  Both stay accurate far below
+works in log space for every kind, at a corner or at arrays of corners.  It
+is exact for every kind except the bivariate lognormal with rho strictly
+inside (-1, 1), whose orthant probabilities have no closed form; those are
+computed by 1-d Gauss-Legendre quadrature (`kernels.gauss_legendre`, the rule
+of the exact d = 2 pair) of the integrand shifted by its peak log value, one
+row per corner and one call for all of them.  Both stay accurate far below
 the double-precision underflow threshold.
 """
 
@@ -201,58 +202,75 @@ class JointModel:
 
     # -- joint survival -----------------------------------------------------------
 
-    def joint_log_survival(self, x: float, y: float) -> float:
+    def joint_log_survival(self, x, y):
         """log P(X > x, Y > y), computed in log space for every kind.
 
-        Each closed form adds log-survivals, so it stays finite where the
-        probability underflows; a bivariate lognormal with rho in (-1, 1) goes
-        through the orthant quadrature, except at rho = 0 and where a
+        x and y broadcast against each other; a scalar pair gives a float,
+        arrays an array of the broadcast shape with each corner's value.  A
+        NaN threshold gives NaN in its own corner only.  Each closed form adds
+        log-survivals, so it stays finite where the probability underflows; a
+        bivariate lognormal with rho in (-1, 1) goes through one orthant
+        quadrature call for all its corners, except at rho = 0 and where a
         threshold is <= 0 (a one-margin or trivial orthant).
         """
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        shape = x.shape
+        x, y = x.ravel(), y.ravel()
         kind = self.kind
         if kind == IID_PAIR:
             if self.dim != 2:
                 raise UnsupportedKind("the joint survival is a pair quantity")
-            return self.marginal.log_survival(x) + self.marginal.log_survival(y)
-        if kind == COMONOTONE_INVERSE:
-            return _countermonotone_log_overlap(self.marginal, x, y)
-        if kind == MIN_CONSTRUCTION:
+            out = self.marginal.log_survival(x) + self.marginal.log_survival(y)
+        elif kind == COMONOTONE_INVERSE:
+            out = _countermonotone_log_overlap(self.marginal, x, y)
+        elif kind == MIN_CONSTRUCTION:
             f = log_weibull(self.alpha)
-            return f.log_survival(x) + f.log_survival(max(x, y)) + f.log_survival(y)
-        if kind == MIXED_MIN:
+            out = f.log_survival(x) + f.log_survival(np.maximum(x, y)) + f.log_survival(y)
+        elif kind == MIXED_MIN:
             # countermonotone overlap of the base pair times the independent minima
             lighter = self.lighter.log_survival(x) + self.lighter.log_survival(y)
-            return _countermonotone_log_overlap(self.base, x, y) + lighter
-        if self.rho == -1.0:
+            out = _countermonotone_log_overlap(self.base, x, y) + lighter
+        elif self.rho == -1.0:
             # Y = exp(2 mu) / X: the pair is countermonotone
-            return _countermonotone_log_overlap(lognormal(self.mu, self.sigma), x, y)
-        if x <= 0 and y <= 0:
-            return 0.0
-        # a NaN threshold gives a NaN t, not -inf
-        t1 = (math.log(x) - self.mu) / self.sigma if not x <= 0 else -math.inf
-        t2 = (math.log(y) - self.mu) / self.sigma if not y <= 0 else -math.inf
-        if t1 == -math.inf:
-            return float(norm_log_sf(t2))
-        if t2 == -math.inf:
-            return float(norm_log_sf(t1))
-        if self.rho == 0.0:
-            return float(norm_log_sf(t1) + norm_log_sf(t2))
-        return bivariate_normal_orthant_log(t1, t2, self.rho)
+            out = _countermonotone_log_overlap(lognormal(self.mu, self.sigma), x, y)
+        else:
+            # math.log per corner: numpy's log rounds some values differently in the last bit,
+            # and the check outputs are pinned to math's; a NaN threshold gives a NaN t, not -inf
+            t1, t2 = (
+                np.array([(math.log(v) - self.mu) / self.sigma if not v <= 0 else -math.inf for v in c.tolist()])
+                for c in (x, y)
+            )
+            # a threshold <= 0 leaves one margin, or none; rho = 0 the product of the two
+            lsf1, lsf2 = norm_log_sf(t1), norm_log_sf(t2)
+            out = np.where(t1 == -math.inf, lsf2, np.where(t2 == -math.inf, lsf1, lsf1 + lsf2))
+            out[(t1 == -math.inf) & (t2 == -math.inf)] = 0.0
+            inner = (t1 > -math.inf) & (t2 > -math.inf)
+            if self.rho != 0.0 and inner.any():
+                out[inner] = bivariate_normal_orthant_log(t1[inner], t2[inner], self.rho)
+        return float(out[0]) if not shape else out.reshape(shape)
 
 
-def _countermonotone_log_overlap(marginal: TailModel, x, y) -> float:
-    """log P(Q(U) > x, Q(1 - U) > y): the log length of the U-interval F(x) < U < 1 - F(y).
+def _countermonotone_log_overlap(marginal: TailModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log P(Q(U) > x, Q(1 - U) > y) at each corner: the log length of the U-interval F(x) < U < 1 - F(y).
 
     The length is sf(a) - F(b), a the threshold with the smaller survival, and
     is formed as log sf(a) + log1p(-F(b)/sf(a)), so neither a deep sf(a) nor a
-    small F(b) is lost to the cancellation in sf(x) + sf(y) - 1.
+    small F(b) is lost to the cancellation in sf(x) + sf(y) - 1.  A NaN
+    threshold gives NaN.
     """
-    log_sf_a, log_sf_b = sorted((marginal.log_survival(x), marginal.log_survival(y)))
-    cdf_b = -math.expm1(log_sf_b)
-    if cdf_b == 0.0:
-        return log_sf_a
-    log_ratio = math.log(cdf_b) - log_sf_a
-    return log_sf_a + math.log1p(-math.exp(log_ratio)) if log_ratio < 0.0 else -math.inf
+    out = []
+    for log_sf_x, log_sf_y in zip(marginal.log_survival(x).tolist(), marginal.log_survival(y).tolist()):
+        if math.isnan(log_sf_x) or math.isnan(log_sf_y):
+            out.append(math.nan)
+            continue
+        log_sf_a, log_sf_b = sorted((log_sf_x, log_sf_y))
+        cdf_b = -math.expm1(log_sf_b)
+        if cdf_b == 0.0:
+            out.append(log_sf_a)
+            continue
+        log_ratio = math.log(cdf_b) - log_sf_a
+        out.append(log_sf_a + math.log1p(-math.exp(log_ratio)) if log_ratio < 0.0 else -math.inf)
+    return np.array(out)
 
 
 # -- bivariate normal orthant via quadrature --------------------------------------
@@ -273,31 +291,45 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
-def bivariate_normal_orthant_log(t1: float, t2: float, rho: float) -> float:
+def bivariate_normal_orthant_log(t1, t2, rho: float):
     """log P(Z1 > t1, Z2 > t2) for standard bivariate normal correlation rho.
 
-    Integrates phi(z) Phibar((t2 - rho z)/sqrt(1 - rho^2)) over z > t1 with
-    `kernels.gauss_legendre`, the rule of the exact d = 2 pair.  A scan of the
-    log integrand over [t1, t1 + 45] (`_ORTHANT_SCAN`) finds its peak and the
-    range within 80 nats of it; the rule integrates the integrand shifted by
-    the peak, so results stay meaningful far below the double-precision
-    underflow threshold.  |rho| must be at most `kernels._RHO_MAX` = 0.9999,
-    and a NaN threshold gives NaN.
+    t1 and t2 broadcast against each other; a scalar pair gives a float,
+    arrays an array of the broadcast shape, each element bit-identical to its
+    own scalar call.  Each one integrates phi(z) Phibar((t2 - rho z)/sqrt(1 - rho^2))
+    over z > t1, all in one call of `kernels.gauss_legendre`, the rule of the
+    exact d = 2 pair.  A scan of the log integrand over [t1, t1 + 45]
+    (`_ORTHANT_SCAN`) finds its peak and the range within 80 nats of it; the
+    rule integrates the integrand shifted by the peak, so results stay
+    meaningful far below the double-precision underflow threshold.  |rho|
+    must be at most `kernels._RHO_MAX` = 0.9999; a NaN threshold gives NaN,
+    and an orthant whose integrand is 0 on the whole scan (t1 or t2 = inf)
+    gives -inf.
     """
     kernels.check_rho(rho)
     s = math.sqrt((1.0 - rho) * (1.0 + rho))  # exact to rounding as |rho| -> 1, unlike 1 - rho^2
+    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+    shape = t1.shape
 
-    def log_f(z):
+    def log_f(z, t2):
         return log_ndtr(-(t2 - rho * z) / s) - 0.5 * z * z - _LOG_SQRT_2PI
 
-    scan = t1 + _ORTHANT_SCAN
-    logs = log_f(scan)
-    shift = float(np.max(logs))
-    if shift == -math.inf:
-        return -math.inf
-    keep = (logs >= shift - kernels._RANGE_NATS)[None, :]
-    val = kernels.gauss_legendre(lambda z: np.exp(log_f(z) - shift), scan, keep, np.empty((1, 0)), kernels.step_pieces(s))
-    return shift + math.log(val[0])
+    # one row per orthant: its scan, and its peak
+    t2 = t2.reshape(-1, 1)
+    scan = t1.reshape(-1, 1) + _ORTHANT_SCAN
+    logs = log_f(scan, t2)
+    out = logs.max(axis=1)
+    live = np.isfinite(out)  # a NaN or -inf peak is the orthant's value
+    if live.any():
+        shift = out[live][:, None]
+        keep = logs[live] >= shift - kernels._RANGE_NATS
+        t2 = t2[live]
+        val = kernels.gauss_legendre(
+            lambda z: np.exp(log_f(z, t2) - shift), scan[live], keep, np.empty((len(t2), 0)), kernels.step_pieces(s)
+        )
+        # math.log per orthant, for the same bits as math's log of a scalar call
+        out[live] = [p + math.log(v) for p, v in zip(shift[:, 0].tolist(), val.tolist())]
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 # -- configs ---------------------------------------------------------------------

@@ -111,16 +111,20 @@ def step_pieces(s: float) -> int:
 def gauss_legendre(f, scan: np.ndarray, keep: np.ndarray, kinks: np.ndarray, pieces: int) -> np.ndarray:
     """The integral of f over each row's range: Gauss-Legendre pieces between its kinks.
 
-    A row's range runs from the first to the last scan point that keep marks
-    (keep is (rows, len(scan))), widened by one scan point on each side within
-    the scan.  kinks (rows, k) are clipped into the range and split it into
-    k + 1 segments of `pieces` equal pieces each; the edges are lo, then
-    cut_j + (cut_{j+1} - cut_j) * i / pieces for i = 1..pieces in each segment
-    j.  f takes the (rows, points) nodes and returns the integrand at them.
+    scan is one grid shared by every row, or a (rows, points) grid per row,
+    and keep (rows, points) marks points of it; a shared grid gives the same
+    bits as that grid repeated in every row.  A row's range runs from the
+    first to the last point that keep marks, widened by one scan point on
+    each side within the scan.  kinks (rows, k) are clipped into the range
+    and split it into k + 1 segments of `pieces` equal pieces each; the edges
+    are lo, then cut_j + (cut_{j+1} - cut_j) * i / pieces for i = 1..pieces in
+    each segment j.  f takes the (rows, points) nodes and returns the
+    integrand at them.
     """
-    rows, last = keep.shape[0], len(scan) - 1
-    lo = scan[np.maximum(np.argmax(keep, axis=1) - 1, 0)][:, None]
-    hi = scan[np.minimum(last - np.argmax(keep[:, ::-1], axis=1) + 1, last)][:, None]
+    rows, last = keep.shape[0], keep.shape[1] - 1
+    scan = np.broadcast_to(scan, keep.shape)
+    lo = np.take_along_axis(scan, np.maximum(np.argmax(keep, axis=1) - 1, 0)[:, None], axis=1)
+    hi = np.take_along_axis(scan, np.minimum(last - np.argmax(keep[:, ::-1], axis=1) + 1, last)[:, None], axis=1)
     cuts = [lo, *np.clip(kinks, lo, hi).T[:, :, None], hi]
     frac = np.arange(1, pieces + 1) / pieces
     edges = np.concatenate([lo] + [a + (b - a) * frac for a, b in zip(cuts, cuts[1:])], axis=1)

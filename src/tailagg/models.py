@@ -170,7 +170,8 @@ class TailModel:
         """log P(X > x), exact to the floating-point limit (never -inf early).
 
         Values whose linear-space survival underflows (e.g. weibull_type at
-        x = 1e6, where log-survival is -1000) stay finite here.
+        x = 1e6, where log-survival is -1000) stay finite here.  A NaN x gives
+        NaN: each family tests z <= edge for its certain part, which NaN fails.
         """
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
@@ -179,17 +180,17 @@ class TailModel:
         fam = self.family
         with np.errstate(divide="ignore", invalid="ignore"):
             if fam == LOGNORMAL:
-                out = np.where(z > 0, norm_log_sf((np.log(np.where(z > 0, z, 1.0)) - self.mu) / self.sigma), 0.0)
+                out = np.where(z <= 0, 0.0, norm_log_sf((np.log(np.where(z <= 0, 1.0, z)) - self.mu) / self.sigma))
             elif fam == LOG_WEIBULL:
-                lz = np.log(np.where(z > 1, z, np.e))
-                out = np.where(z > 1, -(lz**self.alpha), 0.0)
+                lz = np.log(np.where(z <= 1, np.e, z))
+                out = np.where(z <= 1, 0.0, -(lz**self.alpha))
             elif fam == LOG_WEIBULL_MIN:
-                lz = np.log(np.where(z > 1, z, np.e))
-                out = np.where(z > 1, -2.0 * lz**self.alpha, 0.0)
+                lz = np.log(np.where(z <= 1, np.e, z))
+                out = np.where(z <= 1, 0.0, -2.0 * lz**self.alpha)
             elif fam == WEIBULL_TYPE:
-                out = np.where(z > 0, -np.where(z > 0, z, 0.0) ** self.alpha, 0.0)
+                out = np.where(z <= 0, 0.0, -np.where(z <= 0, 0.0, z) ** self.alpha)
             elif fam == EXPONENTIAL:
-                out = np.where(z > 0, -self.rate * z, 0.0)
+                out = np.where(z <= 0, 0.0, -self.rate * z)
             else:  # std_normal
                 out = norm_log_sf(x / self.scale)
         out = np.where(np.isposinf(x), -np.inf, out)

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 from tailagg import bivariate_lognormal, check_conditional, cond_mc_lognormal, exact_lognormal_pair
-from tailagg.cli import _parse_count, main
+from tailagg.cli import _COMMANDS, _parse_count, build_parser, main
 from tailagg.tables import make_table1, read_csv_rows
 
 
@@ -502,3 +502,118 @@ def test_simulate_with_an_underflowing_approximation_prints_a_null_ratio(tmp_pat
     assert rc == 0
     assert payload["ratio_vs_asymptotic"] is None
     assert payload["estimate"] == 0.0 and payload["n"] == 1000 and payload["method"] == "cond_mc"
+
+
+# ---------------------------------------------------------------- one-command parser
+
+# a representative argv per subcommand, with a negative-number token where one fits;
+# its first option is a required one, except for exact, whose --mu comes first
+_ARGV = {
+    "approx": ["--joint", "j.json", "--coeffs", "3,2", "--threshold", "-1e3", "--c", "1,1"],
+    "exact": ["--mu", "-.5", "--threshold", "30"],
+    "simulate": ["--joint", "j.json", "--coeffs", "1,1", "--threshold", "20", "--n", "1e4", "--seed", "7",
+                 "--method", "plain", "--workers", "2"],
+    "check": ["--assumption", "A5", "--joint", "j.json", "--L", "2", "--grid-log", "-5e-1:2.5:4", "--method", "mc",
+              "--mc-n", "1e3", "--seed", "3", "--csv", "c.csv"],
+    "optimize": ["--joint", "j.json", "--constraint", "2*a1+3*a2>=1", "--threshold", "50", "--verify",
+                 "--grid-step", "0.05", "--seed", "1"],
+    "reproduce-tables": ["--out-dir", "out", "--which", "2,5", "--budget-scale", "0.1", "--seed", "42"],
+}
+
+
+_TOP_USAGE = "usage: tailagg [-h]\n               {approx,exact,simulate,check,optimize,reproduce-tables} ...\n"
+
+
+def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def _parsed(parser: argparse.ArgumentParser, argv: list) -> dict:
+    # the Namespace as a dict; --grid-log parses to an array, compared by its list
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(parser.parse_args(argv)).items()}
+
+
+def _exit_and_stderr(capsys, parser: argparse.ArgumentParser, argv: list):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_every_command_has_a_representative_argv():
+    assert list(_ARGV) == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(_ARGV))
+def test_one_command_parser_parses_as_the_full_parser(name):
+    argv = [name, *_ARGV[name]]
+    assert _parsed(build_parser(name), argv) == _parsed(build_parser(), argv)
+
+
+@pytest.mark.parametrize("name", list(_ARGV))
+def test_one_command_parser_prints_the_full_parsers_help(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    one, full = _subparser(build_parser(name), name), _subparser(build_parser(), name)
+    assert one.format_help() == full.format_help()
+    assert one.format_help().startswith(f"usage: tailagg {name} [-h]")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "unknown option",  # reported by the top level, with its usage
+        "unknown option alone",  # reported by the subcommand, which misses its required option
+        "missing required option",
+    ],
+)
+@pytest.mark.parametrize("name", list(_ARGV))
+def test_one_command_parser_rejects_as_the_full_parser(name, case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = {
+        "unknown option": [name, *_ARGV[name], "--bogus", "1"],
+        "unknown option alone": [name, "--bogus"],
+        "missing required option": [name, *_ARGV[name][2:]] if name != "exact" else [name, "--mu", "1"],
+    }[case]
+    one, full = _exit_and_stderr(capsys, build_parser(name), argv), _exit_and_stderr(capsys, build_parser(), argv)
+    assert one == full
+    assert one[0] == 2 and "error: " in one[1]
+    if case == "unknown option":
+        # the one-command parser's top-level usage still lists every command
+        assert one[1] == _TOP_USAGE + "tailagg: error: unrecognized arguments: --bogus 1\n"
+    if case == "missing required option":
+        required = "--threshold" if name == "exact" else _ARGV[name][0]
+        assert one[1].endswith(f"the following arguments are required: {required}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ([], 2, "", _TOP_USAGE + "tailagg: error: the following arguments are required: command\n"),
+        (["bogus"], 2, "", _TOP_USAGE + "tailagg: error: argument command: invalid choice: 'bogus' (choose from "
+                                          "'approx', 'exact', 'simulate', 'check', 'optimize', 'reproduce-tables')\n"),
+        (["-h"], 0, _TOP_USAGE + """
+Tail probabilities of aggregated rapidly-varying risks: closed-form
+approximations, hypothesis diagnostics, rare-event simulation, and minimax
+portfolio allocation.
+
+positional arguments:
+  {approx,exact,simulate,check,optimize,reproduce-tables}
+    approx              closed-form approximation of P(sum a_i X_i > x)
+    exact               exact countermonotone lognormal pair probability
+    simulate            Monte Carlo estimate with confidence interval
+    check               convergence profile for one hypothesis check
+    optimize            two-stage allocation with optional grid audit
+    reproduce-tables    regenerate reference tables 1..7
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ],
+    ids=["no-args", "unknown-command", "help"],
+)
+def test_main_without_a_known_command_uses_the_full_parser(argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)

@@ -157,6 +157,44 @@ def test_exchangeability_of_symmetric_kinds():
             assert math.exp(m.joint_log_survival(x, y)) == pytest.approx(math.exp(m.joint_log_survival(y, x)), rel=1e-12)
 
 
+# every kind, and each branch of the bivariate lognormal: countermonotone, product, orthant
+SURVIVAL_KINDS = {
+    **KINDS,
+    "bivln_m1": bivariate_lognormal(0.1, 1.2, -1.0),
+    "bivln_0": bivariate_lognormal(0.1, 1.2, 0.0),
+    "bivln_p5": bivariate_lognormal(0.1, 1.2, 0.5),
+}
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("name", SURVIVAL_KINDS)
+def test_nan_threshold_gives_nan_for_every_kind(name):
+    # a NaN corner must not read as one margin, e.g. log sf(2) = -1.41 for iid lognormal(0, 1) at (nan, 2)
+    m, nan = SURVIVAL_KINDS[name], math.nan
+    for x, y in ((nan, 2.0), (2.0, nan), (nan, nan), (nan, -1.0), (math.inf, nan)):
+        assert math.isnan(m.joint_log_survival(x, y)), (x, y)
+
+
+@pytest.mark.parametrize("name", SURVIVAL_KINDS)
+def test_joint_log_survival_array_call_equals_its_scalar_calls(name):
+    # corners inside, on one margin (a threshold <= 0), trivial, beyond the support, and NaN
+    m, nan = SURVIVAL_KINDS[name], math.nan
+    x = np.array([0.5, 2.0, 30.0, -1.0, 0.0, 2.0, math.inf, nan, 3.0, 1.5])
+    y = np.array([0.7, 2.0, 1.1, 3.0, -2.0, 0.0, 2.0, 2.0, nan, 8.0])
+    got = m.joint_log_survival(x, y)
+    assert isinstance(got, np.ndarray) and got.shape == x.shape
+    assert _bits(got) == _bits([m.joint_log_survival(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    assert np.isnan(got).tolist() == [False] * 7 + [True, True, False]
+    # x and y broadcast against each other
+    grid = m.joint_log_survival(x[:3, None], y[None, :2])
+    assert grid.shape == (3, 2)
+    assert _bits(grid) == _bits([[m.joint_log_survival(a, b) for b in y[:2].tolist()] for a in x[:3].tolist()])
+    assert isinstance(m.joint_log_survival(np.float64(2.0), 3.0), float)
+
+
 def test_sampler_agrees_with_closed_form_joint_survival():
     n = 10**6
     for name, m in KINDS.items():
@@ -276,6 +314,30 @@ def test_orthant_keeps_a_nan_threshold_nan():
     assert math.isnan(bivariate_normal_orthant_log(1.0, nan, -0.5))
     m = bivariate_lognormal(0.0, 1.0, 0.5)
     assert math.isnan(m.joint_log_survival(nan, 2.0)) and math.isnan(m.joint_log_survival(2.0, nan))
+
+
+@pytest.mark.parametrize("rho", [-0.9999, -0.999, -0.99, -0.9, 0.0, 0.3, 0.9, 0.999, 0.9999])
+def test_orthant_array_call_equals_its_scalar_calls_bit_for_bit(rho):
+    # the rho of test_orthant_equals_a_50_digit_reference and 0, over a grid of its cells' thresholds
+    t = np.array([-1.0, 0.0, 1.0, 3.0, _LOG_1E4, 20.0])
+    t1, t2 = np.meshgrid(t, t[::-1])
+    got = bivariate_normal_orthant_log(t1, t2, rho)
+    assert got.shape == t1.shape
+    assert _bits(got) == _bits([[bivariate_normal_orthant_log(a, b, rho) for a, b in zip(r1, r2)]
+                                for r1, r2 in zip(t1.tolist(), t2.tolist())])
+    assert isinstance(bivariate_normal_orthant_log(1.0, 2.0, rho), float)
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.5])
+def test_orthant_batch_keeps_finite_minus_inf_and_nan_rows_apart(rho):
+    # t = inf makes the integrand 0 on the whole scan (-inf), NaN makes it NaN
+    inf, nan = math.inf, math.nan
+    t1 = np.array([1.0, inf, 0.5, nan, 2.0, 1.0, -0.5])
+    t2 = np.array([2.0, 1.0, inf, 1.0, nan, nan, 3.0])
+    got = bivariate_normal_orthant_log(t1, t2, rho)
+    assert _bits(got) == _bits([bivariate_normal_orthant_log(a, b, rho) for a, b in zip(t1.tolist(), t2.tolist())])
+    assert np.isfinite(got).tolist() == [True, False, False, False, False, False, True]
+    assert got[1] == got[2] == -inf and np.isnan(got[3:6]).all()
 
 
 @pytest.mark.parametrize("rho", [0.99995, -0.99995, 1.0 - 1e-12, math.nan])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from tailagg.kernels import _BLOCK, equicorr_chunk
+from tailagg.kernels import _BLOCK, equicorr_chunk, gauss_legendre
 
 
 def _phibar(z):
@@ -179,3 +179,32 @@ def test_kernel_writes_only_its_column_slice():
     assert np.shares_memory(got, buf)
     assert (buf[:, :200] == -1.0).all() and (buf[:, 900:] == -1.0).all()
     assert np.array_equal(buf[:, 200:900], equicorr_chunk(z, nu, sig, 0.2, xs, np.empty((2, 700))))
+
+
+def _bell(z):
+    return np.exp(-0.5 * z * z) * (1.5 + np.sin(3.0 * z))
+
+
+def test_gauss_legendre_scan_shared_or_per_row_gives_the_same_bits():
+    scan = np.linspace(-6.0, 6.0, 97)
+    keep = np.abs(scan) <= np.array([[1.0], [2.5], [4.0]])
+    kinks = np.array([[0.3], [-0.5], [9.0]])  # the last is clipped into the range
+    shared = gauss_legendre(_bell, scan, keep, kinks, 8)
+    per_row = gauss_legendre(_bell, np.tile(scan, (3, 1)), keep, kinks, 8)
+    assert shared.view(np.int64).tolist() == per_row.view(np.int64).tolist()
+    # keep ends at +-4, widened by one scan point to +-4.125; the sine part is odd
+    assert shared[2] == pytest.approx(1.5 * math.sqrt(2.0 * math.pi) * math.erf(4.125 / math.sqrt(2.0)), rel=1e-12)
+
+
+def test_gauss_legendre_integrates_each_row_over_its_own_scan():
+    base = np.linspace(0.0, 8.0, 81)
+    scan = base + np.array([[-4.0], [-1.0], [2.0]])
+    keep = np.abs(scan) <= 3.0
+    kinks = np.array([[0.0, 1.0], [0.5, 2.0], [2.5, 2.6]])
+    got = gauss_legendre(_bell, scan, keep, kinks, 12)
+    for r in range(3):
+        one = gauss_legendre(_bell, scan[r], keep[r : r + 1], kinks[r : r + 1], 12)
+        assert got[r : r + 1].view(np.int64).tolist() == one.view(np.int64).tolist()
+    # row 2's scan starts at 2: its range is [2, 3.1], not [-3.1, 3.1]
+    assert got[0] == pytest.approx(math.sqrt(2.0 * math.pi) * 1.5, rel=1e-2)
+    assert got[2] < 0.1 * got[0]

@@ -54,6 +54,21 @@ def test_survival_is_one_below_support_edge():
     assert exponential(2.0).survival(-1.0) == 1.0
 
 
+@pytest.mark.parametrize(
+    "model", ALL_FAMILIES + [lognormal(0.0, 1.0).transformed(2.0, 3.0), weibull_type(0.5).transformed(3.0, 0.5)],
+    ids=lambda m: f"{m.family}-{m.scale:g}-{m.power:g}",
+)
+def test_nan_threshold_gives_nan_in_its_own_element_only(model):
+    # a NaN threshold is no evidence of a certain event: NaN, not log 1 = 0
+    assert math.isnan(model.log_survival(math.nan))
+    x = np.array([math.nan, -1.0, 0.5, 3.0, math.inf])
+    got = model.log_survival(x)
+    assert math.isnan(got[0])
+    assert got[1:].tolist() == [model.log_survival(v) for v in x[1:]]
+    assert not np.isnan(got[1:]).any()
+    assert math.isnan(model.survival(math.nan)) and math.isnan(model.cdf(math.nan))
+
+
 def test_survival_weibull_type_direct():
     assert weibull_type(0.5).survival(4.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
 
