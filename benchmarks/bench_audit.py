@@ -6,6 +6,9 @@ Prints, and writes as one JSON record:
                                   (table 6, x = 10)
                         batch765  the 15 rows x 51 points of tables 5-7, in
                                   one call per table (rho is a scalar)
+                        batch7    one call on the 7 thresholds of table 2
+                                  (rho = -0.9, a = (1, 1)), the call
+                                  `reproduce-tables` makes per table 2-4
                         single    one call per cell, on the same 51 points
   audit_ms            one 51-point audit of a row of tables 5-7, ms, the
                       median over the 15 rows of each row's best of --repeats:
@@ -70,6 +73,8 @@ A1 = [k * 0.01 for k in range(51)]
 A2 = [max((1.0 - 2.0 * a1) / 3.0, 0.0) for a1 in A1]  # the binding line 2 a1 + 3 a2 = 1
 TABLES = {rho: [float(r[0]) for r in rows] for study, rho, rows in PUBLISHED.values() if study == OPT}
 ROWS = [(rho, x) for rho, xs in TABLES.items() for x in xs]
+_, SIM_RHO, SIM_ROWS = PUBLISHED[2]
+SIM_XS = [float(r[0]) for r in SIM_ROWS]
 SWEEP_RHO = (-0.99, -0.9, -0.5, -0.2, 0.0, 0.5, 0.9, 0.99)
 NEAR_ONE_RHO = (-0.9999, -0.999, -0.995, 0.995, 0.999, 0.9999)
 SWEEP_A = ((1.0, 1.0), (0.2, 0.2), (0.26, 0.16), (0.333, 0.001), (0.5, 2.0), (0.1, 0.3))
@@ -96,6 +101,7 @@ def exact_cells(repeats: int) -> dict:
     return {
         "batch51": _best(lambda: exact_lognormal_pair(0.0, 1.0, rho, A1, A2, x), repeats) * 1e3 / 51,
         "batch765": _best(all_rows, repeats) * 1e3 / (51 * len(ROWS)),
+        "batch7": _best(lambda: exact_lognormal_pair(0.0, 1.0, SIM_RHO, 1.0, 1.0, SIM_XS), repeats) * 1e3 / len(SIM_XS),
         "single": _best(lambda: [exact_lognormal_pair(0.0, 1.0, rho, p, q, x) for p, q in zip(A1, A2)], repeats)
         * 1e3
         / 51,

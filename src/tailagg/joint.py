@@ -323,9 +323,10 @@ def bivariate_normal_orthant_log(t1, t2, rho: float):
     if live.any():
         shift = out[live][:, None]
         keep = logs[live] >= shift - kernels._RANGE_NATS
+        first, last = np.argmax(keep, axis=1), keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
         t2 = t2[live]
         val = kernels.gauss_legendre(
-            lambda z: np.exp(log_f(z, t2) - shift), scan[live], keep, np.empty((len(t2), 0)), kernels.step_pieces(s)
+            lambda z: np.exp(log_f(z, t2) - shift), scan[live], first, last, np.empty((len(t2), 0)), kernels.step_pieces(s)
         )
         # math.log per orthant, for the same bits as math's log of a scalar call
         out[live] = [p + math.log(v) for p, v in zip(shift[:, 0].tolist(), val.tolist())]

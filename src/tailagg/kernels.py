@@ -47,7 +47,9 @@ vector.
 The module also holds the one quadrature rule behind both exact routes,
 `gauss_legendre`: `rare_event.exact_lognormal_pair` integrates the
 estimator's own replication value (scored by `_score`) with it, and
-`joint.bivariate_normal_orthant_log` the bivariate normal orthant.
+`joint.bivariate_normal_orthant_log` the bivariate normal orthant.  Each
+route finds its own range on a scan grid and hands the rule the indices of
+the range's first and last scan points.
 """
 
 from __future__ import annotations
@@ -108,23 +110,24 @@ def step_pieces(s: float) -> int:
     return max(8, math.ceil(1.5 / s))
 
 
-def gauss_legendre(f, scan: np.ndarray, keep: np.ndarray, kinks: np.ndarray, pieces: int) -> np.ndarray:
+def gauss_legendre(f, scan: np.ndarray, first: np.ndarray, last: np.ndarray, kinks: np.ndarray, pieces: int) -> np.ndarray:
     """The integral of f over each row's range: Gauss-Legendre pieces between its kinks.
 
-    scan is one grid shared by every row, or a (rows, points) grid per row,
-    and keep (rows, points) marks points of it; a shared grid gives the same
-    bits as that grid repeated in every row.  A row's range runs from the
-    first to the last point that keep marks, widened by one scan point on
-    each side within the scan.  kinks (rows, k) are clipped into the range
-    and split it into k + 1 segments of `pieces` equal pieces each; the edges
-    are lo, then cut_j + (cut_{j+1} - cut_j) * i / pieces for i = 1..pieces in
-    each segment j.  f takes the (rows, points) nodes and returns the
-    integrand at them.
+    scan is one grid shared by every row, or a (rows, points) grid per row; a
+    shared grid gives the same bits as that grid repeated in every row.  A
+    row's range runs from its scan point first[r] to its scan point last[r]
+    (integer indices), widened by one scan point on each side within the
+    scan.  kinks (rows, k) are clipped into the range and split it into
+    k + 1 segments of `pieces` equal pieces each; the edges are lo, then
+    cut_j + (cut_{j+1} - cut_j) * i / pieces for i = 1..pieces in each
+    segment j.  f takes the (rows, points) nodes and returns the integrand
+    at them.
     """
-    rows, last = keep.shape[0], keep.shape[1] - 1
-    scan = np.broadcast_to(scan, keep.shape)
-    lo = np.take_along_axis(scan, np.maximum(np.argmax(keep, axis=1) - 1, 0)[:, None], axis=1)
-    hi = np.take_along_axis(scan, np.minimum(last - np.argmax(keep[:, ::-1], axis=1) + 1, last)[:, None], axis=1)
+    rows = len(first)
+    scan = np.broadcast_to(scan, (rows, np.shape(scan)[-1]))
+    end = scan.shape[1] - 1
+    lo = np.take_along_axis(scan, np.maximum(first - 1, 0)[:, None], axis=1)
+    hi = np.take_along_axis(scan, np.minimum(last + 1, end)[:, None], axis=1)
     cuts = [lo, *np.clip(kinks, lo, hi).T[:, :, None], hi]
     frac = np.arange(1, pieces + 1) / pieces
     edges = np.concatenate([lo] + [a + (b - a) * frac for a, b in zip(cuts, cuts[1:])], axis=1)

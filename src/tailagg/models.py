@@ -229,6 +229,7 @@ class TailModel:
         return float(out[0]) if scalar else out
 
     def log_density(self, x):
+        """log of the density at x: -inf outside the support and at +-inf, NaN at a NaN x."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
@@ -250,12 +251,12 @@ class TailModel:
             else:
                 zz = x / self.scale
                 out = -0.5 * zz**2 - 0.5 * math.log(2 * math.pi) - math.log(self.scale)
-                out = np.where(np.isfinite(x), out, -np.inf)
+                out = np.where(np.isinf(x), -np.inf, out)
                 return float(out[0]) if scalar else out
             # jacobian of y = scale * x**power: dx/dy = x / (power * y)
             if self.scale != 1.0 or self.power != 1.0:
                 out = out + (1.0 - self.power) * lz - math.log(self.power) - math.log(self.scale)
-        out = np.where(np.isnan(out), -np.inf, out)
+        out = np.where(np.isnan(out) & ~np.isnan(x), -np.inf, out)
         return float(out[0]) if scalar else out
 
     def density(self, x):

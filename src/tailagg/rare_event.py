@@ -117,12 +117,54 @@ def exact_lognormal_single(mu: float, sigma: float, a: float, x: float) -> float
     return float(norm_sf((math.log(x / a) - mu) / sigma))
 
 
-# the d = 2 quadrature's range scan: the grid it evaluates the integrand on, and
-# how far below the scanned peak (e^-80) the range reaches; `kernels.gauss_legendre`
-# then integrates each range in `kernels.step_pieces` pieces either side of the kink
+# the d = 2 quadrature's range: the scan grid it is found on, and how far below
+# the integrand's peak over the scan (e^-80) it reaches.  `_scan_range` finds it
+# coarse to fine from every _STRIDE-th scan point (`_COARSE`: 101 of the 1601,
+# both ends included); `kernels.gauss_legendre` then integrates each range in
+# `kernels.step_pieces` pieces either side of the kink
 _SCAN = np.linspace(-40.0, 40.0, 1601)
 _SCAN_PHI = np.exp(-0.5 * _SCAN * _SCAN) / math.sqrt(2.0 * math.pi)
 _RANGE = math.exp(-kernels._RANGE_NATS)
+_STRIDE = 16
+_COARSE = np.arange(0, len(_SCAN), _STRIDE)
+
+
+def _scan_range(f, kinks: np.ndarray):
+    """(first, last): per row, the first and last `_SCAN` indices where f is within e^-80 of its peak over the scan.
+
+    f(i) returns the (rows, m) integrand at scan indices i, a 1-D array of m
+    shared by every row or a (rows, m) array; kinks (rows, k) are where the
+    integrand has a corner.  The indices are those of evaluating f at every
+    scan point, and take 101 + 31 + 15 k + 32 evaluations a row (179 at one
+    kink):
+      * f at the coarse points `_COARSE`;
+      * at the fine points between the neighbours of the largest of them, and
+        inside the stride that holds each kink, where a spike narrower than a
+        stride can hide between coarse points: the peak is the largest value
+        so far, and the cut e^-80 below it;
+      * in the stride before the first and after the last point so far that
+        clears the cut, where the range's ends lie.
+    This relies on the integrand having, away from its kinks, no peak and no
+    stretch above the cut narrower than a stride.  A row that is 0 on the
+    whole scan keeps every point, as 0 >= 0 * e^-80.
+    """
+    last = len(_SCAN) - 1
+    vals = f(_COARSE)
+    top = _COARSE[np.argmax(vals, axis=1)][:, None]
+    start = np.searchsorted(_SCAN, kinks, side="right") - 1  # the scan point at or below each kink
+    start -= start % _STRIDE  # ... and the coarse point that starts its stride
+    inside = (start[:, :, None] + np.arange(1, _STRIDE)).reshape(len(top), -1)
+    idx = np.clip(np.concatenate([top + np.arange(1 - _STRIDE, _STRIDE), inside], axis=1), 0, last)
+    more = f(idx)
+    cut = more.max(axis=1, keepdims=True) * _RANGE
+    idx = np.concatenate([np.broadcast_to(_COARSE, vals.shape), idx], axis=1)
+    clears = np.concatenate([vals, more], axis=1) >= cut
+    lo = np.where(clears, idx, last).min(axis=1, keepdims=True)
+    hi = np.where(clears, idx, 0).max(axis=1, keepdims=True)
+    out = np.clip(np.concatenate([lo - _STRIDE + np.arange(_STRIDE), hi + 1 + np.arange(_STRIDE)], axis=1), 0, last)
+    idx = np.concatenate([idx, out], axis=1)
+    clears = np.concatenate([clears, f(out) >= cut], axis=1)
+    return np.where(clears, idx, last).min(axis=1), np.where(clears, idx, 0).max(axis=1)
 
 
 def _pair_integrand(w, phi, x, nu_i, nu_j, sigma: float, rho: float, s: float) -> np.ndarray:
@@ -150,16 +192,13 @@ def _pair_quadrature(mu: float, sigma: float, rho: float, a1, a2, x) -> np.ndarr
     xx = np.concatenate([x, x])[:, None]
     args = (xx, nu, nu_j, sigma, rho, s)
 
-    # each row's range: the scan points within e^-80 of its peak
-    f = _pair_integrand(_SCAN, _SCAN_PHI, *args)
-    keep = f >= f.max(axis=1, keepdims=True) * _RANGE
-    del f  # the scan's values go before the rule's are made, to keep the peak low
-
     # g_i has one kink, where t_j = x/2 switches max(t_j, x - t_j)
     kink = (np.log(xx / 2.0) - nu_j) / sigma
+    # each row's range: the scan points within e^-80 of its peak
+    first, last = _scan_range(lambda i: _pair_integrand(_SCAN[i], _SCAN_PHI[i], *args), kink)
     per_row = kernels.gauss_legendre(
         lambda w: _pair_integrand(w, np.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi), *args),
-        _SCAN, keep, kink, kernels.step_pieces(s),
+        _SCAN, first, last, kink, kernels.step_pieces(s),
     )
     return per_row[: len(a1)] + per_row[len(a1) :]
 
@@ -171,10 +210,12 @@ def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.n
     broadcast shape.  At d = 2 the conditional estimator's replication value
     is g_1(W_2) + g_2(W_1), so P = sum_i of the integral of phi(w) g_i(w) dw,
     a 1-D integral of a continuous function with one kink (`_pair_integrand`).
-    The estimator and its truth share the kernel's `_score`.  A coarse scan on
-    [-40, 40] finds each integrand's range, and `kernels.gauss_legendre`, the
-    rule the bivariate normal orthant uses too, integrates it in pieces either
-    side of the kink.  |rho| must be at most `kernels._RHO_MAX` = 0.9999: the
+    The estimator and its truth share the kernel's `_score`.  `_scan_range`
+    finds each integrand's range within e^-80 of its peak over a 1601-point
+    grid on [-40, 40], coarse to fine (at most 179 of its points a row, the
+    same ends as all 1601), and `kernels.gauss_legendre`, the rule the
+    bivariate normal orthant uses too, integrates it in pieces either side of
+    the kink.  |rho| must be at most `kernels._RHO_MAX` = 0.9999: the
     pieces narrow with sqrt(1 - rho^2), so their number and cost grow as rho
     nears +-1.  A cell with a zero coefficient or x <= 0 is
     `exact_lognormal_single` of a1 + a2.

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from tailagg import cond_mc_lognormal, exact_comonotone_lognormal, exact_lognormal_pair, exact_lognormal_single
+from tailagg import rare_event
 
 
 def _trapezoid_pair(rho, a1, a2, x, points=400_001):
@@ -166,3 +167,74 @@ def test_malformed_input_is_rejected(kw):
     args = {"mu": 0.0, "sigma": 1.0, "rho": 0.3, "a1": 0.2, "a2": 0.2, "x": 5.0, **kw}
     with pytest.raises(ValueError):
         exact_lognormal_pair(**args)
+
+
+# -- the range finder --------------------------------------------------------------
+
+# the audit grid of a table 6 row: 51 allocations on the binding line 2 a1 + 3 a2 = 1
+_AUDIT_A1 = np.arange(51) * 0.01
+_AUDIT_A2 = np.maximum((1.0 - 2.0 * _AUDIT_A1) / 3.0, 0.0)
+
+
+def _dense_range(f, kinks):
+    """(first, last) from f at every scan point: the reference `rare_event._scan_range` must equal."""
+    vals = f(np.arange(len(rare_event._SCAN)))
+    keep = vals >= vals.max(axis=1, keepdims=True) * rare_event._RANGE
+    return np.argmax(keep, axis=1), keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+
+
+def _finder_sweep():
+    """The single-cell call, 56 seeded calls of 7 or 51 random cells, and the audit grid: 2,072 cells.
+
+    The random cells take (mu, sigma) on the line from (2, 0.1) to
+    (-1, 2.5), a1 and a2 in [1e-4, 1e2] and x in [1e-3, 1e16], all
+    log-uniform; the first two calls are at rho = -0.9999 and 0.9999.
+    """
+    rng = np.random.default_rng(18)
+    calls = [(0.0, 1.0, 0.0, 0.3, 0.13, 10.0)]
+    for k in range(56):
+        rho = (-0.9999, 0.9999)[k] if k < 2 else rng.uniform(-0.9999, 0.9999)
+        t = rng.uniform()
+        size = 51 if k % 3 else 7
+        a1, a2 = 10.0 ** rng.uniform(-4.0, 2.0, (2, size))
+        calls.append((2.0 - 3.0 * t, 0.1 + 2.4 * t, rho, a1, a2, 10.0 ** rng.uniform(-3.0, 16.0, size)))
+    return calls + [(0.0, 1.0, 0.0, _AUDIT_A1, _AUDIT_A2, 10.0)]
+
+
+def test_range_finder_returns_the_dense_scans_ends_and_bits(monkeypatch):
+    calls = _finder_sweep()
+    assert sum(np.size(c[3]) for c in calls) >= 2000
+    with monkeypatch.context() as m:
+        m.setattr(rare_event, "_scan_range", _dense_range)
+        dense = [exact_lognormal_pair(*c) for c in calls]
+
+    finder, rows = rare_event._scan_range, []
+
+    def spy(f, kinks):
+        got = finder(f, kinks)
+        want = _dense_range(f, kinks)
+        rows.append((len(kinks), int((f(np.arange(len(rare_event._SCAN))).max(axis=1) == 0.0).sum())))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        return got
+
+    monkeypatch.setattr(rare_event, "_scan_range", spy)
+    for c, want in zip(calls, dense):
+        got = exact_lognormal_pair(*c)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert rows[0][0] == 2 and 102 in [n for n, _ in rows]  # the single-cell call and 51-cell calls
+    assert sum(zero for _, zero in rows) > 0  # rows whose integrand is 0 on the whole scan
+
+
+def test_an_audit_call_evaluates_at_most_200_scan_points_a_row(monkeypatch):
+    integrand, scan_points = rare_event._pair_integrand, [0]
+
+    def counted(w, phi, x, *args):
+        out = integrand(w, phi, x, *args)
+        scan_points[0] += int(np.isin(np.broadcast_to(w, out.shape), rare_event._SCAN).sum())
+        return out
+
+    monkeypatch.setattr(rare_event, "_pair_integrand", counted)
+    exact_lognormal_pair(0.0, 1.0, 0.0, _AUDIT_A1, _AUDIT_A2, 10.0)
+    # one row per term of each cell with two positive coefficients (a dense scan: 1601 points a row)
+    rows = 2 * np.count_nonzero((_AUDIT_A1 > 0.0) & (_AUDIT_A2 > 0.0))
+    assert 0 < scan_points[0] <= 200 * rows

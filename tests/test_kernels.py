@@ -187,23 +187,23 @@ def _bell(z):
 
 def test_gauss_legendre_scan_shared_or_per_row_gives_the_same_bits():
     scan = np.linspace(-6.0, 6.0, 97)
-    keep = np.abs(scan) <= np.array([[1.0], [2.5], [4.0]])
+    first, last = np.array([40, 28, 16]), np.array([56, 68, 80])  # scan points +-1, +-2.5, +-4
     kinks = np.array([[0.3], [-0.5], [9.0]])  # the last is clipped into the range
-    shared = gauss_legendre(_bell, scan, keep, kinks, 8)
-    per_row = gauss_legendre(_bell, np.tile(scan, (3, 1)), keep, kinks, 8)
+    shared = gauss_legendre(_bell, scan, first, last, kinks, 8)
+    per_row = gauss_legendre(_bell, np.tile(scan, (3, 1)), first, last, kinks, 8)
     assert shared.view(np.int64).tolist() == per_row.view(np.int64).tolist()
-    # keep ends at +-4, widened by one scan point to +-4.125; the sine part is odd
+    # row 2 ends at +-4, widened by one scan point to +-4.125; the sine part is odd
     assert shared[2] == pytest.approx(1.5 * math.sqrt(2.0 * math.pi) * math.erf(4.125 / math.sqrt(2.0)), rel=1e-12)
 
 
 def test_gauss_legendre_integrates_each_row_over_its_own_scan():
     base = np.linspace(0.0, 8.0, 81)
     scan = base + np.array([[-4.0], [-1.0], [2.0]])
-    keep = np.abs(scan) <= 3.0
+    first, last = np.array([10, 0, 0]), np.array([70, 40, 10])  # the scan points in [-3, 3]
     kinks = np.array([[0.0, 1.0], [0.5, 2.0], [2.5, 2.6]])
-    got = gauss_legendre(_bell, scan, keep, kinks, 12)
+    got = gauss_legendre(_bell, scan, first, last, kinks, 12)
     for r in range(3):
-        one = gauss_legendre(_bell, scan[r], keep[r : r + 1], kinks[r : r + 1], 12)
+        one = gauss_legendre(_bell, scan[r], first[r : r + 1], last[r : r + 1], kinks[r : r + 1], 12)
         assert got[r : r + 1].view(np.int64).tolist() == one.view(np.int64).tolist()
     # row 2's scan starts at 2: its range is [2, 3.1], not [-3.1, 3.1]
     assert got[0] == pytest.approx(math.sqrt(2.0 * math.pi) * 1.5, rel=1e-2)

@@ -69,6 +69,22 @@ def test_nan_threshold_gives_nan_in_its_own_element_only(model):
     assert math.isnan(model.survival(math.nan)) and math.isnan(model.cdf(math.nan))
 
 
+@pytest.mark.parametrize(
+    "model", ALL_FAMILIES + [lognormal(0.0, 1.0).transformed(2.0, 3.0)],
+    ids=lambda m: f"{m.family}-{m.scale:g}-{m.power:g}",
+)
+def test_nan_point_gives_nan_density_in_its_own_element_only(model):
+    # a NaN x is no point outside the support: NaN, not log 0 = -inf
+    assert math.isnan(model.log_density(math.nan)) and math.isnan(model.density(math.nan))
+    x = np.array([math.nan, -1.0, 0.5, 3.0, math.inf])
+    got = model.log_density(x)
+    assert math.isnan(got[0])
+    assert got[1:].tolist() == [model.log_density(v) for v in x[1:]]
+    assert not np.isnan(got[1:]).any()
+    dens = model.density(np.array([1.0, math.nan]))
+    assert dens[0] == model.density(1.0) and math.isnan(dens[1])
+
+
 def test_survival_weibull_type_direct():
     assert weibull_type(0.5).survival(4.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
 
