@@ -30,6 +30,11 @@ Prints, and writes as one JSON record:
                                     thresholds at rho = +-0.995, +-0.999
                                     and +-0.9999, where the quadrature
                                     takes more pieces
+  speed_probe_s       the machine's speed before and after the timings:
+                      the median of 5 runs of `perfbench/run.py`'s
+                      `speed_probe` (about 0.01 s on an idle reference
+                      machine), so records taken at different times can be
+                      told apart from a machine that slowed down
 
 Run from the root of the tree to measure (the script imports `tailagg`
 from the `src/` beside it, and the oracle from `perfbench/`):
@@ -37,8 +42,10 @@ from the `src/` beside it, and the oracle from `perfbench/`):
     python benchmarks/bench_audit.py BENCH_<n>.json --label change
 
 The record is stored under `--label` in the output file; records under
-other labels already in the file are kept.  The oracle takes about 7 ms a
-cell, so the script runs for about 15 s beyond its timings.
+other labels already in the file are kept.  The file is written before
+anything is printed, so a closed stdout (`| head`) cannot lose it.  The
+oracle takes about 7 ms a cell, so the script runs for about 15 s beyond
+its timings.
 """
 
 import argparse
@@ -55,6 +62,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 from oracle import lognormal_pair_exceedance  # noqa: E402
+from run import speed_probe  # noqa: E402
 
 from tailagg import (  # noqa: E402
     LinearConstraint,
@@ -88,6 +96,11 @@ def _best(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def probe_s() -> float:
+    """Median seconds of 5 speed probes: the machine's speed now."""
+    return statistics.median(speed_probe() for _ in range(5))
 
 
 def exact_cells(repeats: int) -> dict:
@@ -153,23 +166,27 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=5, help="timings per figure; the best is kept")
     args = ap.parse_args(argv)
 
+    before = probe_s()
     record = {
         "exact_ms_per_cell": exact_cells(args.repeats),
         "audit_ms": audits(args.repeats),
-        "oracle_max_rel": oracle_max_rel(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "repeats": args.repeats,
     }
-    for group, values in record.items():
-        if isinstance(values, dict):
-            for name, value in values.items():
-                print(f"{group:20s} {name:12s} {value:.4g}")
+    record["speed_probe_s"] = {"before": before, "after": probe_s()}
+    record.update(
+        oracle_max_rel=oracle_max_rel(),
+        python=platform.python_version(),
+        numpy=np.__version__,
+        machine=f"{platform.machine()}, {os.cpu_count()} CPUs",
+        repeats=args.repeats,
+    )
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data[args.label] = record
     out.write_text(json.dumps(data, indent=2) + "\n")
+    for group, values in record.items():
+        if isinstance(values, dict):
+            for name, value in values.items():
+                print(f"{group:20s} {name:12s} {value:.4g}")
     return 0
 
 

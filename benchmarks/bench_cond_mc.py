@@ -17,9 +17,15 @@ Prints, and writes as one JSON record:
                        with the number of thresholds m
   stages_ns_per_row    the stages of one chunk as the estimator runs them,
                        one row block of `kernels._BLOCK` rows at a time:
+                         normals    Philox standard normals by numpy's
+                                    ziggurat into the block's scratch, d
+                                    per row: how the estimator draws
                          uniforms   Philox uniforms into the block's scratch
-                                    plus the in-place clip, d per row
-                         ndtri      in place on those uniforms
+                                    plus the in-place clip, d per row: how
+                                    plain MC draws
+                         ndtri      in place on those uniforms: with
+                                    uniforms, the inverse-CDF route to
+                                    normals that `normals` replaced
                          kernel     `kernels.equicorr_chunk` per block, per
                                     threshold scored, including the
                                     threshold-independent work (mix, terms,
@@ -38,6 +44,11 @@ Prints, and writes as one JSON record:
                                     ns per row; and the share of terms whose
                                     round trip is not exact, so the skip
                                     cannot keep the bits where it is above 0
+  speed_probe_s        the machine's speed before and after the timings:
+                       the median of 5 runs of `perfbench/run.py`'s
+                       `speed_probe` (about 0.01 s on an idle reference
+                       machine), so records taken at different times can be
+                       told apart from a machine that slowed down
 The thresholds are those of reference table 3 (rho = 0): x = 100 alone
 (m = 1), all seven (m = 7), and for the memory figure 19 spread over
 x = 3-1000.  The stage and lead figures need the block API
@@ -46,27 +57,29 @@ end-to-end and memory figures are taken, so two trees can be compared on
 those.
 
 Run from the root of the tree to measure (the script imports `tailagg`
-from the `src/` beside it):
+from the `src/` beside it, and the speed probe from `perfbench/`):
 
     python benchmarks/bench_cond_mc.py BENCH_<n>.json --label change
 
-The record is stored under `--label` in the output file; records under
-other labels already in the file are kept.
+The record is stored under `--label` in the output file, before anything
+is printed; records under other labels already in the file are kept.
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
+from run import speed_probe  # noqa: E402
 from scipy.special import ndtr, ndtri  # noqa: E402
 
 from tailagg import cond_mc_lognormal_curve, kernels  # noqa: E402
@@ -117,8 +130,13 @@ def peak_per_chunk() -> dict:
     return out
 
 
+def probe_s() -> float:
+    """Median seconds of 5 speed probes: the machine's speed now."""
+    return statistics.median(speed_probe() for _ in range(5))
+
+
 def _normals(d: int) -> np.ndarray:
-    return ndtri(_uniforms(_stream(12345, 0), np.empty((CHUNK, d))))
+    return _stream(12345, 0).standard_normal((CHUNK, d))
 
 
 def _per_block(fn):
@@ -145,12 +163,18 @@ def stages(repeats: int) -> dict:
             for lo, hi in kernels._blocks(CHUNK):
                 _uniforms(gen, u[: hi - lo])
 
+        def draw_normals(gen):
+            for lo, hi in kernels._blocks(CHUNK):
+                gen.standard_normal(out=u[: hi - lo])
+
+        out[f"d{d}_normals"] = _best(draw_normals, repeats, lambda: _stream(12345, 0)) * per_row
         out[f"d{d}_uniforms"] = _best(draw, repeats, lambda: _stream(12345, 0)) * per_row
-        z = _normals(d)
-        zz = np.empty_like(z)
+        u0 = _uniforms(_stream(12345, 0), np.empty((CHUNK, d)))
+        uu = np.empty_like(u0)
         out[f"d{d}_ndtri"] = _best(
-            _per_block(lambda lo, hi: ndtri(zz[lo:hi], out=zz[lo:hi])), repeats, lambda: np.copyto(zz, z)
+            _per_block(lambda lo, hi: ndtri(uu[lo:hi], out=uu[lo:hi])), repeats, lambda: np.copyto(uu, u0)
         ) * per_row
+        z = _normals(d)
         for m in (1, 7):
             buf = np.empty((m, CHUNK))
             nu, sig = np.zeros(d), np.ones(d)
@@ -210,11 +234,13 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=5, help="timings per figure; the best is kept")
     args = ap.parse_args(argv)
 
+    before = probe_s()
     ns, cpu = pipeline(args.repeats)
     record = {"pipeline_ns_per_row": ns, "cpu_per_wall": cpu, "peak_mb_per_chunk": peak_per_chunk()}
     if hasattr(JointModel, "rows"):
         record["stages_ns_per_row"] = stages(args.repeats)
         record["leads"] = leads(args.repeats)
+    record["speed_probe_s"] = {"before": before, "after": probe_s()}
     record.update(
         python=platform.python_version(),
         numpy=np.__version__,
@@ -222,14 +248,14 @@ def main(argv=None) -> int:
         chunk=CHUNK,
         repeats=args.repeats,
     )
-    for group, values in record.items():
-        if isinstance(values, dict):
-            for name, value in values.items():
-                print(f"{group:20s} {name:40s} {value:.4g}" if not isinstance(value, bool) else f"{group:20s} {name:40s} {value}")
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data[args.label] = record
     out.write_text(json.dumps(data, indent=2) + "\n")
+    for group, values in record.items():
+        if isinstance(values, dict):
+            for name, value in values.items():
+                print(f"{group:20s} {name:40s} {value:.4g}" if not isinstance(value, bool) else f"{group:20s} {name:40s} {value}")
     return 0
 
 

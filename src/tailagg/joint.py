@@ -1,15 +1,18 @@
 """Bivariate dependence structures with seeded samplers and closed forms.
 
-Sampling is inverse-CDF on a counter-based Philox stream (no ziggurat, no
-Box-Muller).  A stream is named by a seed and a spawn key of further words,
-through numpy's `SeedSequence(seed, spawn_key=...)`, so any key regenerates
-the same draws and distinct keys name distinct streams.  Determinism outranks
-raw speed here.
+Sampling from a joint model is inverse-CDF on a counter-based Philox stream:
+every kind is a transform of uniforms.  A stream is named by a seed and a
+spawn key of further words, through numpy's `SeedSequence(seed,
+spawn_key=...)`, so any key regenerates the same draws and distinct keys name
+distinct streams.
 A draw is two steps: `_uniforms` fills an array from the stream, and
 `JointModel.rows` transforms it elementwise into rows of the joint law.  So
-the Monte Carlo estimators can draw a chunk block by block into reused
-scratch and get, row for row, what `JointModel.sample` returns for the
-whole chunk.
+plain Monte Carlo can draw a chunk block by block into reused scratch and
+get, row for row, what `JointModel.sample` returns for the whole chunk.  The
+conditional estimator (`rare_event`) needs only standard normals, and draws
+them from its chunk's Philox stream directly, by numpy's ziggurat; one
+generator per chunk, filled block after block in order, keeps those draws
+the same at any block size and worker count.
 
 The joint survival P(X > x, Y > y) has one route, `joint_log_survival`, which
 works in log space for every kind, at a corner or at arrays of corners.  It

@@ -21,8 +21,8 @@ last term's conditional mean, and L[d-1,d-1] every term's conditional
 standard deviation.  At d = 2 the largest and the sum of the other terms are
 the other column itself, uncopied, and each value is the same IEEE operation
 on the same operands as in the two-term kernel this one replaced
-(W_1 = rho Z_0 + sqrt(1 - rho^2) Z_1, conditional means rho W_1 and rho Z_0),
-so d = 2 results are bit-identical to it.
+(W_1 = rho Z_0 + s Z_1 with s = sqrt((1 - rho)(1 + rho)), conditional means
+rho W_1 and rho Z_0), so d = 2 results are bit-identical to it.
 
 A call scores the rows it is given, one row block of a chunk in the
 estimator, and writes their replication values at xs[j] into row j of the
@@ -150,15 +150,22 @@ def _equicorr_cholesky(d: int, rho: float):
     """Cholesky factor L of the d x d equicorrelated matrix, as (below, diag).
 
     Each column is constant below the diagonal: L[i, k] = below[k] for i > k,
-    and diag[k] = L[k, k].  Row 0 is e_1, so below[0] = rho and
-    diag[1] = sqrt(1 - rho^2).  The recurrence runs in Python floats, not
-    LAPACK, so these values do not depend on how the BLAS build rounds.
+    and diag[k] = L[k, k].  Both are taken in closed form,
+      diag[k]^2 = (1 - rho) (1 + k rho) / (1 + (k-1) rho)
+      below[k]  = rho (1 - rho) / ((1 + (k-1) rho) diag[k]),
+    factored so that no difference of nearby numbers is formed: the
+    textbook 1 - (sum of squares above the diagonal) loses about 12 bits at
+    |rho| = 0.9999.  Row 0 is e_1, so below[0] = rho and
+    diag[1] = sqrt((1 - rho)(1 + rho)), bit for bit the s of the exact pair
+    (`rare_event._pair_quadrature`).  The values are Python floats, not
+    LAPACK's, so they do not depend on how the BLAS build rounds.
     """
-    below, diag, q = [], [1.0], 0.0  # q = below[0]^2 + ... + below[k-1]^2
-    for k in range(d - 1):
-        below.append((rho - q) / diag[k])
-        q += below[k] * below[k]
-        diag.append(math.sqrt(1.0 - q))
+    below, diag = [], []
+    for k in range(d):
+        den = 1.0 + (k - 1) * rho
+        diag.append(math.sqrt((1.0 - rho) * (1.0 + k * rho) / den))
+        if k < d - 1:
+            below.append(rho * ((1.0 - rho) / (den * diag[k])))
     return below, diag
 
 

@@ -22,12 +22,18 @@ its thread count (and its spinning helper thread would take a core from the
 worker pool).
 
 Each chunk runs as one loop over row blocks of `kernels._BLOCK` rows, end to
-end: the block's uniforms are drawn from the chunk's Philox generator into
-scratch reused by every block, then turned into normals in place and scored
-(conditional MC), or into rows of the joint law and counted (`_count_rows`).
-Successive draws continue one stream and every stage is elementwise, so the
-values equal those of drawing and transforming the whole chunk at once,
-while the block's arrays stay in cache.
+end (`_block_draws`): each block is drawn from the chunk's one Philox
+generator into scratch reused by every block, then scored or counted.
+Conditional MC draws standard normals directly, by numpy's ziggurat
+(`Generator.standard_normal`), and scores them; plain MC draws uniforms
+(`_uniforms`) and turns them into rows of the joint law by inverse CDF
+(`JointModel.rows`, which needs uniforms for every joint kind) and counts
+them (`_count_rows`).  The ziggurat takes a varying number of raw words per
+normal, so a chunk's draws are stable only because each chunk has its own
+generator and its blocks are drawn from it in order: successive draws
+continue one stream and every later stage is elementwise, so the values
+equal those of drawing and transforming the whole chunk at once, at any
+worker count, while the block's arrays stay in cache.
 
 The conditional route samples each chunk once and scores it at every
 requested threshold (common random numbers).  A one-threshold call is the
@@ -44,7 +50,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
+# nothing here calls ndtri: the benchmark tracer wraps `rare_event.ndtri` by name
+from scipy.special import ndtri  # noqa: F401
 
 from . import kernels
 from .joint import JointModel, _seed_key, _stream, _uniforms
@@ -185,7 +192,7 @@ def _pair_integrand(w, phi, x, nu_i, nu_j, sigma: float, rho: float, s: float) -
 
 def _pair_quadrature(mu: float, sigma: float, rho: float, a1, a2, x) -> np.ndarray:
     """P(a1 X1 + a2 X2 > x) for 1-D arrays of positive a1, a2 and positive x."""
-    s = math.sqrt(1.0 - rho * rho)
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))  # exact to rounding as |rho| -> 1, unlike 1 - rho^2
     # row r < n integrates term 1 over the normal of term 2, row n + r term 2 over term 1's
     nu = mu + np.log(np.concatenate([a1, a2]))[:, None]
     nu_j = np.roll(nu, len(a1), axis=0)
@@ -283,22 +290,24 @@ def _count_rows(model: JointModel, test, n: int, seed, workers: int = 1):
 
     def run(item):
         k, size = item
-        blocks = _block_uniforms(key, k, size, model.uniform_dim)
+        blocks = _block_draws(key, k, size, model.uniform_dim, _uniforms)
         return sum(np.count_nonzero(test(model.rows(u)), axis=-1) for _, _, u in blocks)
 
     return sum(_map_chunks(run, n, workers))
 
 
-def _block_uniforms(key: tuple, k: int, size: int, width: int):
-    """(lo, hi, u) for each row block of chunk k, u the block's (hi - lo, width) uniforms.
+def _block_draws(key: tuple, k: int, size: int, width: int, fill):
+    """(lo, hi, u) for each row block of chunk k, u the block's (hi - lo, width) draws.
 
-    All blocks draw in turn from the chunk's one generator into the same
-    scratch, so each u is overwritten by the next block's.
+    fill(gen, out=u) fills u from the chunk's one generator: `_uniforms` for
+    plain MC, `Generator.standard_normal` for conditional MC.  All blocks
+    draw in turn from that generator into the same scratch, so each u is
+    overwritten by the next block's.
     """
     gen = _stream(*key, k)
     scratch = np.empty((min(size, kernels._BLOCK), width))
     for lo, hi in kernels._blocks(size):
-        yield lo, hi, _uniforms(gen, scratch[: hi - lo])
+        yield lo, hi, fill(gen, out=scratch[: hi - lo])
 
 
 def _map_chunks(fn, n: int, workers: int) -> list:
@@ -313,9 +322,9 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
     """Conditional MC of P(sum_i exp(nu_i + sig_i Z_i) > x) for every x in xs.
 
     One pass over the chunks samples each chunk once and scores it at every
-    positive threshold.  In each block the normals overwrite the uniforms
-    they come from, and the kernel reads their columns in place and writes
-    the block's columns of v, the chunk's replication values with one row per
+    positive threshold.  Each block's normals are drawn into the chunk's
+    scratch, and the kernel reads their columns in place and writes the
+    block's columns of v, the chunk's replication values with one row per
     threshold.  Each row of v is reduced once the chunk is done, and the
     chunk moments are reduced in chunk order.  An x <= 0 is certain and draws
     nothing.
@@ -340,8 +349,8 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
         def run(item):
             k, size = item
             v = np.empty((len(positive), size))
-            for lo, hi, u in _block_uniforms(key, k, size, d):
-                kernels.equicorr_chunk(ndtri(u, out=u), nu, sig, rho, positive, v[:, lo:hi])
+            for lo, hi, z in _block_draws(key, k, size, d, np.random.Generator.standard_normal):
+                kernels.equicorr_chunk(z, nu, sig, rho, positive, v[:, lo:hi])
             # the row is dead once summed, so it is squared in place
             return [(float(vj.sum()), float(np.square(vj, out=vj).sum())) for vj in v]
 

@@ -53,7 +53,7 @@ def test_sample_is_chunk_stream_of_key_seed():
     from tailagg import rare_event
 
     for m in KINDS.values():
-        _, _, u = next(rare_event._block_uniforms((5,), 3, 1000, m.uniform_dim))
+        _, _, u = next(rare_event._block_draws((5,), 3, 1000, m.uniform_dim, rare_event._uniforms))
         assert np.array_equal(m.sample(1000, seed=5, stream=3), m.rows(u))
 
 

@@ -1,11 +1,13 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfc
 
-from tailagg.kernels import _BLOCK, equicorr_chunk, gauss_legendre
+from tailagg import kernels, rare_event
+from tailagg.kernels import _BLOCK, _equicorr_cholesky, equicorr_chunk, gauss_legendre
 
 
 def _phibar(z):
@@ -13,12 +15,19 @@ def _phibar(z):
 
 
 def _cholesky(d, rho):
-    """Textbook Cholesky-Banachiewicz factor of the d x d equicorrelated matrix, in Python floats."""
+    """Cholesky factor of the d x d equicorrelated matrix, in Python floats, as a full matrix.
+
+    Column k is L[k][k] = sqrt((1 - rho)(1 + k rho) / (1 + (k-1) rho)) on the
+    diagonal and rho (1 - rho) / ((1 + (k-1) rho) L[k][k]) below it, the
+    closed form the kernel uses (checked against mpmath in
+    `test_equicorr_cholesky_is_within_2_ulp_of_mpmath`).
+    """
     L = [[0.0] * d for _ in range(d)]
-    for i in range(d):
-        for k in range(i + 1):
-            r = (1.0 if i == k else rho) - sum(L[i][m] * L[k][m] for m in range(k))
-            L[i][k] = math.sqrt(r) if i == k else r / L[k][k]
+    for k in range(d):
+        den = 1.0 + (k - 1) * rho
+        L[k][k] = math.sqrt((1.0 - rho) * (1.0 + k * rho) / den)
+        for i in range(k + 1, d):
+            L[i][k] = rho * ((1.0 - rho) / (den * L[k][k]))
     return L
 
 
@@ -30,7 +39,7 @@ def _unblocked(z, nu, sig, rho, xs):
     rho / (1 + (d-2) rho) times the sum of the other w.  The largest and the
     sum of the other terms fold the other columns in index order.  At d = 2
     these are the expressions of the two-term kernel this one replaced:
-    w2 = rho z1 + sqrt(1-rho^2) z2, conditional means rho w2 and rho w1.
+    w2 = rho z1 + sqrt((1-rho)(1+rho)) z2, conditional means rho w2 and rho w1.
     """
     n, d = z.shape
     L = _cholesky(d, rho)
@@ -208,3 +217,45 @@ def test_gauss_legendre_integrates_each_row_over_its_own_scan():
     # row 2's scan starts at 2: its range is [2, 3.1], not [-3.1, 3.1]
     assert got[0] == pytest.approx(math.sqrt(2.0 * math.pi) * 1.5, rel=1e-2)
     assert got[2] < 0.1 * got[0]
+
+
+def _ulps(got, want):
+    return abs(got - want) / math.ulp(want)
+
+
+# rho = +-0.9999 at d = 2, and at d = 3 and 5 0.9999 and the same distance from
+# the lower bound -1/(d-1): cells where the textbook recurrence, 1 - (sum of
+# squares), loses up to 13 bits
+CHOLESKY_CELLS = [(2, 0.9999), (2, -0.9999), (3, 0.9999), (3, -0.9999 / 2), (5, 0.9999), (5, -0.9999 / 4), (5, 0.3)]
+
+
+@pytest.mark.parametrize("d, rho", CHOLESKY_CELLS)
+def test_equicorr_cholesky_is_within_2_ulp_of_mpmath(d, rho):
+    with mpmath.workdps(50):
+        corr = mpmath.matrix([[1 if i == j else mpmath.mpf(rho) for j in range(d)] for i in range(d)])
+        L = mpmath.cholesky(corr)
+        want_below = [float(L[k + 1, k]) for k in range(d - 1)]
+        want_diag = [float(L[k, k]) for k in range(d)]
+    below, diag = _equicorr_cholesky(d, rho)
+    assert max(_ulps(g, w) for g, w in zip(below, want_below)) <= 2
+    assert max(_ulps(g, w) for g, w in zip(diag, want_diag)) <= 2
+    assert below[0] == rho and diag[0] == 1.0
+
+
+@pytest.mark.parametrize("rho", [0.9999, -0.9999, 0.9, -0.3, 1e-8])
+def test_estimator_and_exact_pair_score_with_one_s_within_1_ulp_of_mpmath(monkeypatch, rho):
+    # both routes score through kernels._score, whose 7th argument is the conditional sd s
+    seen = []
+    score = kernels._score
+
+    def spy(*args):
+        seen.append(args[6])
+        score(*args)
+
+    monkeypatch.setattr(kernels, "_score", spy)
+    equicorr_chunk(np.zeros((4, 2)), np.zeros(2), np.ones(2), rho, [3.0], np.empty((1, 4)))
+    rare_event.exact_lognormal_pair(0.0, 1.0, rho, 1.0, 1.0, 3.0)
+    assert len(set(seen)) == 1
+    with mpmath.workdps(50):
+        want = float(mpmath.sqrt(1 - mpmath.mpf(rho) ** 2))
+    assert _ulps(seen[0], want) <= 1

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import erfc, ndtr, ndtri
+from scipy.special import erfc, ndtr
 
 from tailagg import (
     approx_sum_pair,
@@ -249,14 +249,19 @@ def _chunk_uniforms(key, k, shape):
     return rare_event._uniforms(rare_event._stream(*key, k), np.empty(shape))
 
 
+def _chunk_normals(key, k, shape):
+    # chunk k's standard normals in one draw of the whole chunk
+    return rare_event._stream(*key, k).standard_normal(shape)
+
+
 def _reference_pair_estimate(mu, rho, x, n, seed):
     # one threshold at a time, with the d = 2 estimator written out inline and
     # the chunks reduced in order: the arithmetic every curve entry must match
     key = rare_event._seed_key(seed)
-    sc = math.sqrt(1.0 - rho * rho)
+    sc = math.sqrt((1.0 - rho) * (1.0 + rho))
     total = total_sq = 0.0
     for k, size in rare_event._chunk_ranges(n):
-        z = ndtri(_chunk_uniforms(key, k, (size, 2)))
+        z = _chunk_normals(key, k, (size, 2))
         w1, w2 = z[:, 0], rho * z[:, 0] + sc * z[:, 1]
         t1, t2 = np.exp(mu + w1), np.exp(mu + w2)
         v = 0.5 * erfc((((np.log(np.maximum(t2, x - t2)) - mu) - rho * w2) / sc) * (1.0 / math.sqrt(2.0)))
@@ -310,7 +315,7 @@ def test_curve_draws_nothing_without_a_positive_threshold(monkeypatch):
     def no_draws(*args):
         raise AssertionError("sampled for a certain event")
 
-    monkeypatch.setattr(rare_event, "_uniforms", no_draws)
+    monkeypatch.setattr(rare_event, "_stream", no_draws)
     curve = cond_mc_lognormal_curve(0.0, 1.0, 0.0, [1.0, 1.0], [0.0, -1.0], 1000, 1)
     assert [r.estimate for r in curve] == [1.0, 1.0]
 
@@ -343,7 +348,7 @@ def _whole_chunk_curve(nu, sig, rho, xs, n, seed):
     nu, sig = np.asarray(nu, dtype=float), np.asarray(sig, dtype=float)
     sums = np.zeros((len(xs), 2))
     for k, size in rare_event._chunk_ranges(n):
-        sums += _unblocked(ndtri(_chunk_uniforms(key, k, (size, len(nu)))), nu, sig, rho, xs)
+        sums += _unblocked(_chunk_normals(key, k, (size, len(nu))), nu, sig, rho, xs)
     return [EstimateResult.from_moments(t, tsq, n, "cond_mc", key) for t, tsq in sums.tolist()]
 
 
@@ -391,17 +396,30 @@ def test_block_draws_continue_one_philox_stream(d):
     key, k, n = (4, 9), 2, N_BLOCKS
     whole = _chunk_uniforms(key, k, (n, d))
     # each block's uniforms live in scratch the next block overwrites
-    blocks = [(lo, hi, u.copy()) for lo, hi, u in rare_event._block_uniforms(key, k, n, d)]
+    blocks = [(lo, hi, u.copy()) for lo, hi, u in rare_event._block_draws(key, k, n, d, rare_event._uniforms)]
     assert [(lo, hi) for lo, hi, _ in blocks] == list(_blocks(n))
     for lo, hi, u in blocks:
         assert np.array_equal(u, whole[lo:hi])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_normals_continue_one_philox_stream(d):
+    # the ziggurat takes a varying number of raw words per normal, so this
+    # holds only because the blocks fill in order from the chunk's one generator
+    key, k, n = (4, 9), 2, N_BLOCKS
+    whole = _chunk_normals(key, k, (n, d))
+    fill = np.random.Generator.standard_normal
+    blocks = [(lo, hi, z.copy()) for lo, hi, z in rare_event._block_draws(key, k, n, d, fill)]
+    assert [(lo, hi) for lo, hi, _ in blocks] == list(_blocks(n))
+    for lo, hi, z in blocks:
+        assert np.array_equal(z, whole[lo:hi])
 
 
 # ---------------------------------------------------------------- seed keys
 
 
 def _first_block(key, k):
-    return next(rare_event._block_uniforms(key, k, 100, 2))[2].copy()
+    return next(rare_event._block_draws(key, k, 100, 2, rare_event._uniforms))[2].copy()
 
 
 def test_a_trailing_zero_word_names_another_key():
@@ -428,7 +446,7 @@ def test_malformed_seed_keys_are_rejected_before_any_draw(monkeypatch, seed):
     def no_draws(*args):
         raise AssertionError("drew for a malformed key")
 
-    monkeypatch.setattr(rare_event, "_uniforms", no_draws)
+    monkeypatch.setattr(rare_event, "_stream", no_draws)
     calls = [
         lambda: cond_mc_lognormal(0.0, 1.0, 0.3, [1.0, 1.0], 50.0, 100, seed),
         # calls that draw nothing check the key too: certain thresholds, a one-term sum
