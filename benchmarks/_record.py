@@ -1,0 +1,85 @@
+"""What the scripts under benchmarks/ share: a best-of timer, the machine's speed and the record.
+
+A script measures its own figures and hands them to `main`, which
+  * parses `out`, `--label` and the script's own options;
+  * takes `speed_probe_s`, the machine's speed before and after the
+    figures: the median of 5 runs of `perfbench/run.py`'s `speed_probe`
+    (about 0.01 s on an idle reference machine), so records taken at
+    different times can be told apart from a machine that slowed down;
+  * adds the python, numpy and machine fields and the script's options;
+  * stores the record under `--label` in `out`, keeping the records under
+    other labels, so two trees measured on one machine can share a file;
+  * prints the record only once the file is written, so a closed stdout
+    (`| head`) cannot lose it.
+
+Importing this module puts the `src/` beside it (for `tailagg`) and
+`perfbench/` on sys.path.  Run a script from the root of the tree to
+measure:
+
+    python benchmarks/bench_<name>.py BENCH_<n>.json --label change
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+from run import speed_probe  # noqa: E402
+
+REPEATS = dict(type=int, default=5, help="timings per figure; the best is kept")
+
+
+def best(fn, repeats: int, setup=lambda: None) -> float:
+    """Fewest seconds of `repeats` calls fn(setup()); setup is not timed."""
+    fastest = float("inf")
+    for _ in range(repeats):
+        arg = setup()
+        t0 = time.perf_counter()
+        fn(arg)
+        fastest = min(fastest, time.perf_counter() - t0)
+    return fastest
+
+
+def probe_s() -> float:
+    """Median seconds of 5 speed probes: the machine's speed now."""
+    return statistics.median(speed_probe() for _ in range(5))
+
+
+def main(doc: str, figures, argv=None, **options) -> int:
+    """Store figures(args) as the record under --label in out, between two speed probes; then print it.
+
+    Each keyword names one more option of the script, as the keyword
+    arguments of `ArgumentParser.add_argument`; its value is stored too.
+    """
+    ap = argparse.ArgumentParser(description=doc.split("\n")[0])
+    ap.add_argument("out", help="JSON file to write the record into")
+    ap.add_argument("--label", default="change", help="key of the record in the file")
+    for name, spec in options.items():
+        ap.add_argument(f"--{name}", **spec)
+    args = ap.parse_args(argv)
+
+    before = probe_s()
+    record = figures(args)
+    record["speed_probe_s"] = {"before": before, "after": probe_s()}
+    record.update(
+        python=platform.python_version(),
+        numpy=np.__version__,
+        machine=f"{platform.machine()}, {os.cpu_count()} CPUs",
+        **{name: getattr(args, name) for name in options},
+    )
+    out = Path(args.out)
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data[args.label] = record
+    out.write_text(json.dumps(data, indent=2) + "\n")
+    for group, values in record.items():
+        for name, value in values.items() if isinstance(values, dict) else [("", values)]:
+            print(f"{group:20s} {name:40s} {format(value, '.4g') if isinstance(value, float) else value}")
+    return 0

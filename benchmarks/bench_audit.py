@@ -1,6 +1,6 @@
 """Benchmark: the exact d = 2 quadrature and the grid audit of tables 5-7 it scores.
 
-Prints, and writes as one JSON record:
+The figures of its record:
   exact_ms_per_cell   `exact_lognormal_pair`, ms per cell, best of --repeats:
                         batch51   one call on the 51 points of one audit grid
                                   (table 6, x = 10)
@@ -30,41 +30,20 @@ Prints, and writes as one JSON record:
                                     thresholds at rho = +-0.995, +-0.999
                                     and +-0.9999, where the quadrature
                                     takes more pieces
-  speed_probe_s       the machine's speed before and after the timings:
-                      the median of 5 runs of `perfbench/run.py`'s
-                      `speed_probe` (about 0.01 s on an idle reference
-                      machine), so records taken at different times can be
-                      told apart from a machine that slowed down
-
-Run from the root of the tree to measure (the script imports `tailagg`
-from the `src/` beside it, and the oracle from `perfbench/`):
-
-    python benchmarks/bench_audit.py BENCH_<n>.json --label change
-
-The record is stored under `--label` in the output file; records under
-other labels already in the file are kept.  The file is written before
-anything is printed, so a closed stdout (`| head`) cannot lose it.  The
-oracle takes about 7 ms a cell, so the script runs for about 15 s beyond
-its timings.
+The oracle takes about 7 ms a cell, so the script runs for about 15 s
+beyond its timings.  `_record.main` stores the record, with the speed
+probes (see `_record`).
 """
 
-import argparse
-import json
-import os
-import platform
 import statistics
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+import _record  # first: it puts src/ and perfbench/ on sys.path
+import numpy as np
+from _record import best
+from oracle import lognormal_pair_exceedance
 
-import numpy as np  # noqa: E402
-from oracle import lognormal_pair_exceedance  # noqa: E402
-from run import speed_probe  # noqa: E402
-
-from tailagg import (  # noqa: E402
+from tailagg import (
     LinearConstraint,
     PortfolioProblem,
     bivariate_lognormal,
@@ -73,7 +52,7 @@ from tailagg import (  # noqa: E402
     grid_verify,
     lognormal,
 )
-from tailagg.tables import OPT, PUBLISHED  # noqa: E402
+from tailagg.tables import OPT, PUBLISHED
 
 SEED = 42
 N = 10**4
@@ -89,33 +68,19 @@ SWEEP_A = ((1.0, 1.0), (0.2, 0.2), (0.26, 0.16), (0.333, 0.001), (0.5, 2.0), (0.
 SWEEP_X = (1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0, 2000.0)
 
 
-def _best(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def probe_s() -> float:
-    """Median seconds of 5 speed probes: the machine's speed now."""
-    return statistics.median(speed_probe() for _ in range(5))
-
-
 def exact_cells(repeats: int) -> dict:
     rho, x = 0.0, 10.0
     a1, a2 = np.array([A1]), np.array([A2])
 
-    def all_rows():
+    def all_rows(_):
         for rho_t, xs in TABLES.items():
             exact_lognormal_pair(0.0, 1.0, rho_t, a1, a2, np.array(xs)[:, None])
 
     return {
-        "batch51": _best(lambda: exact_lognormal_pair(0.0, 1.0, rho, A1, A2, x), repeats) * 1e3 / 51,
-        "batch765": _best(all_rows, repeats) * 1e3 / (51 * len(ROWS)),
-        "batch7": _best(lambda: exact_lognormal_pair(0.0, 1.0, SIM_RHO, 1.0, 1.0, SIM_XS), repeats) * 1e3 / len(SIM_XS),
-        "single": _best(lambda: [exact_lognormal_pair(0.0, 1.0, rho, p, q, x) for p, q in zip(A1, A2)], repeats)
+        "batch51": best(lambda _: exact_lognormal_pair(0.0, 1.0, rho, A1, A2, x), repeats) * 1e3 / 51,
+        "batch765": best(all_rows, repeats) * 1e3 / (51 * len(ROWS)),
+        "batch7": best(lambda _: exact_lognormal_pair(0.0, 1.0, SIM_RHO, 1.0, 1.0, SIM_XS), repeats) * 1e3 / len(SIM_XS),
+        "single": best(lambda _: [exact_lognormal_pair(0.0, 1.0, rho, p, q, x) for p, q in zip(A1, A2)], repeats)
         * 1e3
         / 51,
     }
@@ -134,8 +99,8 @@ def audits(repeats: int) -> dict:
     exact, mc = [], []
     for rho, x in ROWS:
         joint = bivariate_lognormal(0.0, 1.0, rho)
-        exact.append(_best(lambda: grid_verify(_problem(x), joint, n=N, seed=SEED), repeats))
-        mc.append(_best(lambda: _mc_audit(rho, x), repeats))
+        exact.append(best(lambda _: grid_verify(_problem(x), joint, n=N, seed=SEED), repeats))
+        mc.append(best(lambda _: _mc_audit(rho, x), repeats))
     out = {"exact": statistics.median(exact) * 1e3, "mc": statistics.median(mc) * 1e3}
     out["speedup"] = out["mc"] / out["exact"]
     return out
@@ -159,35 +124,16 @@ def oracle_max_rel() -> dict:
     return {"tables_5_7": tables, "sweep": sweep, "near_one": near_one}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("out", help="JSON file to write the record into")
-    ap.add_argument("--label", default="change", help="key of the record in the file")
-    ap.add_argument("--repeats", type=int, default=5, help="timings per figure; the best is kept")
-    args = ap.parse_args(argv)
-
-    before = probe_s()
-    record = {
+def figures(args) -> dict:
+    return {
         "exact_ms_per_cell": exact_cells(args.repeats),
         "audit_ms": audits(args.repeats),
+        "oracle_max_rel": oracle_max_rel(),
     }
-    record["speed_probe_s"] = {"before": before, "after": probe_s()}
-    record.update(
-        oracle_max_rel=oracle_max_rel(),
-        python=platform.python_version(),
-        numpy=np.__version__,
-        machine=f"{platform.machine()}, {os.cpu_count()} CPUs",
-        repeats=args.repeats,
-    )
-    out = Path(args.out)
-    data = json.loads(out.read_text()) if out.exists() else {}
-    data[args.label] = record
-    out.write_text(json.dumps(data, indent=2) + "\n")
-    for group, values in record.items():
-        if isinstance(values, dict):
-            for name, value in values.items():
-                print(f"{group:20s} {name:12s} {value:.4g}")
-    return 0
+
+
+def main(argv=None) -> int:
+    return _record.main(__doc__, figures, argv, repeats=_record.REPEATS)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,12 @@
 """Benchmark: the fixed cost of a CLI command.
 
-Prints, and writes as one JSON record:
+The figures of its record:
   import_cli_s  cold `import tailagg.cli` in a fresh interpreter (numpy,
                 scipy and tailagg are imported; interpreter start-up is not
                 counted), median of IMPORT_SAMPLES processes
   parser_ms     in-process `cli.build_parser` ms, median of PARSER_SAMPLES
                 builds: "full" with every subcommand, and one entry per
-                subcommand for the parser `main` builds for it (null where
-                build_parser takes no command and main builds the full one)
+                subcommand for the parser `main` builds for it
   check_grid    the per-layer figures in LAYERS from one
                 `perfbench/run.py --workload check_grid --trace 1` run of the
                 same tree: parser build, orthant call and its own time (scan
@@ -16,25 +15,18 @@ Prints, and writes as one JSON record:
                 joint.orthant_ms_per_pass, calls x ms per call, since batching
                 the orthant's points raises the ms per call as the calls fall
 
-Run from the root of the tree to measure:
-
-    python benchmarks/bench_cli.py BENCH_<n>.json --label change
-
-The record is stored under `--label` in the output file; records under
-other labels already in the file are kept, so two trees measured on one
-machine can share a file.
+`_record.main` stores the record, with the speed probes (see `_record`).
 """
 
-import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import _record  # first: it puts src/ and perfbench/ on sys.path
+
+ROOT = _record.ROOT
 IMPORT_SAMPLES = 5
 PARSER_SAMPLES = 501
 LAYERS = (
@@ -45,6 +37,10 @@ LAYERS = (
     "joint.orthant_scan_ms",
     "models.log_survival_calls",
 )
+OPTIONS = {
+    "seed": dict(type=int, default=1, help="seed of the traced check_grid run"),
+    "seconds": dict(type=float, default=22.0, help="length of the traced check_grid run"),
+}
 
 _IMPORT_CODE = "import time; t = time.perf_counter(); import tailagg.cli; print(time.perf_counter() - t)"
 
@@ -58,9 +54,9 @@ def cold_import_s() -> float:
     return statistics.median(runs)
 
 
-# argv[1] builds per figure; a command is timed only where build_parser takes one
+# argv[1] builds per figure
 _PARSER_CODE = """
-import inspect, json, statistics, sys, time
+import json, statistics, sys, time
 from tailagg import cli
 
 def ms(*args):
@@ -72,8 +68,7 @@ def ms(*args):
     return statistics.median(runs) * 1e3
 
 names = list(cli.build_parser()._subparsers._group_actions[0].choices)
-one = "command" in inspect.signature(cli.build_parser).parameters
-print(json.dumps({"full": ms(), **{n: ms(n) if one else None for n in names}}))
+print(json.dumps({"full": ms(), **{n: ms(n) for n in names}}))
 """
 
 
@@ -95,31 +90,16 @@ def check_grid_layers(seed: int, seconds: float) -> dict:
     return layers
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("out", help="JSON file to write the record into")
-    ap.add_argument("--label", default="change", help="key of the record in the file")
-    ap.add_argument("--seed", type=int, default=1, help="seed of the traced check_grid run")
-    ap.add_argument("--seconds", type=float, default=22.0, help="length of the traced check_grid run")
-    args = ap.parse_args(argv)
-
-    record = {
+def figures(args) -> dict:
+    return {
         "import_cli_s": cold_import_s(),
         "parser_ms": parser_ms(),
         "check_grid": check_grid_layers(args.seed, args.seconds),
-        "python": platform.python_version(),
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
     }
-    print(f"{'import_cli_s':26s} {record['import_cli_s']:.4g}")
-    for name, value in record["parser_ms"].items():
-        print(f"{'parser_ms ' + name:26s} {value if value is None else format(value, '.4g')}")
-    for name, value in record["check_grid"].items():
-        print(f"{name:26s} {value:.4g}")
-    out = Path(args.out)
-    data = json.loads(out.read_text()) if out.exists() else {}
-    data[args.label] = record
-    out.write_text(json.dumps(data, indent=2) + "\n")
-    return 0
+
+
+def main(argv=None) -> int:
+    return _record.main(__doc__, figures, argv, **OPTIONS)
 
 
 if __name__ == "__main__":

@@ -188,7 +188,9 @@ class JointModel:
         if kind == BIVARIATE_LOGNORMAL:
             g = ndtri(u)
             z1 = g[:, 0]
-            z2 = self.rho * g[:, 0] + math.sqrt(1.0 - self.rho * self.rho) * g[:, 1]
+            # the s of the conditional estimator and the exact pair, sqrt((1 - rho)(1 + rho))
+            s = kernels._equicorr_cholesky(2, self.rho)[1][1]
+            z2 = self.rho * g[:, 0] + s * g[:, 1]
             return np.exp(self.mu + self.sigma * np.column_stack([z1, z2]))
         if kind == COMONOTONE_INVERSE:
             u = u[:, 0]

@@ -160,18 +160,18 @@ def grid_verify(
     grid, is scored exactly by one `exact_lognormal_pair` call, which gives a
     point with a zero coefficient `exact_lognormal_single`.  E1 is the grid
     minimum, attained at a_tilde, E2 the exact probability at a* (read from
-    the grid only when a* is a grid point, within the 1e-9 * grid_step slack
-    of k_max), and relative_error their gap (E2 - E1)/E1.  E2_mc is the
-    audit's one Monte Carlo estimate: `cond_mc_lognormal` at a* with n
-    replications keyed by seed, which checks the estimator against E2 and is
-    the same for every worker count.
+    the grid only when a* is a grid point, within 1e-9 of the smaller of
+    grid_step and L/l1), and relative_error their gap (E2 - E1)/E1.  E2_mc
+    is the audit's one Monte Carlo estimate: `cond_mc_lognormal` at a* with
+    n replications keyed by seed, which checks the estimator against E2 and
+    is the same for every worker count.
     """
     if not isinstance(p.constraint, LinearConstraint) or len(p.models) != 2:
         raise UnsupportedConstraint("grid_verify audits the 2-asset linear-constraint study")
     if joint.kind != BIVARIATE_LOGNORMAL:
         raise UnsupportedConstraint("the audit estimator is the bivariate-lognormal conditional MC")
-    if not grid_step > 0:
-        raise ValueError(f"grid_step must be positive, got {grid_step!r}")
+    if not 0 < grid_step < math.inf:
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
     l1, l2 = (float(v) for v in p.constraint.l)
     L = p.constraint.L
     x = p.threshold
@@ -180,7 +180,8 @@ def grid_verify(
     a2s = [max((L - l1 * a1) / l2, 0.0) for a1 in a1s]
     star = solve_two_stage(p).a
     k_star = int(round(star[0] / grid_step))
-    on_grid = 0 <= k_star <= k_max and abs(a1s[k_star] - star[0]) <= 1e-9 * grid_step
+    # a step beyond L/l1 leaves a1 = 0 alone on the grid, so the slack is on the scale of both
+    on_grid = 0 <= k_star <= k_max and abs(a1s[k_star] - star[0]) <= 1e-9 * min(grid_step, L / l1)
     cells = (a1s, a2s) if on_grid else (a1s + [star[0]], a2s + [star[1]])
 
     probs = exact_lognormal_pair(joint.mu, joint.sigma, joint.rho, *cells, x).tolist()

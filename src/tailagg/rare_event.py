@@ -210,6 +210,15 @@ def _pair_quadrature(mu: float, sigma: float, rho: float, a1, a2, x) -> np.ndarr
     return per_row[: len(a1)] + per_row[len(a1) :]
 
 
+def _check_lognormal(mu: float, sigma: float, *coefficients: np.ndarray) -> None:
+    """Raise ValueError unless mu is finite, 0 < sigma < inf and every coefficient is finite and >= 0."""
+    if not (math.isfinite(mu) and 0.0 < sigma < math.inf):
+        raise ValueError("need a finite mu and a positive finite sigma")
+    # a NaN fails both comparisons; on the few coefficients of a call Python beats numpy's ufunc set-up
+    if not all(0.0 <= v < math.inf for a in coefficients for v in a.ravel().tolist()):
+        raise ValueError("coefficients must be finite and nonnegative")
+
+
 def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.ndarray:
     """P(a1 X1 + a2 X2 > x) exactly, (log X1, log X2) bivariate normal (mu, sigma, rho).
 
@@ -227,12 +236,9 @@ def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.n
     nears +-1.  A cell with a zero coefficient or x <= 0 is
     `exact_lognormal_single` of a1 + a2.
     """
-    if not (math.isfinite(mu) and 0.0 < sigma < math.inf):
-        raise ValueError("need a finite mu and a positive finite sigma")
-    kernels.check_rho(rho)
     a1, a2, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a1, a2, x)))
-    if not np.all(np.isfinite(a1) & np.isfinite(a2) & (a1 >= 0.0) & (a2 >= 0.0)):
-        raise ValueError("coefficients must be finite and nonnegative")
+    _check_lognormal(mu, sigma, a1, a2)
+    kernels.check_rho(rho)
     if np.any(np.isnan(x)):
         raise ValueError("x must not be NaN")
     shape = x.shape
@@ -269,7 +275,8 @@ def plain_mc(
 
     Each block of a chunk's uniforms is turned into rows by `JointModel.rows`,
     the transform `JointModel.sample` applies to a whole draw, and its hits are
-    counted by `_count_rows`.  std_error is the binomial sqrt(p(1-p)/n).
+    counted by `_count_rows`.  std_error is the binomial sqrt(p(1-p)/n).  A
+    NaN threshold gives a NaN estimate, as in conditional MC, and draws nothing.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -277,7 +284,7 @@ def plain_mc(
     if len(a) != model.dim:
         raise ValueError(f"need {model.dim} coefficients, got {len(a)}")
     key = _seed_key(seed)
-    hits = float(_count_rows(model, lambda rows: rows @ a > x, n, key, workers))
+    hits = math.nan if math.isnan(x) else float(_count_rows(model, lambda rows: rows @ a > x, n, key, workers))
     p = hits / n
     se = math.sqrt(p * (1.0 - p) / n)
     # for 0/1 replication values (sum v)^2 / sum v^2 is the hit count
@@ -387,13 +394,10 @@ def cond_mc_terms(
 
 def _lognormal_terms(mu: float, sigma: float, rho: float, a: Sequence[float]):
     """Validate; return the positive coefficients and the (nu, sig) of their terms."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     a = np.asarray(a, dtype=float)
+    _check_lognormal(mu, sigma, a)
     if len(a) < 2:
         raise ValueError("need at least two coefficients")
-    if np.any(a < 0):
-        raise ValueError("coefficients must be nonnegative")
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must be in (-1, 1); the endpoints have exact/degenerate forms")
     a_pos = a[a > 0]

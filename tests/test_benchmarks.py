@@ -1,4 +1,4 @@
-"""Every script under benchmarks/ imports, and the perfbench tracer installs: the names they reach into still exist."""
+"""Every script under benchmarks/ imports and writes its record, and the perfbench tracer installs: the names they reach into still exist."""
 
 import contextlib
 import importlib.util
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = sorted((ROOT / "benchmarks").glob("*.py"))
+SCRIPTS = sorted((ROOT / "benchmarks").glob("bench_*.py"))
 
 
 def test_there_are_scripts():
@@ -18,8 +18,10 @@ def test_there_are_scripts():
 
 
 def _load(monkeypatch, path):
-    # the scripts put src/ (and perfbench/) on sys.path; the copy is restored afterwards
-    monkeypatch.setattr(sys, "path", list(sys.path))
+    # a script imports its harness from benchmarks/, which puts src/ and perfbench/ on
+    # sys.path; the copy is restored afterwards, and the harness is imported afresh onto it
+    monkeypatch.setattr(sys, "path", [str(ROOT / "benchmarks"), *sys.path])
+    monkeypatch.delitem(sys.modules, "_record", raising=False)
     spec = importlib.util.spec_from_file_location(f"bench_script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -31,26 +33,30 @@ def test_script_imports_without_running(monkeypatch, path):
     assert callable(_load(monkeypatch, path).main)
 
 
-def test_audit_record_is_written_when_stdout_is_closed(monkeypatch, tmp_path):
-    # `bench_audit.py B.json | head -1`: the reader goes away before the figures are printed
-    bench = _load(monkeypatch, ROOT / "benchmarks" / "bench_audit.py")
-    for name in ("exact_cells", "audits", "oracle_max_rel"):
-        monkeypatch.setattr(bench, name, lambda *args: {"figure": 1.0})
-    monkeypatch.setattr(bench, "probe_s", lambda: 0.01)
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_record_is_written_when_stdout_is_closed(monkeypatch, tmp_path, path):
+    # `bench_<name>.py B.json | head -1`: the reader goes away before the figures are printed
+    bench = _load(monkeypatch, path)
+    monkeypatch.setattr(bench, "figures", lambda args: {"figure": {"a": 1.0}})
+    monkeypatch.setattr(bench._record, "probe_s", lambda: 0.01)
     read, write = os.pipe()
     os.close(read)
     closed = open(write, "w", buffering=1)
     monkeypatch.setattr(sys, "stdout", closed)
     out = tmp_path / "B.json"
+    out.write_text('{"other": {}}')
     try:
         with pytest.raises(BrokenPipeError):
             bench.main([str(out), "--label", "x"])
     finally:
         with contextlib.suppress(BrokenPipeError):
             closed.close()
-    record = json.loads(out.read_text())["x"]
-    assert record["audit_ms"] == {"figure": 1.0}
+    data = json.loads(out.read_text())
+    assert data["other"] == {}
+    record = data["x"]
+    assert record["figure"] == {"a": 1.0}
     assert record["speed_probe_s"] == {"before": 0.01, "after": 0.01}
+    assert {"python", "numpy", "machine"} <= set(record)
 
 
 def test_tracer_installs_and_uninstalls():

@@ -161,6 +161,8 @@ def test_symmetric_in_the_two_terms():
         {"sigma": 0.0},
         {"sigma": math.nan},
         {"mu": math.inf},
+        {"sigma": math.inf},
+        {"mu": math.nan},
     ],
 )
 def test_malformed_input_is_rejected(kw):

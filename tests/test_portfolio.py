@@ -144,7 +144,7 @@ def test_grid_verify_requires_supported_shapes():
         grid_verify(p3, bivariate_lognormal(0.0, 1.0, 0.0), n=100, seed=1)
 
 
-@pytest.mark.parametrize("step", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
 def test_grid_verify_rejects_nonpositive_step(step):
     with pytest.raises(ValueError, match="grid_step"):
         grid_verify(_problem(), bivariate_lognormal(0.0, 1.0, 0.0), grid_step=step, n=100, seed=1)
@@ -202,10 +202,11 @@ def test_problem_validation():
         PortfolioProblem((LN, LN), (1.0, 1.0), LinearConstraint((1.0, 1.0), 1.0), -1.0)
 
 
-@pytest.mark.parametrize("step", [0.03, 1.0])
+@pytest.mark.parametrize("step", [0.03, 1.0, 1e9])
 def test_grid_verify_E2_off_the_grid_is_the_estimate_at_the_solution(step):
     # a* = (0.2, 0.2) is no grid point for these steps; the nearest one
-    # (a1 = 0.21, or the endpoint a1 = 0) must not stand in for it
+    # (a1 = 0.21, or the endpoint a1 = 0) must not stand in for it, however
+    # large the step
     p = _problem(threshold=5.0)
     joint = bivariate_lognormal(0.0, 1.0, 0.0)
     audit = grid_verify(p, joint, grid_step=step, n=10**4, seed=3)

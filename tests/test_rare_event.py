@@ -101,6 +101,12 @@ def test_plain_mc_threshold_zero_is_certain():
     assert r.estimate == 1.0 and r.std_error == 0.0
 
 
+def test_plain_mc_nan_threshold_gives_nan_as_conditional_mc_does():
+    r = plain_mc(bivariate_lognormal(0.0, 1.0, 0.3), [1.0, 1.0], math.nan, 1000, seed=1)
+    assert math.isnan(r.estimate) and math.isnan(r.std_error) and math.isnan(r.half_width95)
+    assert math.isnan(cond_mc_lognormal(0.0, 1.0, 0.3, [1.0, 1.0], math.nan, 1000, seed=1).estimate)
+
+
 def test_plain_mc_countermonotone_matches_exact():
     r = plain_mc(bivariate_lognormal(0.0, 1.0, -1.0), [1.0, 1.0], 10.0, 400_000, seed=2)
     assert abs(r.estimate - 0.0219) <= 3.0 * r.half_width95 / 1.96 * 1.96 + 1e-4
@@ -161,6 +167,34 @@ def test_cond_mc_rejects_rho_endpoints():
             cond_mc_lognormal(0.0, 1.0, rho, [1.0, 1.0], 10.0, 100, seed=1)
     with pytest.raises(ValueError):
         cond_mc_terms([0.0] * 3, [1.0] * 3, -0.6, 10.0, 100, seed=1)  # not PD for d=3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda args: cond_mc_lognormal(**args, x=10.0, n=1000, seed=1),
+        lambda args: cond_mc_lognormal_curve(**args, xs=[10.0, 20.0], n=1000, seed=1),
+    ],
+    ids=["point", "curve"],
+)
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"a": [1.0, math.nan]},
+        {"a": [1.0, math.inf]},
+        {"a": [1.0, -1.0]},
+        {"mu": math.nan},
+        {"mu": -math.inf},
+        {"sigma": math.inf},
+        {"sigma": math.nan},
+        {"sigma": 0.0},
+    ],
+)
+def test_cond_mc_rejects_what_the_exact_pair_rejects(kw, call):
+    # a NaN coefficient was dropped as if zero, an infinite one gave 1.0 with SE 0
+    args = {"mu": 0.0, "sigma": 1.0, "rho": 0.3, "a": [1.0, 1.0], **kw}
+    with pytest.raises(ValueError, match="finite"):
+        call(args)
 
 
 def test_cond_mc_drops_zero_coefficients():
