@@ -1,4 +1,4 @@
-"""What the scripts under benchmarks/ share: a best-of timer, the machine's speed and the record.
+"""What the scripts under benchmarks/ share: timers, the machine's speed and the record.
 
 A script measures its own figures and hands them to `main`, which
   * parses `out`, `--label` and the script's own options;
@@ -37,15 +37,32 @@ from run import speed_probe  # noqa: E402
 REPEATS = dict(type=int, default=5, help="timings per figure; the best is kept")
 
 
-def best(fn, repeats: int, setup=lambda: None) -> float:
-    """Fewest seconds of `repeats` calls fn(setup()); setup is not timed."""
-    fastest = float("inf")
+def timings(fn, repeats: int, setup=lambda: None) -> list:
+    """Seconds of each of `repeats` calls fn(setup()); setup is not timed."""
+    out = []
     for _ in range(repeats):
         arg = setup()
         t0 = time.perf_counter()
         fn(arg)
-        fastest = min(fastest, time.perf_counter() - t0)
-    return fastest
+        out.append(time.perf_counter() - t0)
+    return out
+
+
+def best(fn, repeats: int, setup=lambda: None) -> float:
+    """Fewest seconds of `repeats` calls fn(setup()); setup is not timed."""
+    return min(timings(fn, repeats, setup))
+
+
+def summary(times: list, scale: float = 1.0) -> tuple:
+    """(best, median, Q3 - Q1) of times, each times scale: how far the best-of figure can be trusted.
+
+    The quartiles are `statistics.quantiles(times, n=4)`, as `perfbench/run.py`
+    takes them; one timing has no spread, so its Q3 - Q1 is NaN.
+    """
+    if len(times) < 2:
+        return times[0] * scale, times[0] * scale, float("nan")
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return min(times) * scale, median * scale, (q3 - q1) * scale
 
 
 def probe_s() -> float:

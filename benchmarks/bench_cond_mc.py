@@ -33,6 +33,11 @@ The figures of its record:
                          reduction  sum, then sum of the squares taken in
                                     place, of one chunk-long row of
                                     replication values, per threshold
+Beside each best-of figure, pipeline_ns_per_row and stages_ns_per_row, the
+record holds the median (`..._median`) and the interquartile range Q3 - Q1
+(`..._iqr`) of its --repeats timings, in the same unit: the same stage code
+has read up to 43% apart between two records, and a best-of figure means
+little where its spread is of that size.
 The thresholds are those of reference table 3 (rho = 0): x = 100 alone
 (m = 1), all seven (m = 7), and for the memory figure 19 spread over
 x = 3-1000.  `_record.main` stores the record, with `chunk`, the rows of a
@@ -45,7 +50,7 @@ import tracemalloc
 
 import _record  # first: it puts src/ and perfbench/ on sys.path
 import numpy as np
-from _record import best
+from _record import summary, timings
 from scipy.special import ndtri
 
 from tailagg import cond_mc_lognormal_curve, kernels
@@ -57,22 +62,28 @@ RHO = 0.0
 XS = {1: [100.0], 7: [float(r[0]) for r in TABLE3], 19: np.geomspace(3.0, 1000.0, 19).tolist()}
 
 
+def _figures(raw: dict) -> tuple:
+    # key -> (timings, scale) as {key: best}, {key: median} and {key: Q3 - Q1}
+    out = {key: summary(times, scale) for key, (times, scale) in raw.items()}
+    return tuple({key: v[i] for key, v in out.items()} for i in range(3))
+
+
 def pipeline(repeats: int) -> tuple:
-    # (ns per row, cpu per wall) of the fastest of repeats calls per key
+    # ns per row of repeats calls per key, and the cpu per wall of the fastest
     n = 2 * CHUNK
-    ns, cpu = {}, {}
+    raw, cpu = {}, {}
     for d in (2, 3):
         for m in (1, 7):
             for workers in (1, 2):
-                fastest = (float("inf"), float("nan"))
+                runs = []
                 for _ in range(repeats):
                     w0, c0 = time.perf_counter(), time.process_time()
                     cond_mc_lognormal_curve(0.0, 1.0, RHO, [1.0] * d, XS[m], n, 42, workers)
                     wall = time.perf_counter() - w0
-                    fastest = min(fastest, (wall, (time.process_time() - c0) / wall))
+                    runs.append((wall, (time.process_time() - c0) / wall))
                 key = f"d{d}_m{m}_w{workers}"
-                ns[key], cpu[key] = fastest[0] * 1e9 / n, fastest[1]
-    return ns, cpu
+                raw[key], cpu[key] = ([wall for wall, _ in runs], 1e9 / n), min(runs)[1]
+    return _figures(raw), cpu
 
 
 def peak_per_chunk() -> dict:
@@ -95,14 +106,14 @@ def _per_block(fn):
     return run
 
 
-def stages(repeats: int) -> dict:
+def stages(repeats: int) -> tuple:
     per_row = 1e9 / CHUNK
     out = {}
     v0 = np.random.default_rng(1).random(CHUNK)
     v = np.empty_like(v0)
-    out["reduction"] = best(
+    out["reduction"] = timings(
         lambda _: (v.sum(), np.square(v, out=v).sum()), repeats, lambda: np.copyto(v, v0)
-    ) * per_row
+    ), per_row
     for d in (2, 3):
         u = np.empty((kernels._BLOCK, d))
 
@@ -114,29 +125,34 @@ def stages(repeats: int) -> dict:
             for lo, hi in kernels._blocks(CHUNK):
                 gen.standard_normal(out=u[: hi - lo])
 
-        out[f"d{d}_normals"] = best(draw_normals, repeats, lambda: _stream(12345, 0)) * per_row
-        out[f"d{d}_uniforms"] = best(draw, repeats, lambda: _stream(12345, 0)) * per_row
+        out[f"d{d}_normals"] = timings(draw_normals, repeats, lambda: _stream(12345, 0)), per_row
+        out[f"d{d}_uniforms"] = timings(draw, repeats, lambda: _stream(12345, 0)), per_row
         u0 = _uniforms(_stream(12345, 0), np.empty((CHUNK, d)))
         uu = np.empty_like(u0)
-        out[f"d{d}_ndtri"] = best(
+        out[f"d{d}_ndtri"] = timings(
             _per_block(lambda lo, hi: ndtri(uu[lo:hi], out=uu[lo:hi])), repeats, lambda: np.copyto(uu, u0)
-        ) * per_row
+        ), per_row
         z = _stream(12345, 0).standard_normal((CHUNK, d))
         for m in (1, 7):
             buf = np.empty((m, CHUNK))
             nu, sig = np.zeros(d), np.ones(d)
             kern = _per_block(lambda lo, hi: kernels.equicorr_chunk(z[lo:hi], nu, sig, RHO, XS[m], buf[:, lo:hi]))
-            out[f"d{d}_m{m}_kernel"] = best(kern, repeats) * per_row / m
-    return out
+            out[f"d{d}_m{m}_kernel"] = timings(kern, repeats), per_row / m
+    return _figures(out)
 
 
 def figures(args) -> dict:
-    ns, cpu = pipeline(args.repeats)
+    (ns, ns_median, ns_iqr), cpu = pipeline(args.repeats)
+    stage, stage_median, stage_iqr = stages(args.repeats)
     return {
         "pipeline_ns_per_row": ns,
+        "pipeline_ns_per_row_median": ns_median,
+        "pipeline_ns_per_row_iqr": ns_iqr,
         "cpu_per_wall": cpu,
         "peak_mb_per_chunk": peak_per_chunk(),
-        "stages_ns_per_row": stages(args.repeats),
+        "stages_ns_per_row": stage,
+        "stages_ns_per_row_median": stage_median,
+        "stages_ns_per_row_iqr": stage_iqr,
         "chunk": CHUNK,
     }
 

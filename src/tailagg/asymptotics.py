@@ -39,7 +39,7 @@ from .errors import (
     NonStabilizingRatio,
     ZeroTailRatio,
 )
-from .models import TailModel
+from .models import NONNEGATIVE, POSITIVE, Domain, TailModel, check_value
 
 PROBE_FACTORS = (1.0, 2.0, 4.0, 8.0)
 _STABLE_RTOL = 0.01  # last two probe ratios within 1% relative
@@ -51,6 +51,9 @@ RATIO_STABLE = "stable"
 RATIO_ZERO = "zero"
 RATIO_DIVERGING = "diverging"
 RATIO_UNSTABLE = "unstable"
+
+# the recipes for sums of risks take models whose support is bounded below
+_NONNEGATIVE_RISK = Domain(lambda m: m.nonnegative, "a nonnegative risk")
 
 
 @dataclass(frozen=True)
@@ -80,8 +83,7 @@ def probe_tail_ratio(model_num: TailModel, model_den: TailModel, x: float):
 
     Returns (ratios, status) with status one of stable/zero/diverging/unstable.
     """
-    if not x > 0:
-        raise ValueError("probe threshold must be positive")
+    check_value("x", x, POSITIVE)
     xs = np.array([f * x for f in PROBE_FACTORS])
     log_r = model_num.log_survival(xs) - model_den.log_survival(xs)
     r = np.exp(log_r)
@@ -109,11 +111,9 @@ def _resolve_c(models: Sequence[TailModel], x: float, c, allow_zero: bool):
             raise ValueError("need one tail-ratio constant per model (c_1 = 1 may be omitted)")
         if c[0] != 1.0:
             raise ValueError("the first tail-ratio constant is 1 by definition")
-        for v in c[1:]:
-            if not (v >= 0 and math.isfinite(v)):
-                raise ValueError("tail-ratio constants must be finite and nonnegative")
-            if v == 0.0 and not allow_zero:
-                raise ZeroTailRatio("a zero tail-ratio constant is outside this recipe; drop the term")
+        check_value("c", c, NONNEGATIVE)
+        if 0.0 in c and not allow_zero:
+            raise ZeroTailRatio("a zero tail-ratio constant is outside this recipe; drop the term")
         return c
     out = [1.0]
     for i in range(1, d):
@@ -143,8 +143,13 @@ def _resolve_c(models: Sequence[TailModel], x: float, c, allow_zero: bool):
     return out
 
 
-def _lint_near_ties(a: Sequence[float]) -> None:
+def _coefficients(a: Sequence[float]) -> list:
+    """a as floats, each finite and >= 0 and one positive; warns of near ties among the positive ones."""
+    a = [float(v) for v in a]
+    check_value("a", a, NONNEGATIVE)
     pos = [v for v in a if v > 0]
+    if not pos:
+        raise ValueError("at least one coefficient must be positive")
     for i in range(len(pos)):
         for j in range(i + 1, len(pos)):
             hi, lo = max(pos[i], pos[j]), min(pos[i], pos[j])
@@ -155,6 +160,7 @@ def _lint_near_ties(a: Sequence[float]) -> None:
                     NearTieWarning,
                     stacklevel=3,
                 )
+    return a
 
 
 def _surrogate(model: TailModel, a: Sequence[float], c: Sequence[float], x: float) -> ApproxResult:
@@ -182,14 +188,9 @@ def approx_linear(
     negligible term the limit depends on the scaled, not the raw, tails).
     """
     models = list(models)
-    a = [float(v) for v in a]
-    if len(models) != len(a) or not models:
+    a = _coefficients(a)
+    if len(models) != len(a):
         raise ValueError("need one coefficient per model")
-    if any(v < 0 for v in a):
-        raise ValueError("coefficients must be nonnegative")
-    if not any(v > 0 for v in a):
-        raise ValueError("at least one coefficient must be positive")
-    _lint_near_ties(a)
     return _surrogate(models[0], a, _resolve_c(models, x, c, allow_zero=False), x)
 
 
@@ -207,9 +208,7 @@ def approx_sum_d(
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
-    for m in models:
-        if not m.nonnegative:
-            raise ValueError(f"plain-sum recipe requires nonnegative risks ({m.family} is signed)")
+    check_value("models", models, _NONNEGATIVE_RISK)
     return _surrogate(models[0], [1.0] * len(models), _resolve_c(models, x, c, allow_zero=True), x)
 
 
@@ -241,18 +240,13 @@ def approx_powers(
     auxiliary function, e.g. the exponential's constant, is outside this
     recipe's hypotheses).
     """
-    a = [float(v) for v in a]
+    a = _coefficients(a)
     beta = [float(b) for b in beta]
-    if len(a) != len(beta) or not a:
+    if len(a) != len(beta):
         raise ValueError("need one coefficient per power")
-    if any(v < 0 for v in a) or any(b < 0 for b in beta):
-        raise ValueError("coefficients and powers must be nonnegative")
-    if not base_marginal.nonnegative:
-        raise ValueError("the base marginal must be a nonnegative risk")
+    check_value("beta", beta, NONNEGATIVE)
+    check_value("base_marginal", base_marginal, _NONNEGATIVE_RISK)
     live = [(ai, bi) for ai, bi in zip(a, beta) if ai > 0]
-    if not live:
-        raise ValueError("at least one coefficient must be positive")
-    _lint_near_ties([ai for ai, _ in live])
     b_max = max(bi for _, bi in live)
     q_d = max(ai for ai, bi in live if bi == b_max)
     j_d = sum(1 for ai, bi in live if bi == b_max and ai == q_d)

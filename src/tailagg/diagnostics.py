@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AuxiliaryNotDiverging, UnsupportedKind
 from .joint import BIVARIATE_LOGNORMAL, MIXED_MIN, JointModel
-from .models import AuxiliaryFn, TailModel
+from .models import COUNT, FINITE, POSITIVE, AuxiliaryFn, Domain, TailModel, check_value
 from .rare_event import _count_rows
 
 A1_MDA = "A1_MDA"
@@ -81,6 +81,8 @@ class AssumptionReport:
 
 
 def default_grid(lo_log10: float = 1.0, hi_log10: float = 5.0, count: int = 9) -> np.ndarray:
+    check_value("lo_log10 and hi_log10", [lo_log10, hi_log10], FINITE)
+    check_value("count", count, COUNT)
     return np.logspace(lo_log10, hi_log10, count)
 
 
@@ -120,7 +122,7 @@ def classify_trend(values: Sequence[float]) -> Trend:
 
 def _as_grid(x_grid) -> np.ndarray:
     g = np.asarray(default_grid() if x_grid is None else x_grid, dtype=float)
-    if g.ndim != 1 or len(g) < 2 or np.any(np.diff(g) <= 0):
+    if g.ndim != 1 or len(g) < 2 or not np.all(np.diff(g) > 0):  # NaN fails too
         raise ValueError("x_grid must be strictly increasing with >= 2 points")
     return g
 
@@ -139,6 +141,7 @@ def _levels(aux: AuxiliaryFn, g: np.ndarray, L: float) -> np.ndarray:
 
 def check_mda_gumbel(model: TailModel, x_grid=None, t_grid=(-1.0, 0.0, 1.0, 2.0)) -> AssumptionReport:
     """Worst deviation of sf(x + t f(x))/sf(x) from exp(-t) over t_grid."""
+    check_value("t_grid", t_grid, FINITE)
     g = _as_grid(x_grid)
     fx = _levels(model.auxiliary(), g, 1.0)
     vals = np.zeros(len(g))
@@ -185,6 +188,7 @@ def _pair_report(assumption: str, model: JointModel, g, u, v, focal: int, method
     so a marginal that underflows does not turn zero hits into inf.
     """
     if method == "mc":
+        check_value("mc_n", mc_n, COUNT)
         hits = _sampled_hits(model, zip(u, v), focal, mc_n, seed)
         if assumption == A5_JOINT_AUX:
             log_margs = model.marginal_log_survival(focal, g).tolist()
@@ -192,8 +196,7 @@ def _pair_report(assumption: str, model: JointModel, g, u, v, focal: int, method
         else:
             vals = [c / m if m >= _MC_MIN_HITS else math.nan for c, m in hits]
         return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), MONTE_CARLO, mc_n, seed)
-    if method != "auto":
-        raise ValueError("method must be auto or mc")
+    check_value("method", method, Domain(lambda m: m in ("auto", "mc"), "auto or mc"))
     log_margs = model.marginal_log_survival(focal, g).tolist()
     log_joints = model.joint_log_survival(u, v).tolist()
     vals = [_safe_exp(lj - lm) if lj > -math.inf else 0.0 for lj, lm in zip(log_joints, log_margs)]
@@ -216,10 +219,8 @@ def check_conditional(
     rejection estimator, whose hit-starved grid points are left blank and make
     the trend inconclusive.
     """
-    if which not in ("A3", "A4"):
-        raise ValueError("which must be 'A3' or 'A4'")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    check_value("which", which, Domain(lambda w: w in ("A3", "A4"), "'A3' or 'A4'"))
+    check_value("t", t, POSITIVE)
     g = _as_grid(x_grid)
     s = _levels(_first_marginal(model).auxiliary(), g, t)
     if which == "A3":
@@ -244,8 +245,7 @@ def check_joint_aux(
     seed: int = 0,
 ) -> AssumptionReport:
     """P(Y > L f(x), X > L f(x)) / P(X > x) along the grid."""
-    if L <= 0:
-        raise ValueError("L must be positive")
+    check_value("L", L, POSITIVE)
     g = _as_grid(x_grid)
     s = _levels(_first_marginal(model).auxiliary(), g, L)
     return _pair_report(A5_JOINT_AUX, model, g, s, s, 0, method, mc_n, seed)
@@ -255,8 +255,7 @@ def check_subexp_criterion(model: TailModel, L: float, x_grid=None) -> Assumptio
     """sf(L f(x))^2 / sf(x) along the grid; vanishing is sufficient for the
     sum tail to double the marginal tail (and, on [0, inf), for
     subexponentiality)."""
-    if L <= 0:
-        raise ValueError("L must be positive")
+    check_value("L", L, POSITIVE)
     g = _as_grid(x_grid)
     aux = model.auxiliary()
     if not aux.diverges:

@@ -37,7 +37,15 @@ from scipy.special import log_ndtr, ndtri
 from . import kernels
 from .errors import UnsupportedKind
 from .models import (
+    _PARAMS,
+    COUNT,
+    LOGNORMAL,
+    LOG_WEIBULL,
+    MODEL,
+    Domain,
     TailModel,
+    check_fields,
+    check_value,
     config_fields,
     config_integer,
     config_tag,
@@ -55,13 +63,14 @@ COMONOTONE_INVERSE = "comonotone_inverse"
 MIN_CONSTRUCTION = "min_construction"
 MIXED_MIN = "mixed_min"
 
-# kind -> its config keys with their defaults, None marking a required key
+_CORRELATION = Domain(lambda v: -1.0 <= v < 1.0, "in [-1, 1)")
+# kind -> its config keys as (default, domain), None marking a required key
 _FIELDS = {
-    IID_PAIR: {"marginal": None, "dim": 2},
-    BIVARIATE_LOGNORMAL: {"mu": 0.0, "sigma": 1.0, "rho": None},
-    COMONOTONE_INVERSE: {"marginal": None},
-    MIN_CONSTRUCTION: {"alpha": None},
-    MIXED_MIN: {"base": None, "lighter": None},
+    IID_PAIR: {"marginal": (None, MODEL), "dim": (2, Domain(lambda v: COUNT.test(v) and v >= 2, "an integer >= 2"))},
+    BIVARIATE_LOGNORMAL: {k: _PARAMS[LOGNORMAL][k] for k in ("mu", "sigma")} | {"rho": (None, _CORRELATION)},
+    COMONOTONE_INVERSE: {"marginal": (None, MODEL)},
+    MIN_CONSTRUCTION: {"alpha": _PARAMS[LOG_WEIBULL]["alpha"]},
+    MIXED_MIN: {"base": (None, MODEL), "lighter": (None, MODEL)},
 }
 # uniforms each pair construction turns into one row
 _UNIFORMS_PER_ROW = {BIVARIATE_LOGNORMAL: 2, COMONOTONE_INVERSE: 1, MIN_CONSTRUCTION: 3, MIXED_MIN: 3}
@@ -130,21 +139,9 @@ class JointModel:
     def __post_init__(self):
         if self.kind not in _FIELDS:
             raise ValueError(f"unknown joint kind {self.kind!r}")
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
+        check_fields(_FIELDS[self.kind], **vars(self))
         if self.kind != IID_PAIR and self.dim != 2:
             raise ValueError(f"{self.kind} is a pair construction (dim = 2)")
-        if self.kind == BIVARIATE_LOGNORMAL:
-            if not -1.0 <= self.rho < 1.0:
-                raise ValueError("bivariate_lognormal requires rho in [-1, 1)")
-            if not self.sigma > 0:
-                raise ValueError("sigma must be positive")
-        if self.kind in (IID_PAIR, COMONOTONE_INVERSE) and self.marginal is None:
-            raise ValueError(f"{self.kind} requires a marginal model")
-        if self.kind == MIN_CONSTRUCTION and not self.alpha > 1:
-            raise ValueError("min_construction requires alpha > 1")
-        if self.kind == MIXED_MIN and (self.base is None or self.lighter is None):
-            raise ValueError("mixed_min requires base and lighter models")
 
     # -- marginals ------------------------------------------------------------
 
@@ -172,8 +169,7 @@ class JointModel:
 
     def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
         """n iid rows from the joint law: the rows of chunk `stream` of key (seed,), drawn whole."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        check_value("n", n, COUNT)
         return self.rows(_uniforms(_stream(*_seed_key((seed, stream))), np.empty((n, self.uniform_dim))))
 
     def rows(self, u: np.ndarray) -> np.ndarray:
@@ -303,15 +299,18 @@ def bivariate_normal_orthant_log(t1, t2, rho: float):
     arrays an array of the broadcast shape, each element bit-identical to its
     own scalar call.  Each one integrates phi(z) Phibar((t2 - rho z)/sqrt(1 - rho^2))
     over z > t1, all in one call of `kernels.gauss_legendre`, the rule of the
-    exact d = 2 pair.  A scan of the log integrand over [t1, t1 + 45]
+    exact d = 2 pair.  A scan of the log integrand over 45 units from t1
     (`_ORTHANT_SCAN`) finds its peak and the range within 80 nats of it; the
     rule integrates the integrand shifted by the peak, so results stay
-    meaningful far below the double-precision underflow threshold.  |rho|
-    must be at most `kernels._RHO_MAX` = 0.9999; a NaN threshold gives NaN,
-    and an orthant whose integrand is 0 on the whole scan (t1 or t2 = inf)
-    gives -inf.
+    meaningful far below the double-precision underflow threshold.  The log
+    integrand is concave with curvature >= 1: a scan whose top end is within
+    80 nats of its peak may miss mass, and is redone from 22.5 below the mode
+    of Z1 given Z2 > t2 (within 0.53 of rho max(t2, 0)), clipped to t1.
+    t1 = -inf is the one-margin orthant P(Z2 > t2).  |rho| must be at most
+    `kernels._RHO_MAX` = 0.9999; a NaN threshold gives NaN, and an orthant
+    whose integrand is 0 on the whole scan (t1 or t2 = inf) gives -inf.
     """
-    kernels.check_rho(rho)
+    check_value("rho", rho, kernels.QUAD_RHO)
     s = math.sqrt((1.0 - rho) * (1.0 + rho))  # exact to rounding as |rho| -> 1, unlike 1 - rho^2
     t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
     shape = t1.shape
@@ -320,11 +319,17 @@ def bivariate_normal_orthant_log(t1, t2, rho: float):
         return log_ndtr(-(t2 - rho * z) / s) - 0.5 * z * z - _LOG_SQRT_2PI
 
     # one row per orthant: its scan, and its peak
-    t2 = t2.reshape(-1, 1)
-    scan = t1.reshape(-1, 1) + _ORTHANT_SCAN
+    t1, t2 = t1.reshape(-1, 1), t2.reshape(-1, 1)
+    scan = t1 + _ORTHANT_SCAN
     logs = log_f(scan, t2)
+    far = np.isfinite(t1[:, 0]) & (t2[:, 0] < math.inf) & (logs[:, -1] >= logs.max(axis=1) - kernels._RANGE_NATS)
+    if far.any():
+        scan[far] = np.maximum(t1[far], rho * np.maximum(t2[far], 0.0) - 22.5) + _ORTHANT_SCAN
+        logs[far] = log_f(scan[far], t2[far])
     out = logs.max(axis=1)
     live = np.isfinite(out)  # a NaN or -inf peak is the orthant's value
+    one = t1[:, 0] == -math.inf
+    out[one] = norm_log_sf(t2[one, 0])
     if live.any():
         shift = out[live][:, None]
         keep = logs[live] >= shift - kernels._RANGE_NATS
@@ -352,7 +357,7 @@ def joint_from_config(cfg: dict) -> JointModel:
 
 def joint_to_config(m: JointModel) -> dict:
     """The config of m; dim is written only when it is not 2."""
-    fields = [(k, getattr(m, k)) for k, d in _FIELDS[m.kind].items() if k != "dim" or m.dim != d]
+    fields = [(k, getattr(m, k)) for k, (d, _) in _FIELDS[m.kind].items() if k != "dim" or m.dim != d]
     return {"kind": m.kind, **{k: model_to_config(v) if isinstance(v, TailModel) else v for k, v in fields}}
 
 

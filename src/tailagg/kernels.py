@@ -61,6 +61,8 @@ import numpy as np
 from numpy.polynomial import legendre
 from scipy.special import erfc
 
+from .models import Domain
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # rows per block of a chunk: 16384 doubles (128 kB) per array of the block
@@ -97,12 +99,7 @@ def _score(m, x: float, s, nu: float, sig: float, mean, sd: float, out: np.ndarr
 _GL_NODES, _GL_WEIGHTS = legendre.leggauss(24)
 _RHO_MAX = 0.9999
 _RANGE_NATS = 80.0
-
-
-def check_rho(rho: float) -> None:
-    """Raise ValueError unless |rho| <= _RHO_MAX, the largest the quadrature resolves."""
-    if not abs(rho) <= _RHO_MAX:
-        raise ValueError(f"the quadrature resolves |rho| <= {_RHO_MAX}, got rho = {rho!r}")
+QUAD_RHO = Domain(lambda v: abs(v) <= _RHO_MAX, f"within the quadrature's limit (it resolves |rho| <= {_RHO_MAX})")
 
 
 def step_pieces(s: float) -> int:

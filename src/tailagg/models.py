@@ -16,7 +16,9 @@ to a closed form (see `canonical`).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -32,17 +34,45 @@ WEIBULL_TYPE = "weibull_type"
 EXPONENTIAL = "exponential"
 STD_NORMAL = "std_normal"
 
-_MODIFIERS = {"scale": 1.0, "power": 1.0}
+# the values a parameter may take: test(v) says whether v is one, text names them in an error
+Domain = namedtuple("Domain", "test text")
 
-# family -> its config keys with their defaults, None marking a required key;
+# the shared parameter domains; a NaN fails every comparison, so no domain holds it
+FINITE = Domain(math.isfinite, "finite")
+POSITIVE = Domain(lambda v: 0.0 < v < math.inf, "positive and finite")
+NONNEGATIVE = Domain(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+ABOVE_ONE = Domain(lambda v: 1.0 < v < math.inf, "in (1, inf)")
+UNIT = Domain(lambda v: 0.0 < v < 1.0, "in (0, 1)")
+COUNT = Domain(lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1, "an integer >= 1")
+MODEL = Domain(lambda v: isinstance(v, TailModel), "a TailModel")
+
+
+def check_value(name: str, value, domain: Domain, error=ValueError) -> None:
+    """Raise `error` naming `name` unless value, or each entry of a list, tuple or array value, lies in domain."""
+    # on the few values of a call Python beats numpy's ufunc set-up
+    for v in np.ravel(value).tolist() if isinstance(value, (list, tuple, np.ndarray)) else (value,):
+        if not domain.test(v):
+            raise error(f"{name} must be {domain.text}, got {v!r}")
+
+
+def check_fields(fields: dict, **values) -> None:
+    """check_value each keyword value whose key `fields` declares, against its declared domain."""
+    for key, value in values.items():
+        if key in fields:
+            check_value(key, value, fields[key][1])
+
+
+_MODIFIERS = {"scale": (1.0, POSITIVE), "power": (1.0, POSITIVE)}
+
+# family -> its config keys as (default, domain), None marking a required key;
 # std_normal takes no power, since a power of a signed variable is undefined
 _PARAMS = {
-    LOGNORMAL: {"mu": 0.0, "sigma": 1.0, **_MODIFIERS},
-    LOG_WEIBULL: {"alpha": None, **_MODIFIERS},
-    LOG_WEIBULL_MIN: {"alpha": None, **_MODIFIERS},
-    WEIBULL_TYPE: {"alpha": None, **_MODIFIERS},
-    EXPONENTIAL: {"rate": 1.0, **_MODIFIERS},
-    STD_NORMAL: {"scale": 1.0},
+    LOGNORMAL: {"mu": (0.0, FINITE), "sigma": (1.0, POSITIVE), **_MODIFIERS},
+    LOG_WEIBULL: {"alpha": (None, ABOVE_ONE), **_MODIFIERS},
+    LOG_WEIBULL_MIN: {"alpha": (None, ABOVE_ONE), **_MODIFIERS},
+    WEIBULL_TYPE: {"alpha": (None, UNIT), **_MODIFIERS},
+    EXPONENTIAL: {"rate": (1.0, POSITIVE), **_MODIFIERS},
+    STD_NORMAL: {"scale": _MODIFIERS["scale"]},
 }
 
 # family -> largest value of the base variable X with survival 1
@@ -79,13 +109,13 @@ class AuxiliaryFn:
 class TailModel:
     """A univariate distribution `scale * X ** power` with X from `family`.
 
-    Parameter roles by family:
-      lognormal        mu, sigma        survival  Phibar((log x - mu)/sigma)
-      log_weibull      alpha > 1        survival  exp(-(log x)^alpha), x > 1
-      log_weibull_min  alpha > 1        survival  exp(-2 (log x)^alpha), x > 1
-      weibull_type     alpha in (0,1)   survival  exp(-x^alpha), x > 0
-      exponential      rate > 0         survival  exp(-rate x), x > 0
-      std_normal       (none)           survival  Phibar(x)
+    Parameter roles by family (`_PARAMS` declares each one's domain):
+      lognormal        mu, sigma   survival  Phibar((log x - mu)/sigma)
+      log_weibull      alpha       survival  exp(-(log x)^alpha), x > 1
+      log_weibull_min  alpha       survival  exp(-2 (log x)^alpha), x > 1
+      weibull_type     alpha       survival  exp(-x^alpha), x > 0
+      exponential      rate        survival  exp(-rate x), x > 0
+      std_normal       (none)      survival  Phibar(x)
     """
 
     family: str
@@ -99,16 +129,7 @@ class TailModel:
     def __post_init__(self):
         if self.family not in _PARAMS:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family == LOGNORMAL and not self.sigma > 0:
-            raise ValueError("lognormal requires sigma > 0")
-        if self.family in (LOG_WEIBULL, LOG_WEIBULL_MIN) and not self.alpha > 1:
-            raise ValueError("log-Weibull families require alpha > 1")
-        if self.family == WEIBULL_TYPE and not 0 < self.alpha < 1:
-            raise ValueError("weibull_type requires alpha in (0, 1)")
-        if self.family == EXPONENTIAL and not self.rate > 0:
-            raise ValueError("exponential requires rate > 0")
-        if not (self.scale > 0 and self.power > 0):
-            raise ValueError("scale and power modifiers must be positive")
+        check_fields(_PARAMS[self.family], **vars(self))
         if self.family == STD_NORMAL and self.power != 1.0:
             raise ValueError("power transform of a signed variable is undefined")
 
@@ -305,8 +326,9 @@ def self_neglect_profile(aux: AuxiliaryFn, x_grid, t: float):
     Converges to 1 for a self-neglecting auxiliary function; diagnostics use
     this to show the convergence rather than assert the limit.
     """
+    check_value("t", t, FINITE)
     x = np.asarray(x_grid, dtype=float)
-    if x.ndim != 1 or len(x) < 2 or np.any(np.diff(x) <= 0):
+    if x.ndim != 1 or len(x) < 2 or not np.all(np.diff(x) > 0):  # NaN fails too
         raise ValueError("x_grid must be strictly increasing")
     fx = aux(x)
     return aux(x + t * fx) / fx
@@ -373,8 +395,9 @@ def config_tag(cfg, tag: str, names, aliases=None) -> str:
 def config_fields(cfg: dict, tag: str, fields: dict, readers=None) -> dict:
     """Keyword arguments read from every key of cfg but `tag`.
 
-    `fields` maps each key the config may hold to its default, None marking
-    a required key; a value is read by readers[key], by default as a number.
+    `fields` maps each key the config may hold to its (default, domain),
+    a default of None marking a required key; a value is read by
+    readers[key], by default as a number.
     A key outside `fields`, a missing required key or a value its reader
     refuses raises ValueError naming the key.
     """
@@ -382,7 +405,7 @@ def config_fields(cfg: dict, tag: str, fields: dict, readers=None) -> dict:
     if unknown:
         raise ValueError(f"unknown config keys for {cfg[tag]!r}: {unknown}")
     kw = {}
-    for key, default in fields.items():
+    for key, (default, _) in fields.items():
         if key in cfg:
             try:
                 kw[key] = (readers or {}).get(key, config_number)(cfg[key])
@@ -412,4 +435,4 @@ def model_from_config(cfg: dict) -> TailModel:
 def model_to_config(m: TailModel) -> dict:
     """The config of m; the modifiers are written only where they transform."""
     params = _PARAMS[m.family].items()
-    return {"family": m.family, **{k: getattr(m, k) for k, d in params if k not in _MODIFIERS or getattr(m, k) != d}}
+    return {"family": m.family, **{k: getattr(m, k) for k, (d, _) in params if k not in _MODIFIERS or getattr(m, k) != d}}

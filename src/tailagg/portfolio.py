@@ -28,9 +28,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .asymptotics import _surrogate
+from .asymptotics import _resolve_c, _surrogate
 from .errors import InfeasibleConstraint, UnsupportedConstraint
 from .joint import BIVARIATE_LOGNORMAL, JointModel
+from .models import FINITE, POSITIVE, check_value
 from .rare_event import EstimateResult, cond_mc_lognormal, exact_lognormal_pair, exact_lognormal_single
 
 
@@ -42,8 +43,8 @@ class LinearConstraint:
     L: float
 
     def __post_init__(self):
-        if not all(v > 0 for v in self.l):
-            raise UnsupportedConstraint("linear constraints require positive coefficients")
+        check_value("l", self.l, POSITIVE, UnsupportedConstraint)
+        check_value("L", self.L, FINITE)
 
     def satisfied(self, a: Sequence[float], tol: float = 1e-9) -> bool:
         return float(np.dot(self.l, a)) >= self.L - tol
@@ -56,6 +57,9 @@ class GridConstraint:
     candidates: tuple
     h: Callable[[Sequence[float]], float]
     L: float
+
+    def __post_init__(self):
+        check_value("L", self.L, FINITE)
 
     def satisfied(self, a: Sequence[float], tol: float = 1e-9) -> bool:
         return float(self.h(a)) >= self.L - tol
@@ -71,10 +75,8 @@ class PortfolioProblem:
     def __post_init__(self):
         if len(self.models) != len(self.c):
             raise ValueError("need one tail-ratio constant per model")
-        if self.c[0] != 1.0:
-            raise ValueError("the first tail-ratio constant is 1 by definition")
-        if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
+        _resolve_c(self.models, self.threshold, self.c, allow_zero=True)  # c[0] = 1, each finite and >= 0
+        check_value("threshold", self.threshold, POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -170,8 +172,7 @@ def grid_verify(
         raise UnsupportedConstraint("grid_verify audits the 2-asset linear-constraint study")
     if joint.kind != BIVARIATE_LOGNORMAL:
         raise UnsupportedConstraint("the audit estimator is the bivariate-lognormal conditional MC")
-    if not 0 < grid_step < math.inf:
-        raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
+    check_value("grid_step", grid_step, POSITIVE)
     l1, l2 = (float(v) for v in p.constraint.l)
     L = p.constraint.L
     x = p.threshold

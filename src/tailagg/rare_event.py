@@ -55,13 +55,22 @@ from scipy.special import ndtri  # noqa: F401
 
 from . import kernels
 from .joint import JointModel, _seed_key, _stream, _uniforms
-from .models import norm_sf
+from .models import _PARAMS, COUNT, FINITE, LOGNORMAL, NONNEGATIVE, POSITIVE, check_fields, check_value, norm_sf
 
 CHUNK = 1 << 19
 
 EXACT = "exact"
 PLAIN_MC = "plain_mc"
 COND_MC = "cond_mc"
+
+# the parameters the routes below check, as (default, domain); mu and sigma are the lognormal family's
+_ARGS = {
+    **{k: _PARAMS[LOGNORMAL][k] for k in ("mu", "sigma")},
+    **dict.fromkeys(("a", "a1", "a2"), (None, NONNEGATIVE)),
+    "nu": (None, FINITE),
+    "sig": (None, POSITIVE),
+    **dict.fromkeys(("n", "workers"), (None, COUNT)),
+}
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,7 @@ def exact_comonotone_lognormal(mu: float, x: float) -> EstimateResult:
     around mu the probability collapses to 2 Phibar(log(root_plus) - mu).
     Below x = 2 exp(mu) the sum exceeds x with probability one.
     """
+    check_fields(_ARGS, mu=mu)
     lo = 2.0 * math.exp(mu)
     if x <= lo:
         return EstimateResult(1.0, 0, 0.0, 0.0, EXACT)
@@ -117,6 +127,7 @@ def exact_comonotone_lognormal(mu: float, x: float) -> EstimateResult:
 
 def exact_lognormal_single(mu: float, sigma: float, a: float, x: float) -> float:
     """P(a X > x) for X lognormal(mu, sigma); the degenerate one-asset case."""
+    check_fields(_ARGS, mu=mu, sigma=sigma, a=a)
     if a <= 0:  # the sum is 0
         return 0.0 if x >= 0 else 1.0 if x < 0 else math.nan
     if x <= 0:
@@ -210,15 +221,6 @@ def _pair_quadrature(mu: float, sigma: float, rho: float, a1, a2, x) -> np.ndarr
     return per_row[: len(a1)] + per_row[len(a1) :]
 
 
-def _check_lognormal(mu: float, sigma: float, *coefficients: np.ndarray) -> None:
-    """Raise ValueError unless mu is finite, 0 < sigma < inf and every coefficient is finite and >= 0."""
-    if not (math.isfinite(mu) and 0.0 < sigma < math.inf):
-        raise ValueError("need a finite mu and a positive finite sigma")
-    # a NaN fails both comparisons; on the few coefficients of a call Python beats numpy's ufunc set-up
-    if not all(0.0 <= v < math.inf for a in coefficients for v in a.ravel().tolist()):
-        raise ValueError("coefficients must be finite and nonnegative")
-
-
 def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.ndarray:
     """P(a1 X1 + a2 X2 > x) exactly, (log X1, log X2) bivariate normal (mu, sigma, rho).
 
@@ -237,8 +239,8 @@ def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.n
     `exact_lognormal_single` of a1 + a2.
     """
     a1, a2, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a1, a2, x)))
-    _check_lognormal(mu, sigma, a1, a2)
-    kernels.check_rho(rho)
+    check_fields(_ARGS, mu=mu, sigma=sigma, a1=a1, a2=a2)
+    check_value("rho", rho, kernels.QUAD_RHO)
     if np.any(np.isnan(x)):
         raise ValueError("x must not be NaN")
     shape = x.shape
@@ -254,13 +256,8 @@ def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.n
 
 
 def _chunk_ranges(n: int):
-    k = 0
-    done = 0
-    while done < n:
-        size = min(CHUNK, n - done)
-        yield k, size
-        done += size
-        k += 1
+    for k, lo in enumerate(range(0, n, CHUNK)):
+        yield k, min(CHUNK, n - lo)
 
 
 def plain_mc(
@@ -278,11 +275,10 @@ def plain_mc(
     counted by `_count_rows`.  std_error is the binomial sqrt(p(1-p)/n).  A
     NaN threshold gives a NaN estimate, as in conditional MC, and draws nothing.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     a = np.asarray(a, dtype=float)
     if len(a) != model.dim:
         raise ValueError(f"need {model.dim} coefficients, got {len(a)}")
+    check_fields(_ARGS, a=a, n=n, workers=workers)
     key = _seed_key(seed)
     hits = math.nan if math.isnan(x) else float(_count_rows(model, lambda rows: rows @ a > x, n, key, workers))
     p = hits / n
@@ -341,13 +337,10 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
     d = len(nu)
     if d < 2 or len(sig) != d:
         raise ValueError("need at least two terms with matching volatilities")
-    if np.any(sig <= 0):
-        raise ValueError("volatilities must be positive")
+    check_fields(_ARGS, nu=nu, sig=sig, n=n, workers=workers)
     rho_min = -1.0 / (d - 1)
     if not rho_min < rho < 1.0:
         raise ValueError(f"rho must lie in ({rho_min:.4g}, 1) for {d} terms")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     key = _seed_key(seed)
     xs = [float(x) for x in xs]
     positive = [x for x in xs if not x <= 0.0]  # NaN included: only x <= 0 is certain
@@ -392,10 +385,10 @@ def cond_mc_terms(
     return _cond_mc_curve(nu, sig, rho, [x], n, seed, workers)[0]
 
 
-def _lognormal_terms(mu: float, sigma: float, rho: float, a: Sequence[float]):
+def _lognormal_terms(mu: float, sigma: float, rho: float, a: Sequence[float], n: int, workers: int):
     """Validate; return the positive coefficients and the (nu, sig) of their terms."""
     a = np.asarray(a, dtype=float)
-    _check_lognormal(mu, sigma, a)
+    check_fields(_ARGS, mu=mu, sigma=sigma, a=a, n=n, workers=workers)
     if len(a) < 2:
         raise ValueError("need at least two coefficients")
     if not -1.0 < rho < 1.0:
@@ -428,7 +421,7 @@ def cond_mc_lognormal(
     are dropped up front (they cannot move the sum); if only one positive term
     remains the probability is computed exactly.
     """
-    a_pos, nu, sig = _lognormal_terms(mu, sigma, rho, a)
+    a_pos, nu, sig = _lognormal_terms(mu, sigma, rho, a, n, workers)
     if len(a_pos) < 2:
         return _exact_below_two_terms(mu, sigma, a_pos, x, seed)
     return cond_mc_terms(nu, sig, rho, x, n, seed, workers=workers)
@@ -450,7 +443,7 @@ def cond_mc_lognormal_curve(
     for bit, but the chunks are sampled once for all thresholds, so the
     entries' errors are correlated.
     """
-    a_pos, nu, sig = _lognormal_terms(mu, sigma, rho, a)
+    a_pos, nu, sig = _lognormal_terms(mu, sigma, rho, a, n, workers)
     if len(a_pos) < 2:
         return [_exact_below_two_terms(mu, sigma, a_pos, x, seed) for x in xs]
     return _cond_mc_curve(nu, sig, rho, xs, n, seed, workers)
@@ -462,7 +455,6 @@ def ratio_vs_asymptotic(est: EstimateResult, approx) -> RatioVsAsymptotic:
     The denominator is deterministic, so the CI scales straight through.
     """
     value = float(approx.value) if hasattr(approx, "value") else float(approx)
-    if not value > 0:
-        raise ValueError("approximation value must be positive")
+    check_value("approx", value, POSITIVE)
     return RatioVsAsymptotic(est.estimate / value, est.half_width95 / value)
 

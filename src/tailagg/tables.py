@@ -24,7 +24,7 @@ from typing import Optional
 
 from .asymptotics import approx_sum_pair
 from .joint import _seed_key, bivariate_lognormal
-from .models import lognormal
+from .models import Domain, check_value, lognormal
 from .portfolio import LinearConstraint, PortfolioProblem, grid_verify
 from .rare_event import (  # noqa: F401  cond_mc_lognormal stays reachable as tables.cond_mc_lognormal
     cond_mc_lognormal,
@@ -282,10 +282,8 @@ def reproduce_tables(
     report.json).
     """
     which = sorted(set(int(w) for w in which))
-    if not all(1 <= w <= 7 for w in which):
-        raise ValueError("table ids must be within 1..7")
-    if not 0.0 < budget_scale <= 1.0:
-        raise ValueError("budget_scale must be in (0, 1]")
+    check_value("a table id", which, Domain(lambda w: 1 <= w <= 7, "within 1..7"))
+    check_value("budget_scale", budget_scale, Domain(lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
     if seed is not None:
         _seed_key(seed)  # a malformed seed is rejected before any table is written
     elif any(w > 1 for w in which):

@@ -260,7 +260,9 @@ def _orthant_log_50_digits(t1, t2, rho):
 
         near_t1 = {t1 + d for d in (0, 1e-5, 1e-3, 0.1, 1, 10)}
         step = {t2 / rho + k * s for k in (0, 1, 4, 16, 64, -1, -4, -16, -64)}
-        points = sorted(z for z in near_t1 | step if z >= t1)
+        # and around rho max(t2, 0), where the mass of Z1 given Z2 > t2 lies when it is far above t1
+        mass = {rho * max(t2, 0) + k for k in (-8, -2, 0, 2, 8)}
+        points = sorted(z for z in near_t1 | step | mass if z >= t1)
         scale = max(f(z) for z in points)
         return float(mpmath.log(mpmath.quad(lambda z: f(z) / scale, points + [mpmath.inf]) * scale))
 
@@ -286,6 +288,15 @@ _LOG_1E4, _LOG_1E3_5 = math.log(1e4), 3.5 * math.log(10.0)
         (-1.0, 8.0, 0.9, None),
         (5.0, 3.0, 0.999, None),
         (1.0, 1.0, 0.9999, None),
+        # mass more than 32 above t1, beyond the scan [t1, t1 + 45] that once held every
+        # range: -7.077, -inf, -1809.44 and 1.3e-6 off before the scan moved to the mode
+        (-47.0, 1.0, 0.3, "-1.8410216450"),
+        (-math.inf, 1.0, 0.3, None),
+        (-100.0, 60.0, -0.9, "-1805.0135606806"),
+        (-40.0, 1.0, 0.3, None),
+        (-60.0, 20.0, 0.9999, None),
+        (-math.inf, 20.0, -0.9999, None),
+        (-40.0, 3.0, 0.9999, None),
     ],
 )
 def test_orthant_equals_a_50_digit_reference(t1, t2, rho, known):
@@ -293,6 +304,29 @@ def test_orthant_equals_a_50_digit_reference(t1, t2, rho, known):
     if known is not None:
         assert abs(want - float(known)) <= 0.5 * 10.0 ** -len(known.split(".")[1]), want
     assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+@pytest.mark.parametrize(
+    "t1, t2, rho, bits",
+    [
+        (5.0, 3.0, -0.9, "-0x1.51d779f24cf83p+7"),
+        (1.0, 1.0, -0.9999, "-0x1.3900002d30699p+13"),
+        (-1.0, 8.0, 0.9, "-0x1.181b84f11312bp+5"),
+        (-30.0, 1.0, 0.3, "-0x1.d74d31cc8afc0p+0"),
+        (-12.0, -3.0, 0.5, "-0x1.621b527c9fe00p-10"),
+        (2.0, 2.0, 0.9999, "-0x1.e5f914f69b68cp+1"),
+    ],
+)
+def test_orthant_whose_range_fits_the_first_scan_keeps_its_bits(t1, t2, rho, bits):
+    # the values of the scan over [t1, t1 + 45] alone, which still holds every range here
+    assert bivariate_normal_orthant_log(t1, t2, rho) == float.fromhex(bits)
+
+
+def test_asy_indep_far_below_the_location_is_one():
+    # t = (log x - 10) / 0.2 = -50 and -38.5: the orthant's mass lay beyond its scan, and
+    # the check reported 2.87e-7 and 1 - 3.7e-11
+    rep = check_asy_indep(bivariate_lognormal(10.0, 0.2, 0.3), [1.0, 10.0])
+    assert rep.values == pytest.approx([1.0, 1.0], rel=1e-14, abs=0.0)
 
 
 def test_asy_indep_value_at_strong_negative_correlation_equals_a_50_digit_reference():
