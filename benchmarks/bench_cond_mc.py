@@ -13,8 +13,8 @@ The figures of its record:
                        w1
   peak_mb_per_chunk    tracemalloc peak of one one-chunk, one-worker
                        `cond_mc_lognormal_curve` call, MB, keyed d<d>_m<m>
-                       for m = 1, 7, 19: the chunk's replication values grow
-                       with the number of thresholds m
+                       for m = 1, 7, 19: the block scratch of replication
+                       values grows with the number of thresholds m
   stages_ns_per_row    the stages of one chunk as the estimator runs them,
                        one row block of `kernels._BLOCK` rows at a time:
                          normals    Philox standard normals by numpy's
@@ -30,9 +30,11 @@ The figures of its record:
                                     threshold scored, including the
                                     threshold-independent work (mix, terms,
                                     conditional means) shared by all m
-                         reduction  sum, then sum of the squares taken in
-                                    place, of one chunk-long row of
-                                    replication values, per threshold
+                         reduction  per block, the sum and the sum of the
+                                    squares of one row of replication
+                                    values, added up the chunk's
+                                    pairwise-sum tree (`kernels._tree_sum`),
+                                    per threshold
 Beside each best-of figure, pipeline_ns_per_row and stages_ns_per_row, the
 record holds the median (`..._median`) and the interquartile range Q3 - Q1
 (`..._iqr`) of its --repeats timings, in the same unit: the same stage code
@@ -109,10 +111,16 @@ def _per_block(fn):
 def stages(repeats: int) -> tuple:
     per_row = 1e9 / CHUNK
     out = {}
-    v0 = np.random.default_rng(1).random(CHUNK)
-    v = np.empty_like(v0)
+    # one threshold's values of one block, reused by every block as the estimator reuses its scratch
+    v = np.random.default_rng(1).random((1, kernels._BLOCK))
+    sq = np.empty_like(v)
+
+    def moments(lo, hi):
+        vb = v[:, : hi - lo]
+        return np.stack([vb.sum(axis=1), np.square(vb, out=sq[:, : hi - lo]).sum(axis=1)], axis=1)
+
     out["reduction"] = timings(
-        lambda _: (v.sum(), np.square(v, out=v).sum()), repeats, lambda: np.copyto(v, v0)
+        lambda _: kernels._tree_sum(CHUNK, (moments(lo, hi) for lo, hi in kernels._blocks(CHUNK))), repeats
     ), per_row
     for d in (2, 3):
         u = np.empty((kernels._BLOCK, d))
@@ -134,9 +142,9 @@ def stages(repeats: int) -> tuple:
         ), per_row
         z = _stream(12345, 0).standard_normal((CHUNK, d))
         for m in (1, 7):
-            buf = np.empty((m, CHUNK))
+            buf = np.empty((m, kernels._BLOCK))
             nu, sig = np.zeros(d), np.ones(d)
-            kern = _per_block(lambda lo, hi: kernels.equicorr_chunk(z[lo:hi], nu, sig, RHO, XS[m], buf[:, lo:hi]))
+            kern = _per_block(lambda lo, hi: kernels.equicorr_chunk(z[lo:hi], nu, sig, RHO, XS[m], buf[:, : hi - lo]))
             out[f"d{d}_m{m}_kernel"] = timings(kern, repeats), per_row / m
     return _figures(out)
 

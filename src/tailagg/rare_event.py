@@ -15,15 +15,21 @@ Replications are partitioned into fixed-size chunks.  Chunk k of the key
 `SeedSequence(seed, spawn_key=(*words, k))`, so distinct (key, chunk) pairs
 never share a stream; merging is an ordered reduction of per-chunk (sum,
 sum-of-squares) pairs, so results are bit-identical no matter how many
-workers ran the chunks.  Each chunk row is reduced by two numpy pairwise
-sums, of the values and then of their squares, and never by BLAS, whose
-threaded dot product would make the last bits depend on the BLAS build and
-its thread count (and its spinning helper thread would take a core from the
-worker pool).
+workers ran the chunks.  A chunk's replication values are reduced to the
+numpy pairwise sums of the values and of their squares over the whole chunk,
+and never by BLAS, whose threaded dot product would make the last bits
+depend on the BLAS build and its thread count (and its spinning helper
+thread would take a core from the worker pool).
 
-Each chunk runs as one loop over row blocks of `kernels._BLOCK` rows, end to
-end (`_block_draws`): each block is drawn from the chunk's one Philox
-generator into scratch reused by every block, then scored or counted.
+Each chunk runs as one loop over row blocks of at most `kernels._BLOCK`
+rows, end to end (`_chunk_sum`): each block is drawn from the chunk's one
+Philox generator into scratch reused by every block, then scored or counted
+and reduced at once.  The blocks are the largest nodes of at most _BLOCK
+rows in numpy's pairwise-sum tree over the chunk's rows (`kernels._blocks`),
+and the block results are added back up that tree (`kernels._tree_sum`), so
+a block's values are dead once it is reduced and the sums equal those of the
+whole chunk-long vectors, bit for bit.
+
 Conditional MC draws standard normals directly, by numpy's ziggurat
 (`Generator.standard_normal`), and scores them; plain MC draws uniforms
 (`_uniforms`) and turns them into rows of the joint law by inverse CDF
@@ -235,20 +241,19 @@ def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.n
     bivariate normal orthant uses too, integrates it in pieces either side of
     the kink.  |rho| must be at most `kernels._RHO_MAX` = 0.9999: the
     pieces narrow with sqrt(1 - rho^2), so their number and cost grow as rho
-    nears +-1.  A cell with a zero coefficient or x <= 0 is
-    `exact_lognormal_single` of a1 + a2.
+    nears +-1.  A cell with a zero coefficient, x <= 0 or a NaN x is
+    `exact_lognormal_single` of a1 + a2, so a NaN threshold gives NaN in its
+    own cell.
     """
     a1, a2, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a1, a2, x)))
     check_fields(_ARGS, mu=mu, sigma=sigma, a1=a1, a2=a2)
     check_value("rho", rho, kernels.QUAD_RHO)
-    if np.any(np.isnan(x)):
-        raise ValueError("x must not be NaN")
     shape = x.shape
     a1, a2, x = a1.ravel(), a2.ravel(), x.ravel()
     out = np.empty(x.shape)
     pair = (a1 > 0.0) & (a2 > 0.0) & (x > 0.0)
     for i in np.flatnonzero(~pair):
-        # at most one positive coefficient (a1 + a2), or x <= 0 makes the event certain
+        # at most one positive coefficient (a1 + a2), x <= 0 makes the event certain, or x is NaN
         out[i] = exact_lognormal_single(mu, sigma, float(a1[i] + a2[i]), float(x[i]))
     if pair.any():
         out[pair] = _pair_quadrature(mu, sigma, rho, a1[pair], a2[pair], x[pair])
@@ -291,10 +296,12 @@ def _count_rows(model: JointModel, test, n: int, seed, workers: int = 1):
     """Sum of count_nonzero(test(rows), axis=-1) over n rows of model, drawn and tested block by block."""
     key = _seed_key(seed)
 
+    def count(u):
+        return np.count_nonzero(test(model.rows(u)), axis=-1)
+
     def run(item):
         k, size = item
-        blocks = _block_draws(key, k, size, model.uniform_dim, _uniforms)
-        return sum(np.count_nonzero(test(model.rows(u)), axis=-1) for _, _, u in blocks)
+        return _chunk_sum(key, k, size, model.uniform_dim, _uniforms, count)
 
     return sum(_map_chunks(run, n, workers))
 
@@ -313,6 +320,11 @@ def _block_draws(key: tuple, k: int, size: int, width: int, fill):
         yield lo, hi, fill(gen, out=scratch[: hi - lo])
 
 
+def _chunk_sum(key: tuple, k: int, size: int, width: int, fill, reduce):
+    """reduce(u) of each block's draws u (`_block_draws`), added back up numpy's pairwise-sum tree (`kernels._tree_sum`)."""
+    return kernels._tree_sum(size, (reduce(u) for _, _, u in _block_draws(key, k, size, width, fill)))
+
+
 def _map_chunks(fn, n: int, workers: int) -> list:
     items = list(_chunk_ranges(n))
     if workers <= 1 or len(items) == 1:  # a pool cannot split one chunk
@@ -327,10 +339,11 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
     One pass over the chunks samples each chunk once and scores it at every
     positive threshold.  Each block's normals are drawn into the chunk's
     scratch, and the kernel reads their columns in place and writes the
-    block's columns of v, the chunk's replication values with one row per
-    threshold.  Each row of v is reduced once the chunk is done, and the
-    chunk moments are reduced in chunk order.  An x <= 0 is certain and draws
-    nothing.
+    block's replication values into v, one row per threshold and one column
+    per row of the block.  Each row of v is reduced to its (sum, sum of
+    squares) at once, so v is reused by the next block; the block moments are
+    added up the chunk's pairwise-sum tree, and the chunk moments in chunk
+    order.  An x <= 0 is certain and draws nothing.
     """
     nu = np.asarray(nu, dtype=float)
     sig = np.asarray(sig, dtype=float)
@@ -348,11 +361,15 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
     if positive:
         def run(item):
             k, size = item
-            v = np.empty((len(positive), size))
-            for lo, hi, z in _block_draws(key, k, size, d, np.random.Generator.standard_normal):
-                kernels.equicorr_chunk(z, nu, sig, rho, positive, v[:, lo:hi])
-            # the row is dead once summed, so it is squared in place
-            return [(float(vj.sum()), float(np.square(vj, out=vj).sum())) for vj in v]
+            v = np.empty((len(positive), min(size, kernels._BLOCK)))
+
+            def moments(z):
+                vz = kernels.equicorr_chunk(z, nu, sig, rho, positive, v[:, : len(z)])
+                # the values are dead once summed, so they are squared in place
+                return np.stack([vz.sum(axis=1), np.square(vz, out=vz).sum(axis=1)], axis=1)
+
+            parts = _chunk_sum(key, k, size, d, np.random.Generator.standard_normal, moments)
+            return [tuple(p) for p in parts.tolist()]
 
         for part in _map_chunks(run, n, workers):
             for acc, (t, tsq) in zip(sums, part):

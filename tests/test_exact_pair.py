@@ -156,8 +156,6 @@ def test_symmetric_in_the_two_terms():
         {"a2": [0.1, -1e-300]},
         {"a1": math.nan},
         {"a2": math.inf},
-        {"x": math.nan},
-        {"x": [1.0, math.nan]},
         {"sigma": 0.0},
         {"sigma": math.nan},
         {"mu": math.inf},
@@ -169,6 +167,27 @@ def test_malformed_input_is_rejected(kw):
     args = {"mu": 0.0, "sigma": 1.0, "rho": 0.3, "a1": 0.2, "a2": 0.2, "x": 5.0, **kw}
     with pytest.raises(ValueError):
         exact_lognormal_pair(**args)
+
+
+@pytest.mark.parametrize(
+    "a1, a2, x",
+    [
+        (0.2, 0.2, math.nan),
+        (0.2, 0.2, [1.0, math.nan]),
+        # NaN cells beside pair cells, a zero coefficient and x <= 0
+        ([0.2, 0.2, 0.0, 0.3, 0.2, 0.0, 0.1], [0.2, 0.2, 0.4, 0.3, 0.2, 0.0, 0.5],
+         [5.0, math.nan, 2.0, 30.0, -1.0, math.nan, 0.7]),
+    ],
+    ids=["scalar", "array", "mixed"],
+)
+def test_a_nan_threshold_gives_nan_in_its_cell_only(a1, a2, x):
+    # a NaN threshold is a threshold, not a parameter: NaN in its own cell, as in every
+    # other route, and the other cells keep the bits of a call without it
+    a1, a2, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a1, a2, x)))
+    p = exact_lognormal_pair(0.0, 1.0, 0.3, a1, a2, x)
+    nan = np.isnan(x)
+    assert p.shape == x.shape and np.isnan(p[nan]).all()
+    assert np.array_equal(p[~nan], exact_lognormal_pair(0.0, 1.0, 0.3, a1[~nan], a2[~nan], x[~nan]))
 
 
 # -- the range finder --------------------------------------------------------------

@@ -190,6 +190,33 @@ def test_kernel_writes_only_its_column_slice():
     assert np.array_equal(buf[:, 200:900], equicorr_chunk(z, nu, sig, 0.2, xs, np.empty((2, 700))))
 
 
+# numpy's pairwise sum: leaves of up to 8 and of 9-128 values, the sizes around _BLOCK, the
+# last chunks of n = 6e5 and 1e6 in chunks of 2^19 (75712, 475712), and a full chunk
+_TREE_SIZES = [1, 7, 8, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 75712, 475712, rare_event.CHUNK]
+
+
+@pytest.mark.parametrize("n", _TREE_SIZES)
+def test_block_sums_added_up_the_tree_are_numpys_whole_vector_sums(n):
+    # a numpy whose pairwise sum splits elsewhere fails here instead of letting the estimator's bits drift
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((3, n)) * np.exp(4.0 * rng.standard_normal((3, n)))
+    blocks = list(kernels._blocks(n))
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]] and blocks[-1][1] == n
+    assert all(0 < hi - lo <= _BLOCK for lo, hi in blocks)
+    for row in v:
+        assert kernels._tree_sum(n, (row[lo:hi].sum() for lo, hi in blocks)) == row.sum()
+        assert kernels._tree_sum(n, (np.square(row[lo:hi]).sum() for lo, hi in blocks)) == np.square(row).sum()
+    # as the estimator reduces a block: every row of a column slice of wider scratch at once
+    wide = np.empty((3, n + 5))
+    wide[:, :n] = v
+    got = kernels._tree_sum(n, (wide[:, lo:hi].sum(axis=1) for lo, hi in blocks))
+    assert got.tolist() == [row.sum() for row in v]
+
+
+def test_a_full_chunk_is_whole_blocks():
+    assert list(kernels._blocks(rare_event.CHUNK)) == [(lo, lo + _BLOCK) for lo in range(0, rare_event.CHUNK, _BLOCK)]
+
+
 def _bell(z):
     return np.exp(-0.5 * z * z) * (1.5 + np.sin(3.0 * z))
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +448,19 @@ def test_block_normals_continue_one_philox_stream(d):
     assert [(lo, hi) for lo, hi, _ in blocks] == list(_blocks(n))
     for lo, hi, z in blocks:
         assert np.array_equal(z, whole[lo:hi])
+
+
+def test_chunk_memory_grows_with_the_block_not_the_chunk():
+    # one full chunk at 19 thresholds: 19 x 2^19 x 8 B = 76 MiB as a chunk-wide buffer,
+    # 19 x _BLOCK x 8 B = 2.4 MiB as the block scratch
+    xs = np.geomspace(3.0, 1000.0, 19).tolist()
+    tracemalloc.start()
+    try:
+        cond_mc_lognormal_curve(0.0, 1.0, 0.0, [1.0, 1.0], xs, rare_event.CHUNK, 42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------- seed keys
