@@ -34,7 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 from run import speed_probe  # noqa: E402
 
-REPEATS = dict(type=int, default=5, help="timings per figure; the best is kept")
+REPEATS = dict(type=int, default=5, help="timings per figure; the script's doc says which of them it keeps")
 
 
 def timings(fn, repeats: int, setup=lambda: None) -> list:

@@ -9,11 +9,11 @@ The figures of its record, each keyed <tree>/<case>:
                 `os.wait4` / 1024, median of the same runs
 The cases:
   tables<k>_w<w>  `reproduce-tables --which k --seed 42 --workers w` for
-                  k = 2, 3, 4 and w = 1, 2, at --scale (1 is the
-                  full budget: 1e7 rows per cell)
+                  k = 2, 3, 4 and w = 1, 2, at the full budget (1e7 rows
+                  per cell)
   simulate_d<d>   `simulate --method cond --workers 2` of a bivariate
                   lognormal (mu 0, sigma 1, rho 0.9) with d coefficients 1,
-                  x = 100, seed 7, n = 1e7 x --scale, for d = 2, 3
+                  x = 100, seed 7, n = 1e7, for d = 2, 3
 The tree the script runs from is `change`; --parent names the root of a
 second tree (`parent`, say a `git archive` of the parent commit), and then
 each round runs every case on both trees back to back, the order swapping
@@ -33,27 +33,25 @@ from pathlib import Path
 import _record  # first: it puts src/ and perfbench/ on sys.path
 from _record import summary
 
-SIM_N = 10**7
 OPTIONS = {
     "parent": dict(help="root of a second tree, run in alternation with this one"),
-    "repeats": dict(type=int, default=3, help="runs per case and tree"),
-    "scale": dict(type=float, default=1.0, help="budget scale of every case: the tables' --budget-scale, and simulate's n over 1e7"),
+    "repeats": _record.REPEATS,
 }
 
 _BIVARIATE = '{"kind": "bivariate_lognormal", "mu": 0.0, "sigma": 1.0, "rho": 0.9}'
 
 
-def cases(scale: float, work: Path) -> dict:
+def cases(work: Path) -> dict:
     """Case name -> the CLI arguments it runs, writing under work."""
     (work / "joint.json").write_text(_BIVARIATE)
     out = {}
     for k in (2, 3, 4):
         for w in (1, 2):
             out[f"tables{k}_w{w}"] = ["reproduce-tables", "--which", str(k), "--seed", "42", "--workers", str(w),
-                                      "--budget-scale", repr(scale), "--out-dir", str(work / "tables")]
+                                      "--out-dir", str(work / "tables")]
     for d in (2, 3):
         out[f"simulate_d{d}"] = ["simulate", "--joint", str(work / "joint.json"), "--coeffs", ",".join("1" * d),
-                                 "--threshold", "100", "--n", str(max(round(SIM_N * scale), 1)), "--seed", "7",
+                                 "--threshold", "100", "--n", "10000000", "--seed", "7",
                                  "--method", "cond", "--workers", "2", "--out", str(work / "simulate.json")]
     return out
 
@@ -79,7 +77,7 @@ def figures(args) -> dict:
     for r in range(args.repeats):
         order = list(trees.items())[:: -1 if r % 2 else 1]
         with tempfile.TemporaryDirectory() as tmp:
-            for case, argv in cases(args.scale, Path(tmp)).items():
+            for case, argv in cases(Path(tmp)).items():
                 for label, tree in order:
                     runs.setdefault(f"{label}/{case}", []).append(run_cli(tree, argv))
     wall = {key: summary([w for w, _ in r]) for key, r in runs.items()}

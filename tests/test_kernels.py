@@ -180,7 +180,7 @@ def test_equicorr_kernel_equals_unblocked_reference(n, d):
 
 
 def test_kernel_writes_only_its_column_slice():
-    # the estimator hands each call the block's columns of a chunk-wide buffer
+    # the estimator hands each call a column slice of its block scratch
     z = np.random.default_rng(3).standard_normal((700, 3))
     nu, sig, xs = np.zeros(3), np.ones(3), [5.0, 50.0]
     buf = np.full((2, 1000), -1.0)
