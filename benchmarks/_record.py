@@ -65,6 +65,12 @@ def summary(times: list, scale: float = 1.0) -> tuple:
     return min(times) * scale, median * scale, (q3 - q1) * scale
 
 
+def summaries(raw: dict) -> tuple:
+    """{key: (timings, scale)} as {key: best}, {key: median} and {key: Q3 - Q1}, each by `summary`."""
+    out = {key: summary(times, scale) for key, (times, scale) in raw.items()}
+    return tuple({key: v[i] for key, v in out.items()} for i in range(3))
+
+
 def probe_s() -> float:
     """Median seconds of 5 speed probes: the machine's speed now."""
     return statistics.median(speed_probe() for _ in range(5))

@@ -1,4 +1,4 @@
-"""Benchmark: the exact d = 2 quadrature and the grid audit of tables 5-7 it scores.
+"""Benchmark: the exact d = 2 routes and the grid audit of tables 5-7 they score.
 
 The figures of its record:
   exact_ms_per_cell   `exact_lognormal_pair`, ms per cell, best of --repeats:
@@ -9,16 +9,16 @@ The figures of its record:
                         batch7    one call on the 7 thresholds of table 2
                                   (rho = -0.9, a = (1, 1)), the call
                                   `reproduce-tables` makes per table 2-4
-                        single    one call per cell, on the same 51 points
-  audit_ms            one 51-point audit of a row of tables 5-7, ms, the
-                      median over the 15 rows of each row's best of --repeats:
-                        exact     `grid_verify` as it runs now: every point
-                                  exact, one `cond_mc_lognormal` at a* (n 1e4)
-                        mc        the Monte Carlo audit it replaced: one
-                                  `cond_mc_lognormal` call at n = 1e4 per
-                                  point, keyed (seed, k), as `grid_verify`
-                                  made them before
-                        speedup   mc / exact
+  audit_ms            one 51-point `grid_verify` audit of a row of tables
+                      5-7 (every point exact, one `cond_mc_lognormal` at a*,
+                      n 1e4), ms, the median over the 15 rows of each row's
+                      best of --repeats
+  orthant_ms_per_call `bivariate_normal_orthant_log`, ms per call, on the 9
+                      corners (x, f(x)) of one A3 report of a standard
+                      bivariate lognormal (default grid, t = 1), the call
+                      `check` makes per report, keyed by rho; best of
+                      ORTHANT_CALLS calls, with their median (`..._median`)
+                      and Q3 - Q1 (`..._iqr`, see `_record.summary`)
   oracle_max_rel      the largest relative difference from the benchmark's
                       oracle (`perfbench/oracle.py`, adaptive quadrature of
                       another form of the same integral):
@@ -30,9 +30,9 @@ The figures of its record:
                                     thresholds at rho = +-0.995, +-0.999
                                     and +-0.9999, where the quadrature
                                     takes more pieces
-The oracle takes about 7 ms a cell, so the script runs for about 15 s
-beyond its timings.  `_record.main` stores the record, with the speed
-probes (see `_record`).
+The oracle takes about 7 ms a cell; the whole script took about 10 s on a
+2-CPU x86_64 VM.  `_record.main` stores the record, with the speed probes
+(see `_record`).
 """
 
 import statistics
@@ -40,14 +40,15 @@ import sys
 
 import _record  # first: it puts src/ and perfbench/ on sys.path
 import numpy as np
-from _record import best
+from _record import best, summaries, timings
 from oracle import lognormal_pair_exceedance
 
 from tailagg import (
     LinearConstraint,
     PortfolioProblem,
     bivariate_lognormal,
-    cond_mc_lognormal,
+    bivariate_normal_orthant_log,
+    default_grid,
     exact_lognormal_pair,
     grid_verify,
     lognormal,
@@ -66,6 +67,8 @@ SWEEP_RHO = (-0.99, -0.9, -0.5, -0.2, 0.0, 0.5, 0.9, 0.99)
 NEAR_ONE_RHO = (-0.9999, -0.999, -0.995, 0.995, 0.999, 0.9999)
 SWEEP_A = ((1.0, 1.0), (0.2, 0.2), (0.26, 0.16), (0.333, 0.001), (0.5, 2.0), (0.1, 0.3))
 SWEEP_X = (1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0, 2000.0)
+ORTHANT_RHO = (-0.9, -0.5, 0.3, 0.9)
+ORTHANT_CALLS = 50  # a call takes under 0.5 ms
 
 
 def exact_cells(repeats: int) -> dict:
@@ -80,9 +83,6 @@ def exact_cells(repeats: int) -> dict:
         "batch51": best(lambda _: exact_lognormal_pair(0.0, 1.0, rho, A1, A2, x), repeats) * 1e3 / 51,
         "batch765": best(all_rows, repeats) * 1e3 / (51 * len(ROWS)),
         "batch7": best(lambda _: exact_lognormal_pair(0.0, 1.0, SIM_RHO, 1.0, 1.0, SIM_XS), repeats) * 1e3 / len(SIM_XS),
-        "single": best(lambda _: [exact_lognormal_pair(0.0, 1.0, rho, p, q, x) for p, q in zip(A1, A2)], repeats)
-        * 1e3
-        / 51,
     }
 
 
@@ -91,19 +91,19 @@ def _problem(x: float) -> PortfolioProblem:
     return PortfolioProblem((model, model), (1.0, 1.0), LinearConstraint((2.0, 3.0), 1.0), x)
 
 
-def _mc_audit(rho: float, x: float) -> list:
-    return [cond_mc_lognormal(0.0, 1.0, rho, [p, q], x, N, (SEED, k)) for k, (p, q) in enumerate(zip(A1, A2))]
-
-
-def audits(repeats: int) -> dict:
-    exact, mc = [], []
+def audit_ms(repeats: int) -> float:
+    rows = []
     for rho, x in ROWS:
         joint = bivariate_lognormal(0.0, 1.0, rho)
-        exact.append(best(lambda _: grid_verify(_problem(x), joint, n=N, seed=SEED), repeats))
-        mc.append(best(lambda _: _mc_audit(rho, x), repeats))
-    out = {"exact": statistics.median(exact) * 1e3, "mc": statistics.median(mc) * 1e3}
-    out["speedup"] = out["mc"] / out["exact"]
-    return out
+        rows.append(best(lambda _: grid_verify(_problem(x), joint, n=N, seed=SEED), repeats))
+    return statistics.median(rows) * 1e3
+
+
+def orthant_ms() -> tuple:
+    g = default_grid()
+    t1, t2 = np.log(g), np.log(lognormal(0.0, 1.0).auxiliary()(g))
+    return summaries({str(rho): (timings(lambda _: bivariate_normal_orthant_log(t1, t2, rho), ORTHANT_CALLS), 1e3)
+                      for rho in ORTHANT_RHO})
 
 
 def _max_rel(rho: float, a1, a2, xs) -> float:
@@ -125,9 +125,13 @@ def oracle_max_rel() -> dict:
 
 
 def figures(args) -> dict:
+    orthant, orthant_median, orthant_iqr = orthant_ms()
     return {
         "exact_ms_per_cell": exact_cells(args.repeats),
-        "audit_ms": audits(args.repeats),
+        "audit_ms": audit_ms(args.repeats),
+        "orthant_ms_per_call": orthant,
+        "orthant_ms_per_call_median": orthant_median,
+        "orthant_ms_per_call_iqr": orthant_iqr,
         "oracle_max_rel": oracle_max_rel(),
     }
 

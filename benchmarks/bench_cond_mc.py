@@ -52,7 +52,7 @@ import tracemalloc
 
 import _record  # first: it puts src/ and perfbench/ on sys.path
 import numpy as np
-from _record import summary, timings
+from _record import summaries, timings
 from scipy.special import ndtri
 
 from tailagg import cond_mc_lognormal_curve, kernels
@@ -62,12 +62,6 @@ from tailagg.tables import TABLE3
 
 RHO = 0.0
 XS = {1: [100.0], 7: [float(r[0]) for r in TABLE3], 19: np.geomspace(3.0, 1000.0, 19).tolist()}
-
-
-def _figures(raw: dict) -> tuple:
-    # key -> (timings, scale) as {key: best}, {key: median} and {key: Q3 - Q1}
-    out = {key: summary(times, scale) for key, (times, scale) in raw.items()}
-    return tuple({key: v[i] for key, v in out.items()} for i in range(3))
 
 
 def pipeline(repeats: int) -> tuple:
@@ -85,7 +79,7 @@ def pipeline(repeats: int) -> tuple:
                     runs.append((wall, (time.process_time() - c0) / wall))
                 key = f"d{d}_m{m}_w{workers}"
                 raw[key], cpu[key] = ([wall for wall, _ in runs], 1e9 / n), min(runs)[1]
-    return _figures(raw), cpu
+    return summaries(raw), cpu
 
 
 def peak_per_chunk() -> dict:
@@ -146,7 +140,7 @@ def stages(repeats: int) -> tuple:
             nu, sig = np.zeros(d), np.ones(d)
             kern = _per_block(lambda lo, hi: kernels.equicorr_chunk(z[lo:hi], nu, sig, RHO, XS[m], buf[:, : hi - lo]))
             out[f"d{d}_m{m}_kernel"] = timings(kern, repeats), per_row / m
-    return _figures(out)
+    return summaries(out)
 
 
 def figures(args) -> dict:

@@ -14,6 +14,10 @@ The cases:
   simulate_d<d>   `simulate --method cond --workers 2` of a bivariate
                   lognormal (mu 0, sigma 1, rho 0.9) with d coefficients 1,
                   x = 100, seed 7, n = 1e7, for d = 2, 3
+  check           `check --assumption A3 --grid-log 1:5:9` of the same
+                  bivariate lognormal: one orthant quadrature call, so
+                  its time is almost all the fixed cost of a command
+                  (start-up and the imports)
 The tree the script runs from is `change`; --parent names the root of a
 second tree (`parent`, say a `git archive` of the parent commit), and then
 each round runs every case on both trees back to back, the order swapping
@@ -31,7 +35,7 @@ import time
 from pathlib import Path
 
 import _record  # first: it puts src/ and perfbench/ on sys.path
-from _record import summary
+from _record import summaries
 
 OPTIONS = {
     "parent": dict(help="root of a second tree, run in alternation with this one"),
@@ -53,6 +57,7 @@ def cases(work: Path) -> dict:
         out[f"simulate_d{d}"] = ["simulate", "--joint", str(work / "joint.json"), "--coeffs", ",".join("1" * d),
                                  "--threshold", "100", "--n", "10000000", "--seed", "7",
                                  "--method", "cond", "--workers", "2", "--out", str(work / "simulate.json")]
+    out["check"] = ["check", "--assumption", "A3", "--joint", str(work / "joint.json"), "--grid-log", "1:5:9"]
     return out
 
 
@@ -80,10 +85,10 @@ def figures(args) -> dict:
             for case, argv in cases(Path(tmp)).items():
                 for label, tree in order:
                     runs.setdefault(f"{label}/{case}", []).append(run_cli(tree, argv))
-    wall = {key: summary([w for w, _ in r]) for key, r in runs.items()}
+    _, wall, wall_iqr = summaries({key: ([w for w, _ in r], 1.0) for key, r in runs.items()})
     return {
-        "wall_s": {key: median for key, (_, median, _) in wall.items()},
-        "wall_s_iqr": {key: iqr for key, (_, _, iqr) in wall.items()},
+        "wall_s": wall,
+        "wall_s_iqr": wall_iqr,
         "peak_rss_mb": {key: statistics.median(rss for _, rss in r) for key, r in runs.items()},
     }
 

@@ -247,7 +247,9 @@ class JointModel:
             out[(t1 == -math.inf) & (t2 == -math.inf)] = 0.0
             inner = (t1 > -math.inf) & (t2 > -math.inf)
             if self.rho != 0.0 and inner.any():
-                out[inner] = bivariate_normal_orthant_log(t1[inner], t2[inner], self.rho)
+                # the rule's absolute error (~1e-16) can lift an orthant near 1 above its margins
+                orthant = bivariate_normal_orthant_log(t1[inner], t2[inner], self.rho)
+                out[inner] = np.minimum(orthant, np.minimum(lsf1[inner], lsf2[inner]))
         return float(out[0]) if not shape else out.reshape(shape)
 
 

@@ -74,3 +74,13 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert joint.bivariate_normal_orthant_log is orig
+
+
+def test_e2e_cases_parse(monkeypatch, tmp_path):
+    # a mistyped flag fails here, not minutes into a full-budget run
+    from tailagg import cli
+
+    cases = _load(monkeypatch, ROOT / "benchmarks" / "bench_e2e.py").cases(tmp_path)
+    assert "check" in cases
+    for argv in cases.values():
+        assert cli.build_parser(argv[0]).parse_args(argv).command == argv[0]

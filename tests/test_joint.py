@@ -26,6 +26,7 @@ from tailagg import (
     mixed_min,
 )
 from tailagg.joint import JointModel
+from tailagg.models import norm_log_sf
 
 KINDS = {
     "iid": iid_pair(lognormal(0.0, 1.0)),
@@ -327,6 +328,19 @@ def test_asy_indep_far_below_the_location_is_one():
     # the check reported 2.87e-7 and 1 - 3.7e-11
     rep = check_asy_indep(bivariate_lognormal(10.0, 0.2, 0.3), [1.0, 10.0])
     assert rep.values == pytest.approx([1.0, 1.0], rel=1e-14, abs=0.0)
+    assert max(rep.values) <= 1.0  # it read 1 + 4.4e-16: the orthant above its margin
+
+
+@pytest.mark.parametrize("mu, sigma, rho", [(10.0, 0.2, 0.3), (0.0, 1.0, 0.9), (0.0, 1.0, -0.5), (5.0, 0.5, 0.9999)])
+def test_joint_survival_never_exceeds_a_margin(mu, sigma, rho):
+    # corners far below the location put the orthant near 1, where the rule's absolute
+    # error lifted it above its margins: P = 1 + 3.3e-16 at x = y = 1 on (10, 0.2, 0.3)
+    m = bivariate_lognormal(mu, sigma, rho)
+    x = np.array([1e-3, 1.0, 10.0, math.exp(mu), math.exp(mu + 3.0 * sigma), 1e3, 1e5])
+    u, v = (c.ravel() for c in np.meshgrid(x, x))
+    got = m.joint_log_survival(u, v)
+    lsf = [norm_log_sf(np.array([(math.log(c) - mu) / sigma for c in w])) for w in (u, v)]
+    assert (got <= lsf[0]).all() and (got <= lsf[1]).all()
 
 
 def test_asy_indep_value_at_strong_negative_correlation_equals_a_50_digit_reference():
