@@ -1,40 +1,42 @@
-"""Benchmark: conditional-MC cost per row, end to end and stage by stage, and memory per chunk.
+"""Benchmark: conditional-MC cost per row, end to end and stage by stage, and memory per call.
 
 The figures of its record:
-  pipeline_ns_per_row  `cond_mc_lognormal_curve` end to end over two chunks
-                       of `rare_event.CHUNK` rows, ns per row (not per
-                       threshold), best of --repeats, keyed d<d>_m<m>_w<workers>
-                       for d = 2, 3, m = 1, 7 and 1 and 2 workers
+  pipeline_ns_per_row  `cond_mc_lognormal_curve` end to end over 2^20 rows
+                       (64 chunks of `rare_event.CHUNK` rows), ns per row
+                       (not per threshold), best of --repeats, keyed
+                       d<d>_m<m>_w<workers> for d = 2, 3, m = 1, 7 and 1
+                       and 2 workers
   cpu_per_wall         for the same keys, process CPU seconds
                        (`time.process_time`) over wall seconds of the call
                        timed in pipeline_ns_per_row: about 1 at w1 and up
                        to 2 at w2 on two cores; a thread outside the worker
                        pool, such as a spinning BLAS helper, shows as ~2 at
                        w1
-  peak_mb_per_chunk    tracemalloc peak of one one-chunk, one-worker
-                       `cond_mc_lognormal_curve` call, MB, keyed d<d>_m<m>
-                       for m = 1, 7, 19: the block scratch of replication
-                       values grows with the number of thresholds m
-  stages_ns_per_row    the stages of one chunk as the estimator runs them,
-                       one row block of `kernels._BLOCK` rows at a time:
+  peak_mb_per_call     tracemalloc peak of one one-worker
+                       `cond_mc_lognormal_curve` call over 2^19 rows, MB,
+                       keyed d<d>_m<m> for m = 1, 7, 19: each chunk's
+                       replication values grow with the number of
+                       thresholds m, and n does not show.  Records taken
+                       with 2^19-row chunks call this peak_mb_per_chunk
+  stages_ns_per_row    the stages of 2^19 rows as the estimator runs them,
+                       one chunk of `rare_event.CHUNK` rows at a time:
                          normals    Philox standard normals by numpy's
-                                    ziggurat into the block's scratch, d
-                                    per row: how the estimator draws
-                         uniforms   Philox uniforms into the block's scratch
-                                    plus the in-place clip, d per row: how
-                                    plain MC draws
+                                    ziggurat, d per row, each chunk from
+                                    its own generator in one call: how the
+                                    estimator draws
+                         uniforms   the same with Philox uniforms plus the
+                                    in-place clip (`_uniforms`): how plain
+                                    MC draws
                          ndtri      in place on those uniforms: with
                                     uniforms, the inverse-CDF route to
                                     normals that `normals` replaced
-                         kernel     `kernels.equicorr_chunk` per block, per
+                         kernel     `kernels.equicorr_chunk` per chunk, per
                                     threshold scored, including the
                                     threshold-independent work (mix, terms,
                                     conditional means) shared by all m
-                         reduction  per block, the sum and the sum of the
+                         reduction  per chunk, the sum and the sum of the
                                     squares of one row of replication
-                                    values, added up the chunk's
-                                    pairwise-sum tree (`kernels._tree_sum`),
-                                    per threshold
+                                    values, per threshold
 Beside each best-of figure, pipeline_ns_per_row and stages_ns_per_row, the
 record holds the median (`..._median`) and the interquartile range Q3 - Q1
 (`..._iqr`) of its --repeats timings, in the same unit: the same stage code
@@ -62,11 +64,15 @@ from tailagg.tables import TABLE3
 
 RHO = 0.0
 XS = {1: [100.0], 7: [float(r[0]) for r in TABLE3], 19: np.geomspace(3.0, 1000.0, 19).tolist()}
+PIPELINE_ROWS = 1 << 20
+PEAK_ROWS = STAGE_ROWS = 1 << 19
+# (k, lo, hi) of each chunk of the stages' rows
+CHUNKS = [(k, lo, lo + CHUNK) for k, lo in enumerate(range(0, STAGE_ROWS, CHUNK))]
 
 
 def pipeline(repeats: int) -> tuple:
     # ns per row of repeats calls per key, and the cpu per wall of the fastest
-    n = 2 * CHUNK
+    n = PIPELINE_ROWS
     raw, cpu = {}, {}
     for d in (2, 3):
         for m in (1, 7):
@@ -82,64 +88,58 @@ def pipeline(repeats: int) -> tuple:
     return summaries(raw), cpu
 
 
-def peak_per_chunk() -> dict:
+def peak_per_call() -> dict:
     out = {}
     for d in (2, 3):
         for m in (1, 7, 19):
             tracemalloc.start()
-            cond_mc_lognormal_curve(0.0, 1.0, RHO, [1.0] * d, XS[m], CHUNK, 42)
+            cond_mc_lognormal_curve(0.0, 1.0, RHO, [1.0] * d, XS[m], PEAK_ROWS, 42)
             out[f"d{d}_m{m}"] = tracemalloc.get_traced_memory()[1] / 2**20
             tracemalloc.stop()
     return out
 
 
-def _per_block(fn):
-    # fn(lo, hi) over the row blocks of one chunk
-    def run(_):
-        for lo, hi in kernels._blocks(CHUNK):
-            fn(lo, hi)
-
-    return run
-
-
 def stages(repeats: int) -> tuple:
-    per_row = 1e9 / CHUNK
+    per_row = 1e9 / STAGE_ROWS
     out = {}
-    # one threshold's values of one block, reused by every block as the estimator reuses its scratch
-    v = np.random.default_rng(1).random((1, kernels._BLOCK))
-    sq = np.empty_like(v)
+    # one threshold's values of the stages' rows, and a chunk's worth for the squares
+    v = np.random.default_rng(1).random((1, STAGE_ROWS))
+    sq = np.empty((1, CHUNK))
 
-    def moments(lo, hi):
-        vb = v[:, : hi - lo]
-        return np.stack([vb.sum(axis=1), np.square(vb, out=sq[:, : hi - lo]).sum(axis=1)], axis=1)
+    def reduction(_):
+        for _k, lo, hi in CHUNKS:
+            v[:, lo:hi].sum(axis=1)
+            np.square(v[:, lo:hi], out=sq).sum(axis=1)
 
-    out["reduction"] = timings(
-        lambda _: kernels._tree_sum(CHUNK, (moments(lo, hi) for lo, hi in kernels._blocks(CHUNK))), repeats
-    ), per_row
+    out["reduction"] = timings(reduction, repeats), per_row
     for d in (2, 3):
-        u = np.empty((kernels._BLOCK, d))
 
-        def draw(gen):
-            for lo, hi in kernels._blocks(CHUNK):
-                _uniforms(gen, u[: hi - lo])
+        def normals(_):
+            for k, _lo, _hi in CHUNKS:
+                _stream(12345, k).standard_normal((CHUNK, d))
 
-        def draw_normals(gen):
-            for lo, hi in kernels._blocks(CHUNK):
-                gen.standard_normal(out=u[: hi - lo])
+        def uniforms(_):
+            for k, _lo, _hi in CHUNKS:
+                _uniforms(_stream(12345, k), np.empty((CHUNK, d)))
 
-        out[f"d{d}_normals"] = timings(draw_normals, repeats, lambda: _stream(12345, 0)), per_row
-        out[f"d{d}_uniforms"] = timings(draw, repeats, lambda: _stream(12345, 0)), per_row
-        u0 = _uniforms(_stream(12345, 0), np.empty((CHUNK, d)))
+        def inverse_cdf(_):
+            for _k, lo, hi in CHUNKS:
+                ndtri(uu[lo:hi], out=uu[lo:hi])
+
+        out[f"d{d}_normals"] = timings(normals, repeats), per_row
+        out[f"d{d}_uniforms"] = timings(uniforms, repeats), per_row
+        u0 = np.concatenate([_uniforms(_stream(12345, k), np.empty((CHUNK, d))) for k, _lo, _hi in CHUNKS])
         uu = np.empty_like(u0)
-        out[f"d{d}_ndtri"] = timings(
-            _per_block(lambda lo, hi: ndtri(uu[lo:hi], out=uu[lo:hi])), repeats, lambda: np.copyto(uu, u0)
-        ), per_row
-        z = _stream(12345, 0).standard_normal((CHUNK, d))
+        out[f"d{d}_ndtri"] = timings(inverse_cdf, repeats, lambda: np.copyto(uu, u0)), per_row
+        z = np.concatenate([_stream(12345, k).standard_normal((CHUNK, d)) for k, _lo, _hi in CHUNKS])
+        nu, sig = np.zeros(d), np.ones(d)
         for m in (1, 7):
-            buf = np.empty((m, kernels._BLOCK))
-            nu, sig = np.zeros(d), np.ones(d)
-            kern = _per_block(lambda lo, hi: kernels.equicorr_chunk(z[lo:hi], nu, sig, RHO, XS[m], buf[:, : hi - lo]))
-            out[f"d{d}_m{m}_kernel"] = timings(kern, repeats), per_row / m
+
+            def kernel(_):
+                for _k, lo, hi in CHUNKS:
+                    kernels.equicorr_chunk(z[lo:hi], nu, sig, RHO, XS[m], np.empty((m, CHUNK)))
+
+            out[f"d{d}_m{m}_kernel"] = timings(kernel, repeats), per_row / m
     return summaries(out)
 
 
@@ -151,7 +151,7 @@ def figures(args) -> dict:
         "pipeline_ns_per_row_median": ns_median,
         "pipeline_ns_per_row_iqr": ns_iqr,
         "cpu_per_wall": cpu,
-        "peak_mb_per_chunk": peak_per_chunk(),
+        "peak_mb_per_call": peak_per_call(),
         "stages_ns_per_row": stage,
         "stages_ns_per_row_median": stage_median,
         "stages_ns_per_row_iqr": stage_iqr,

@@ -6,13 +6,12 @@ spawn key of further words, through numpy's `SeedSequence(seed,
 spawn_key=...)`, so any key regenerates the same draws and distinct keys name
 distinct streams.
 A draw is two steps: `_uniforms` fills an array from the stream, and
-`JointModel.rows` transforms it elementwise into rows of the joint law.  So
-plain Monte Carlo can draw a chunk block by block into reused scratch and
-get, row for row, what `JointModel.sample` returns for the whole chunk.  The
-conditional estimator (`rare_event`) needs only standard normals, and draws
-them from its chunk's Philox stream directly, by numpy's ziggurat; one
-generator per chunk, filled block after block in order, keeps those draws
-the same at any block size and worker count.
+`JointModel.rows` transforms it elementwise into rows of the joint law, so
+plain Monte Carlo gets for a chunk, row for row, what `JointModel.sample`
+returns for it.  The conditional estimator (`rare_event`) needs only
+standard normals, and draws them from its chunk's Philox stream directly, by
+numpy's ziggurat; one generator per chunk keeps those draws the same at any
+worker count.
 
 The joint survival P(X > x, Y > y) has one route, `joint_log_survival`, which
 works in log space for every kind, at a corner or at arrays of corners.  It
@@ -106,9 +105,7 @@ def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
 def _uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous out with gen's next uniforms, clipped into (0, 1); return out.
 
-    The clip keeps ndtri and the quantiles finite.  Successive calls continue
-    gen's stream, so filling the row blocks of an array one after another
-    gives the same values as one fill of the whole.
+    The clip keeps ndtri and the quantiles finite.
     """
     gen.random(out=out)
     return np.clip(out, _U_LO, _U_HI, out=out)
@@ -164,20 +161,16 @@ class JointModel:
 
     @property
     def uniform_dim(self) -> int:
-        """Uniforms per row: the width of the block `rows` takes."""
+        """Uniforms per row: the width of the array `rows` takes."""
         return self.dim if self.kind == IID_PAIR else _UNIFORMS_PER_ROW[self.kind]
 
     def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
-        """n iid rows from the joint law: the rows of chunk `stream` of key (seed,), drawn whole."""
+        """n iid rows from the stream of chunk `stream` of key (seed,): at n <= `rare_event.CHUNK`, that chunk's rows."""
         check_value("n", n, COUNT)
         return self.rows(_uniforms(_stream(*_seed_key((seed, stream))), np.empty((n, self.uniform_dim))))
 
     def rows(self, u: np.ndarray) -> np.ndarray:
-        """Rows of the joint law from a (k, uniform_dim) block of uniforms in (0, 1).
-
-        Every step is elementwise along the rows, so the rows of a block equal
-        the same rows of a transform of the whole array.
-        """
+        """Rows of the joint law from a (k, uniform_dim) array of uniforms in (0, 1), row by row."""
         kind = self.kind
         if kind == IID_PAIR:
             return self.marginal.quantile(u)

@@ -24,28 +24,15 @@ on the same operands as in the two-term kernel this one replaced
 (W_1 = rho Z_0 + s Z_1 with s = sqrt((1 - rho)(1 + rho)), conditional means
 rho W_1 and rho Z_0), so d = 2 results are bit-identical to it.
 
-A call scores the rows it is given, one row block of a chunk in the
-estimator, and writes their replication values at xs[j] into row j of the
-caller's out: the estimator's block scratch of shape (len(xs), block rows),
-which every block of the chunk reuses and whose rows are reduced to (sum,
-sum of squares) as soon as the call returns.  The threshold-independent work
-is done once per call, that is once per block, and the thresholds are then
-scored one after another on it, so every row equals the result of a
-one-threshold call.  The scratch is what grows with the number of thresholds
-m: m x _BLOCK x 8 B per chunk in flight (0.9 MiB at m = 7), whatever the
-chunk's rows.  A block's own arrays (at most 4d + 1 of _BLOCK doubles, 5 at
-d = 2) stay in the per-core L2 cache while the elementwise passes run over
-them, most with `out=`, instead of each pass streaming a chunk-long array
-through DRAM.
-
-The result is bit-identical to running the whole chunk in one pass: every
-elementwise operation is the same IEEE operation on the same operands in the
-same order (an elementwise ufunc's value for one element does not depend on
-where the array starts or ends), and the blocks are nodes of the tree numpy's
-pairwise sum builds over the chunk's rows (`_blocks`), so the numpy sums of
-each block, of the values and of their squares with no BLAS call, added back
-up that tree (`_tree_sum`), are the pairwise sums of the whole chunk-long
-vectors.
+A call scores the rows it is given, one chunk in the estimator, and writes
+their replication values at xs[j] into row j of the caller's out, of shape
+(len(xs), rows).  The threshold-independent work is done once per call, and
+the thresholds are then scored one after another on it, so every row equals
+the result of a one-threshold call.  What grows with the number of
+thresholds m is out: m x `rare_event.CHUNK` x 8 B per chunk in flight
+(0.9 MiB at m = 7).  A chunk's own arrays (at most 4d + 1 of CHUNK doubles,
+5 at d = 2) stay in the per-core L2 cache while the elementwise passes run
+over them, most with `out=`.
 
 The module also holds the one quadrature rule behind both exact routes,
 `gauss_legendre`: `rare_event.exact_lognormal_pair` integrates the
@@ -67,44 +54,6 @@ from scipy.special import erfc
 from .models import Domain
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# rows per block of a chunk: at most 16384 doubles (128 kB) per array of the block
-_BLOCK = 1 << 14
-
-
-def _split(n: int) -> int:
-    """Where numpy's pairwise sum splits n values (n > 128): n // 2 less its remainder mod 8."""
-    half = n // 2
-    return half - half % 8
-
-
-def _blocks(n: int, lo: int = 0):
-    """(lo, hi) of each row block of n rows from lo, in order.
-
-    The blocks are the largest nodes of numpy's pairwise-sum tree over the
-    rows that hold at most _BLOCK rows: n rows are one block, or split where
-    numpy splits them (`_split`) and each side is blocked in turn.  A chunk of
-    2^19 rows is 32 blocks of _BLOCK rows.
-    """
-    if n <= _BLOCK:
-        yield lo, lo + n
-        return
-    half = _split(n)
-    yield from _blocks(half, lo)
-    yield from _blocks(n - half, lo + half)
-
-
-def _tree_sum(n: int, parts):
-    """One part per block of `_blocks(n)`, taken in order from the iterator parts, added back up the tree.
-
-    Where each part is the numpy sum of its block's values, the result is
-    the numpy sum of all n values, bit for bit: both take the same additions
-    in the same order.
-    """
-    if n <= _BLOCK:
-        return next(parts)
-    half = _split(n)
-    return _tree_sum(half, parts) + _tree_sum(n - half, parts)
 
 
 def _score(m, x: float, s, nu: float, sig: float, mean, sd: float, out: np.ndarray) -> None:
@@ -209,9 +158,8 @@ def equicorr_chunk(
     """The conditional estimator's replication values of the rows of z, at every threshold in xs.
 
     z is (k, d) iid standard normal, d >= 2, with any strides; it is not
-    written.  out is (len(xs), k) with contiguous rows, such as a column slice
-    of the estimator's block scratch; row j receives the values at xs[j], and
-    out is returned.  rho must lie in (-1/(d-1), 1) so the equicorrelated
+    written.  out is (len(xs), k) with contiguous rows; row j receives the
+    values at xs[j], and out is returned.  rho must lie in (-1/(d-1), 1) so the equicorrelated
     matrix is positive definite.  The conditional law of W_i given the others
     has
       mean  rho * sum_{j != i} W_j / (1 + (d-2) rho)

@@ -10,25 +10,17 @@ Four routes:
     equicorrelated lognormal terms (the workhorse for deep tails);
     cond_mc_lognormal_curve scores one set of draws at several thresholds.
 
-Replications are partitioned into fixed-size chunks.  Chunk k of the key
-(seed, *words) draws from the Philox stream of
-`SeedSequence(seed, spawn_key=(*words, k))`, so distinct (key, chunk) pairs
-never share a stream; merging is an ordered reduction of per-chunk (sum,
-sum-of-squares) pairs, so results are bit-identical no matter how many
-workers ran the chunks.  A chunk's replication values are reduced to the
-numpy pairwise sums of the values and of their squares over the whole chunk,
-and never by BLAS, whose threaded dot product would make the last bits
-depend on the BLAS build and its thread count (and its spinning helper
-thread would take a core from the worker pool).
-
-Each chunk runs as one loop over row blocks of at most `kernels._BLOCK`
-rows, end to end (`_chunk_sum`): each block is drawn from the chunk's one
-Philox generator into scratch reused by every block, then scored or counted
-and reduced at once.  The blocks are the largest nodes of at most _BLOCK
-rows in numpy's pairwise-sum tree over the chunk's rows (`kernels._blocks`),
-and the block results are added back up that tree (`kernels._tree_sum`), so
-a block's values are dead once it is reduced and the sums equal those of the
-whole chunk-long vectors, bit for bit.
+Replications are partitioned into chunks of `CHUNK` rows.  Chunk k of the
+key (seed, *words) draws its whole array in one call from the Philox stream
+of `SeedSequence(seed, spawn_key=(*words, k))`, so distinct (key, chunk)
+pairs never share a stream while k < 2^32, which `_map_chunks` enforces.
+A chunk's replication values are reduced to the numpy pairwise sums of the
+values and of their squares, and never by BLAS, whose threaded dot product
+would make the last bits depend on the BLAS build and its thread count (and
+its spinning helper thread would take a core from the worker pool).  Merging
+is an ordered reduction of the per-chunk (sum, sum-of-squares) pairs, so
+results are bit-identical no matter how many workers ran the chunks, and
+each chunk in flight holds CHUNK rows, whatever n.
 
 Conditional MC draws standard normals directly, by numpy's ziggurat
 (`Generator.standard_normal`), and scores them; plain MC draws uniforms
@@ -36,10 +28,7 @@ Conditional MC draws standard normals directly, by numpy's ziggurat
 (`JointModel.rows`, which needs uniforms for every joint kind) and counts
 them (`_count_rows`).  The ziggurat takes a varying number of raw words per
 normal, so a chunk's draws are stable only because each chunk has its own
-generator and its blocks are drawn from it in order: successive draws
-continue one stream and every later stage is elementwise, so the values
-equal those of drawing and transforming the whole chunk at once, at any
-worker count, while the block's arrays stay in cache.
+generator.
 
 The conditional route samples each chunk once and scores it at every
 requested threshold (common random numbers).  A one-threshold call is the
@@ -63,7 +52,7 @@ from . import kernels
 from .joint import JointModel, _seed_key, _stream, _uniforms
 from .models import _PARAMS, COUNT, FINITE, LOGNORMAL, NONNEGATIVE, POSITIVE, check_fields, check_value, norm_sf
 
-CHUNK = 1 << 19
+CHUNK = 1 << 14
 
 EXACT = "exact"
 PLAIN_MC = "plain_mc"
@@ -275,8 +264,8 @@ def plain_mc(
 ) -> EstimateResult:
     """Fraction of sampled rows with sum_i a_i X_i > x.
 
-    Each block of a chunk's uniforms is turned into rows by `JointModel.rows`,
-    the transform `JointModel.sample` applies to a whole draw, and its hits are
+    Each chunk's uniforms are turned into rows by `JointModel.rows`, the
+    transform `JointModel.sample` applies to its draw, and their hits are
     counted by `_count_rows`.  std_error is the binomial sqrt(p(1-p)/n).  A
     NaN threshold gives a NaN estimate, as in conditional MC, and draws nothing.
     """
@@ -293,57 +282,44 @@ def plain_mc(
 
 
 def _count_rows(model: JointModel, test, n: int, seed, workers: int = 1):
-    """Sum of count_nonzero(test(rows), axis=-1) over n rows of model, drawn and tested block by block."""
+    """Sum of count_nonzero(test(rows), axis=-1) over n rows of model, drawn and tested chunk by chunk."""
     key = _seed_key(seed)
-
-    def count(u):
-        return np.count_nonzero(test(model.rows(u)), axis=-1)
 
     def run(item):
         k, size = item
-        return _chunk_sum(key, k, size, model.uniform_dim, _uniforms, count)
+        u = _uniforms(_stream(*key, k), np.empty((size, model.uniform_dim)))
+        return np.count_nonzero(test(model.rows(u)), axis=-1)
 
     return sum(_map_chunks(run, n, workers))
 
 
-def _block_draws(key: tuple, k: int, size: int, width: int, fill):
-    """(lo, hi, u) for each row block of chunk k, u the block's (hi - lo, width) draws.
-
-    fill(gen, out=u) fills u from the chunk's one generator: `_uniforms` for
-    plain MC, `Generator.standard_normal` for conditional MC.  All blocks
-    draw in turn from that generator into the same scratch, so each u is
-    overwritten by the next block's.
-    """
-    gen = _stream(*key, k)
-    scratch = np.empty((min(size, kernels._BLOCK), width))
-    for lo, hi in kernels._blocks(size):
-        yield lo, hi, fill(gen, out=scratch[: hi - lo])
-
-
-def _chunk_sum(key: tuple, k: int, size: int, width: int, fill, reduce):
-    """reduce(u) of each block's draws u (`_block_draws`), added back up numpy's pairwise-sum tree (`kernels._tree_sum`)."""
-    return kernels._tree_sum(size, (reduce(u) for _, _, u in _block_draws(key, k, size, width, fill)))
-
-
 def _map_chunks(fn, n: int, workers: int) -> list:
+    """fn((k, size)) of every chunk of n rows, in chunk order.
+
+    Up to `workers` threads each run one contiguous share of the chunks as
+    one pool task: with a task per chunk, `simulate` ran slower.
+    """
+    if n > CHUNK * 2**32:
+        # chunk 2^32 of key (s, w) would draw what chunk 1 of key (s, w, 0) draws (see `_seed_key`)
+        raise ValueError(f"n = {n} needs more than 2^32 chunks of {CHUNK} rows")
     items = list(_chunk_ranges(n))
-    if workers <= 1 or len(items) == 1:  # a pool cannot split one chunk
+    workers = min(workers, len(items))
+    if workers <= 1:  # a pool cannot split one chunk
         return [fn(it) for it in items]
+    shares = [items[len(items) * i // workers : len(items) * (i + 1) // workers] for i in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        done = pool.map(lambda share: [fn(it) for it in share], shares)
+        return [part for parts in done for part in parts]
 
 
 def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, workers: int) -> list:
     """Conditional MC of P(sum_i exp(nu_i + sig_i Z_i) > x) for every x in xs.
 
     One pass over the chunks samples each chunk once and scores it at every
-    positive threshold.  Each block's normals are drawn into the chunk's
-    scratch, and the kernel reads their columns in place and writes the
-    block's replication values into v, one row per threshold and one column
-    per row of the block.  Each row of v is reduced to its (sum, sum of
-    squares) at once, so v is reused by the next block; the block moments are
-    added up the chunk's pairwise-sum tree, and the chunk moments in chunk
-    order.  An x <= 0 is certain and draws nothing.
+    positive threshold: the kernel reads the chunk's normals in place and
+    writes its replication values into v, one row per threshold.  Each row of
+    v is reduced to its (sum, sum of squares), and the chunk moments are
+    added in chunk order.  An x <= 0 is certain and draws nothing.
     """
     nu = np.asarray(nu, dtype=float)
     sig = np.asarray(sig, dtype=float)
@@ -361,15 +337,10 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
     if positive:
         def run(item):
             k, size = item
-            v = np.empty((len(positive), min(size, kernels._BLOCK)))
-
-            def moments(z):
-                vz = kernels.equicorr_chunk(z, nu, sig, rho, positive, v[:, : len(z)])
-                # the values are dead once summed, so they are squared in place
-                return np.stack([vz.sum(axis=1), np.square(vz, out=vz).sum(axis=1)], axis=1)
-
-            parts = _chunk_sum(key, k, size, d, np.random.Generator.standard_normal, moments)
-            return [tuple(p) for p in parts.tolist()]
+            z = _stream(*key, k).standard_normal((size, d))
+            v = kernels.equicorr_chunk(z, nu, sig, rho, positive, np.empty((len(positive), size)))
+            # the values are dead once summed, so they are squared in place
+            return list(zip(v.sum(axis=1).tolist(), np.square(v, out=v).sum(axis=1).tolist()))
 
         for part in _map_chunks(run, n, workers):
             for acc, (t, tsq) in zip(sums, part):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
-from tailagg import kernels, rare_event
+from tailagg import rare_event
 from tailagg import (
     AuxiliaryNotDiverging,
     bivariate_lognormal,
@@ -443,8 +443,7 @@ def _keyed_hits(model, corners, focal, n, seed):
 
 @pytest.mark.parametrize("name", _EVERY_KIND)
 def test_mc_checks_equal_per_chunk_references_across_chunks(monkeypatch, name):
-    # three chunks of two full blocks and a partial one, then a partial chunk
-    monkeypatch.setattr(kernels, "_BLOCK", 1000)
+    # three full chunks, then a partial one
     monkeypatch.setattr(rare_event, "CHUNK", 2500)
     model = _EVERY_KIND[name]
     grid = np.logspace(0.2, 2.5, 5)
@@ -469,13 +468,30 @@ def test_mc_checks_equal_per_chunk_references_across_chunks(monkeypatch, name):
         np.testing.assert_array_equal(rep.values, want)
 
 
+@pytest.mark.parametrize("name", _EVERY_KIND)
+def test_mc_check_counts_are_bit_identical_at_every_worker_count(monkeypatch, name):
+    # `check --method mc` counts its rows with `_count_rows`; five full chunks and a
+    # partial one, so 7 workers are more than chunks
+    monkeypatch.setattr(rare_event, "CHUNK", 1000)
+    model = _EVERY_KIND[name]
+    n, seed, corner = 5 * 1000 + 300, 5, (1.5, 1.2)
+    want = _keyed_hits(model, [corner], 0, n, seed)[0]
+
+    def test(rows):
+        above = rows > corner
+        return np.stack((above.all(axis=1), above[:, 0]))
+
+    for workers in (1, 2, 3, 4, 7):
+        assert tuple(rare_event._count_rows(model, test, n, (seed, 0), workers).tolist()) == want
+
+
 def test_pair_checks_take_auto_or_mc_only():
     with pytest.raises(ValueError, match="method must be auto or mc"):
         check_conditional(iid_pair(LN), "A3", 1.0, method="closed_form")
 
 
 def test_mc_check_memory_stays_one_block_whatever_mc_n():
-    # two chunks, 62 blocks of 16384 rows: a whole draw would hold n x 3 uniforms of 8 B
+    # 62 chunks of 16384 rows: a whole draw would hold n x 3 uniforms of 8 B
     model, n = min_construction(2.0), 10**6
     tracemalloc.start()
     try:

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erfc
 
 from tailagg import kernels, rare_event
-from tailagg.kernels import _BLOCK, _equicorr_cholesky, equicorr_chunk, gauss_legendre
+from tailagg.kernels import _equicorr_cholesky, equicorr_chunk, gauss_legendre
 
 
 def _phibar(z):
@@ -141,8 +141,8 @@ def test_equicorr_kernel_equals_argsort_reference_with_ties(d):
             np.testing.assert_allclose(got, _equicorr_by_argsort(z, nu, sig, rho, xs), rtol=1e-12, atol=0)
 
 
-# one row, the sizes around _BLOCK (the rows the estimator passes per call), and a ragged multiple
-_SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17]
+# one row, the sizes around a chunk (the rows the estimator passes per call), and a ragged multiple
+_SIZES = [1, rare_event.CHUNK - 1, rare_event.CHUNK, rare_event.CHUNK + 1, 3 * rare_event.CHUNK + 17]
 # NaN and extreme thresholds between ordinary ones, so a value carried over from one
 # threshold to the next, or a row left unwritten, shows in the next row
 _XS = [4.0, float("nan"), 1e-3, 30.0, 1e12, 250.0]
@@ -151,7 +151,7 @@ _XS = [4.0, float("nan"), 1e-3, 30.0, 1e12, 250.0]
 @pytest.mark.parametrize("n", _SIZES)
 @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
 def test_pair_kernel_equals_unblocked_reference(n, rho):
-    # the normals are a strided view, as the estimator passes them, with some equal draws
+    # the normals are a strided view, with some equal draws
     z = np.random.default_rng(n).standard_normal((n, 3))[:, ::2]
     z[::3, 1] = z[::3, 0]
     before = z.copy()
@@ -180,7 +180,7 @@ def test_equicorr_kernel_equals_unblocked_reference(n, d):
 
 
 def test_kernel_writes_only_its_column_slice():
-    # the estimator hands each call a column slice of its block scratch
+    # out may be a column slice of wider scratch: its rows need only be contiguous
     z = np.random.default_rng(3).standard_normal((700, 3))
     nu, sig, xs = np.zeros(3), np.ones(3), [5.0, 50.0]
     buf = np.full((2, 1000), -1.0)
@@ -188,33 +188,6 @@ def test_kernel_writes_only_its_column_slice():
     assert np.shares_memory(got, buf)
     assert (buf[:, :200] == -1.0).all() and (buf[:, 900:] == -1.0).all()
     assert np.array_equal(buf[:, 200:900], equicorr_chunk(z, nu, sig, 0.2, xs, np.empty((2, 700))))
-
-
-# numpy's pairwise sum: leaves of up to 8 and of 9-128 values, the sizes around _BLOCK, the
-# last chunks of n = 6e5 and 1e6 in chunks of 2^19 (75712, 475712), and a full chunk
-_TREE_SIZES = [1, 7, 8, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 75712, 475712, rare_event.CHUNK]
-
-
-@pytest.mark.parametrize("n", _TREE_SIZES)
-def test_block_sums_added_up_the_tree_are_numpys_whole_vector_sums(n):
-    # a numpy whose pairwise sum splits elsewhere fails here instead of letting the estimator's bits drift
-    rng = np.random.default_rng(n)
-    v = rng.standard_normal((3, n)) * np.exp(4.0 * rng.standard_normal((3, n)))
-    blocks = list(kernels._blocks(n))
-    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]] and blocks[-1][1] == n
-    assert all(0 < hi - lo <= _BLOCK for lo, hi in blocks)
-    for row in v:
-        assert kernels._tree_sum(n, (row[lo:hi].sum() for lo, hi in blocks)) == row.sum()
-        assert kernels._tree_sum(n, (np.square(row[lo:hi]).sum() for lo, hi in blocks)) == np.square(row).sum()
-    # as the estimator reduces a block: every row of a column slice of wider scratch at once
-    wide = np.empty((3, n + 5))
-    wide[:, :n] = v
-    got = kernels._tree_sum(n, (wide[:, lo:hi].sum(axis=1) for lo, hi in blocks))
-    assert got.tolist() == [row.sum() for row in v]
-
-
-def test_a_full_chunk_is_whole_blocks():
-    assert list(kernels._blocks(rare_event.CHUNK)) == [(lo, lo + _BLOCK) for lo in range(0, rare_event.CHUNK, _BLOCK)]
 
 
 def _bell(z):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.special import erfc, ndtr
 from tailagg import (
     approx_sum_pair,
     bivariate_lognormal,
+    check_joint_aux,
     comonotone_inverse,
     cond_mc_lognormal,
     cond_mc_lognormal_curve,
@@ -27,7 +29,6 @@ from tailagg import (
     weibull_type,
 )
 from tailagg import rare_event, tables
-from tailagg.kernels import _BLOCK, _blocks
 from tailagg.rare_event import EstimateResult
 from test_kernels import _unblocked
 
@@ -235,8 +236,9 @@ def test_cond_mc_determinism_and_worker_invariance():
 def test_cond_mc_bits_do_not_depend_on_the_blas_thread_count():
     # The worker-count tests with CHUNK set to 4096 reduce rows below
     # OpenBLAS's 10,000-element cutoff for threading a dot product, so they
-    # never reach a threaded BLAS reduction.  n = 10**6 runs two real
-    # 2^19-row chunks; the environment variable is read by OpenBLAS only.
+    # never reach a threaded BLAS reduction.  n = 10**6 runs 61 real chunks of
+    # 2^14 rows, above that cutoff, and a partial one; the environment
+    # variable is read by OpenBLAS only.
     code = (
         "import tailagg\n"
         "r = tailagg.cond_mc_lognormal(0.0, 1.0, 0.0, [1.0, 1.0], 50.0, 10**6, 5)\n"
@@ -366,15 +368,14 @@ def test_curve_with_one_positive_coefficient_is_exact():
     assert all(r.method == "exact" for r in curve)
 
 
-# ---------------------------------------------------------------- row blocks within a chunk
+# ---------------------------------------------------------------- whole-chunk references
 
-# a chunk runs one row block of kernels._BLOCK rows at a time, end to end; these
-# chunks span several blocks and end in a partial one
-N_BLOCKS = 2 * _BLOCK + 17  # inside one chunk
-MULTI_CHUNK = 2 * _BLOCK + 5
-N_MULTI = 3 * MULTI_CHUNK + _BLOCK + 3  # three multi-block chunks and a partial one
+# a full chunk, and three full chunks and a partial one
+N_ONE = rare_event.CHUNK
+N_MULTI = 3 * rare_event.CHUNK + 1003
+WORKER_COUNTS = [1, 2, 3, 4, 7]  # 7 workers for at most 4 chunks
 # x = 1e-3 is all but certain, so every row counts in the sums and a dropped one shows
-BLOCK_XS = [1e-3, 4.0, 30.0, 1e12]
+CHUNK_XS = [1e-3, 4.0, 30.0, 1e12]
 
 
 def _whole_chunk_curve(nu, sig, rho, xs, n, seed):
@@ -388,14 +389,14 @@ def _whole_chunk_curve(nu, sig, rho, xs, n, seed):
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
-@pytest.mark.parametrize("chunk, n", [(rare_event.CHUNK, N_BLOCKS), (MULTI_CHUNK, N_MULTI)], ids=["one_chunk", "chunks"])
-def test_blocked_chunks_equal_a_whole_chunk_reference(monkeypatch, d, chunk, n):
-    monkeypatch.setattr(rare_event, "CHUNK", chunk)
+@pytest.mark.parametrize("n", [N_ONE, N_MULTI], ids=["one_chunk", "chunks"])
+def test_blocked_chunks_equal_a_whole_chunk_reference(d, n):
     nu, sig = np.linspace(-0.2, 0.3, d), np.linspace(0.8, 1.2, d)
     for rho, seed in ((0.4, 8), (-0.8 / (d - 1), (3, 1))):
-        ref = _whole_chunk_curve(nu, sig, rho, BLOCK_XS, n, seed)
-        assert rare_event._cond_mc_curve(nu, sig, rho, BLOCK_XS, n, seed, 2) == ref
-        assert [cond_mc_terms(nu, sig, rho, x, n, seed) for x in BLOCK_XS] == ref
+        ref = _whole_chunk_curve(nu, sig, rho, CHUNK_XS, n, seed)
+        for workers in WORKER_COUNTS:
+            assert rare_event._cond_mc_curve(nu, sig, rho, CHUNK_XS, n, seed, workers) == ref
+        assert [cond_mc_terms(nu, sig, rho, x, n, seed) for x in CHUNK_XS] == ref
 
 
 PLAIN_KINDS = [
@@ -410,9 +411,8 @@ PLAIN_KINDS = [
 
 
 @pytest.mark.parametrize("model", PLAIN_KINDS, ids=lambda m: f"{m.kind}-{m.dim}")
-@pytest.mark.parametrize("chunk, n", [(rare_event.CHUNK, N_BLOCKS), (MULTI_CHUNK, N_MULTI)], ids=["one_chunk", "chunks"])
-def test_blocked_plain_mc_equals_whole_chunk_sample_count(monkeypatch, model, chunk, n):
-    monkeypatch.setattr(rare_event, "CHUNK", chunk)
+@pytest.mark.parametrize("n", [N_ONE, N_MULTI], ids=["one_chunk", "chunks"])
+def test_blocked_plain_mc_equals_whole_chunk_sample_count(model, n):
     a = np.linspace(1.0, 1.5, model.dim)
     key = (6, 2)
     # x = 0.5 is passed by most rows of every kind, so a dropped row shows in the count
@@ -421,42 +421,18 @@ def test_blocked_plain_mc_equals_whole_chunk_sample_count(monkeypatch, model, ch
             int(np.count_nonzero(model.rows(_chunk_uniforms(key, k, (size, model.uniform_dim))) @ a > x))
             for k, size in rare_event._chunk_ranges(n)
         )
-        for workers in (1, 2):
+        for workers in WORKER_COUNTS:
             r = plain_mc(model, a, x, n, key, workers)
             assert (r.estimate, r.ess) == (hits / n, hits)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_block_draws_continue_one_philox_stream(d):
-    key, k, n = (4, 9), 2, N_BLOCKS
-    whole = _chunk_uniforms(key, k, (n, d))
-    # each block's uniforms live in scratch the next block overwrites
-    blocks = [(lo, hi, u.copy()) for lo, hi, u in rare_event._block_draws(key, k, n, d, rare_event._uniforms)]
-    assert [(lo, hi) for lo, hi, _ in blocks] == list(_blocks(n))
-    for lo, hi, u in blocks:
-        assert np.array_equal(u, whole[lo:hi])
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_block_normals_continue_one_philox_stream(d):
-    # the ziggurat takes a varying number of raw words per normal, so this
-    # holds only because the blocks fill in order from the chunk's one generator
-    key, k, n = (4, 9), 2, N_BLOCKS
-    whole = _chunk_normals(key, k, (n, d))
-    fill = np.random.Generator.standard_normal
-    blocks = [(lo, hi, z.copy()) for lo, hi, z in rare_event._block_draws(key, k, n, d, fill)]
-    assert [(lo, hi) for lo, hi, _ in blocks] == list(_blocks(n))
-    for lo, hi, z in blocks:
-        assert np.array_equal(z, whole[lo:hi])
-
-
 def test_chunk_memory_grows_with_the_block_not_the_chunk():
-    # one full chunk at 19 thresholds: 19 x 2^19 x 8 B = 76 MiB as a chunk-wide buffer,
-    # 19 x _BLOCK x 8 B = 2.4 MiB as the block scratch
+    # 32 chunks at 19 thresholds: 19 x 2^19 x 8 B = 76 MiB as an n-wide buffer,
+    # 19 x CHUNK x 8 B = 2.4 MiB as one chunk's replication values
     xs = np.geomspace(3.0, 1000.0, 19).tolist()
     tracemalloc.start()
     try:
-        cond_mc_lognormal_curve(0.0, 1.0, 0.0, [1.0, 1.0], xs, rare_event.CHUNK, 42)
+        cond_mc_lognormal_curve(0.0, 1.0, 0.0, [1.0, 1.0], xs, 1 << 19, 42)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -466,8 +442,8 @@ def test_chunk_memory_grows_with_the_block_not_the_chunk():
 # ---------------------------------------------------------------- seed keys
 
 
-def _first_block(key, k):
-    return next(rare_event._block_draws(key, k, 100, 2, rare_event._uniforms))[2].copy()
+def _first_draws(key, k):
+    return rare_event._uniforms(rare_event._stream(*key, k), np.empty((100, 2)))
 
 
 def test_a_trailing_zero_word_names_another_key():
@@ -477,7 +453,7 @@ def test_a_trailing_zero_word_names_another_key():
 
 @pytest.mark.parametrize("s, k", [(1, 1), (42, 3)])
 def test_chunk_0_of_key_s_k_is_not_chunk_k_of_key_s(s, k):
-    assert not np.array_equal(_first_block((s, k), 0), _first_block((s,), k))
+    assert not np.array_equal(_first_draws((s, k), 0), _first_draws((s,), k))
 
 
 def test_estimates_carry_their_seed_key():
@@ -601,3 +577,79 @@ def test_one_chunk_runs_inline_without_a_pool(monkeypatch):
     # two chunks still go to the pool
     with pytest.raises(AssertionError, match="thread pool built"):
         plain_mc(iid_pair(LN), [1.0, 1.0], 5.0, rare_event.CHUNK + 1, seed=4, workers=2)
+
+
+# ---------------------------------------------------------------- worker shares
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_each_worker_gets_one_pool_task_of_contiguous_chunks(small_chunks, monkeypatch, workers):
+    tasks = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            tasks.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(rare_event, "ThreadPoolExecutor", CountingPool)
+    chunks = list(rare_event._chunk_ranges(N_SPAN))
+    assert rare_event._map_chunks(lambda item: item, N_SPAN, workers) == chunks
+    assert len(tasks) == (0 if workers == 1 else min(workers, len(chunks)))
+    # the shares, in task order, are the chunks in order
+    assert [item for (share,) in tasks for item in share] == ([] if workers == 1 else chunks)
+
+
+@pytest.mark.parametrize("n", [rare_event.CHUNK * 2**32 + 1, 10**15])
+def test_more_than_2_32_chunks_are_refused_before_any_is_listed(monkeypatch, n):
+    # chunk 2^32 of a key would draw what chunk 1 of the key with a further word 0 draws
+    def unreachable(*args):
+        raise AssertionError("chunks listed or drawn")
+
+    monkeypatch.setattr(rare_event, "_chunk_ranges", unreachable)
+    monkeypatch.setattr(rare_event, "_stream", unreachable)
+    calls = [
+        lambda: cond_mc_lognormal_curve(0.0, 1.0, 0.3, [1.0, 1.0], [5.0, 50.0], n, 1, workers=2),
+        lambda: plain_mc(iid_pair(LN), [1.0, 1.0], 5.0, n, 1),
+        lambda: check_joint_aux(iid_pair(LN), 1.0, [2.0, 4.0], method="mc", mc_n=n, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"n = {n} needs more than 2\\^32 chunks"):
+            call()
+
+
+def test_exactly_2_32_chunks_are_allowed(monkeypatch):
+    monkeypatch.setattr(rare_event, "_chunk_ranges", lambda n: iter([]))
+    assert rare_event._map_chunks(None, rare_event.CHUNK * 2**32, 1) == []
+
+
+# estimates of one full chunk, pinned to the bits they had with 2^19-row chunks:
+# chunk 0 draws its whole array from stream 0 of the key, so these move only
+# with the draw
+ONE_CHUNK_BITS = {
+    "cond_d2": (
+        lambda: [cond_mc_lognormal(0.0, 1.0, 0.3, [1.0, 1.0], 20.0, 16384, (7, 3))],
+        [("0x1.588cb9f25b9dep-8", "0x1.04198515f0353p-14", "0x1.38420134025a5p+12")],
+    ),
+    "cond_d3": (
+        lambda: cond_mc_lognormal_curve(0.1, 0.9, 0.3, [1.0, 0.5, 2.0], [5.0, 50.0], 16384, 11, workers=2),
+        [
+            ("0x1.c0a04810234edp-2", "0x1.e38b675a7e880p-10", "0x1.8cc59c683030ap+13"),
+            ("0x1.178a5c62c0285p-11", "0x1.098f0a518b183p-16", "0x1.094f13cabb7d8p+10"),
+        ],
+    ),
+    "plain": (
+        lambda: [plain_mc(bivariate_lognormal(0.0, 1.0, 0.4), [1.0, 1.0], 8.0, 16384, 5)],
+        [("0x1.2f80000000000p-4", "0x1.0c36e55cdd4a3p-9", "0x1.2f80000000000p+10")],
+    ),
+}
+
+
+@pytest.mark.parametrize("route", ONE_CHUNK_BITS)
+def test_a_one_chunk_estimate_keeps_its_bits(route):
+    call, bits = ONE_CHUNK_BITS[route]
+    assert [tuple(v.hex() for v in (r.estimate, r.std_error, r.ess)) for r in call()] == bits
+
+
+def test_a_one_chunk_mc_check_keeps_its_bits():
+    rep = check_joint_aux(iid_pair(LN), 1.0, [1.5, 3.0], method="mc", mc_n=16384, seed=2)
+    assert [float(v).hex() for v in rep.values] == ["0x1.aa316644d58a0p-6", "0x1.7baee81981975p-3"]
