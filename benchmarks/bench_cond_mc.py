@@ -20,13 +20,15 @@ The figures of its record:
                        with 2^19-row chunks call this peak_mb_per_chunk
   stages_ns_per_row    the stages of 2^19 rows as the estimator runs them,
                        one chunk of `rare_event.CHUNK` rows at a time:
-                         normals    Philox standard normals by numpy's
-                                    ziggurat, d per row, each chunk from
-                                    its own generator in one call: how the
-                                    estimator draws
-                         uniforms   the same with Philox uniforms plus the
+                         normals    standard normals by numpy's ziggurat
+                                    from `joint._stream` (SFC64; Philox in
+                                    records before BENCH_25.json), d per
+                                    row, each chunk from its own generator
+                                    in one call: how the estimator and the
+                                    bivariate lognormal's plain MC draw
+                         uniforms   the same with uniforms plus the
                                     in-place clip (`_uniforms`): how plain
-                                    MC draws
+                                    MC draws the other joint kinds
                          ndtri      in place on those uniforms: with
                                     uniforms, the inverse-CDF route to
                                     normals that `normals` replaced

@@ -14,6 +14,9 @@ The cases:
   simulate_d<d>   `simulate --method cond --workers 2` of a bivariate
                   lognormal (mu 0, sigma 1, rho 0.9) with d coefficients 1,
                   x = 100, seed 7, n = 1e7, for d = 2, 3
+  simulate_plain_d2  `simulate --method plain --workers 2` of the same
+                  bivariate lognormal, coefficients (1, 1), x = 100, seed 7,
+                  n = 1e7: plain MC's row draw and count
   check           `check --assumption A3 --grid-log 1:5:9` of the same
                   bivariate lognormal: one orthant quadrature call, so
                   its time is almost all the fixed cost of a command
@@ -53,10 +56,10 @@ def cases(work: Path) -> dict:
         for w in (1, 2):
             out[f"tables{k}_w{w}"] = ["reproduce-tables", "--which", str(k), "--seed", "42", "--workers", str(w),
                                       "--out-dir", str(work / "tables")]
-    for d in (2, 3):
-        out[f"simulate_d{d}"] = ["simulate", "--joint", str(work / "joint.json"), "--coeffs", ",".join("1" * d),
-                                 "--threshold", "100", "--n", "10000000", "--seed", "7",
-                                 "--method", "cond", "--workers", "2", "--out", str(work / "simulate.json")]
+    for case, d, method in (("simulate_d2", 2, "cond"), ("simulate_d3", 3, "cond"), ("simulate_plain_d2", 2, "plain")):
+        out[case] = ["simulate", "--joint", str(work / "joint.json"), "--coeffs", ",".join("1" * d),
+                     "--threshold", "100", "--n", "10000000", "--seed", "7",
+                     "--method", method, "--workers", "2", "--out", str(work / "simulate.json")]
     out["check"] = ["check", "--assumption", "A3", "--joint", str(work / "joint.json"), "--grid-log", "1:5:9"]
     return out
 

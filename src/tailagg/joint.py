@@ -1,17 +1,22 @@
 """Bivariate dependence structures with seeded samplers and closed forms.
 
-Sampling from a joint model is inverse-CDF on a counter-based Philox stream:
-every kind is a transform of uniforms.  A stream is named by a seed and a
-spawn key of further words, through numpy's `SeedSequence(seed,
+Every draw comes from numpy's SFC64 generator.  A stream is named by a seed
+and a spawn key of further words, through numpy's `SeedSequence(seed,
 spawn_key=...)`, so any key regenerates the same draws and distinct keys name
-distinct streams.
-A draw is two steps: `_uniforms` fills an array from the stream, and
-`JointModel.rows` transforms it elementwise into rows of the joint law, so
-plain Monte Carlo gets for a chunk, row for row, what `JointModel.sample`
-returns for it.  The conditional estimator (`rare_event`) needs only
-standard normals, and draws them from its chunk's Philox stream directly, by
-numpy's ziggurat; one generator per chunk keeps those draws the same at any
-worker count.
+distinct streams.  Each chunk of Monte Carlo rows has a key of its own and
+draws from the start of its stream, so a counter-based generator such as
+Philox, whose advantage is random access into one long stream, buys nothing
+here, and SFC64 draws faster (`BENCH_25.json`: 35 against 49 ns a row for a
+chunk's d = 2 normals, 10 against 25 for its uniforms, on a 2-vCPU x86-64
+machine).
+`JointModel.rows` draws a chunk's rows from its generator: the bivariate
+lognormal by numpy's ziggurat normals, mixed as the conditional estimator
+mixes them at d = 2, every other kind by inverse CDF on `_uniforms`.  Plain
+Monte Carlo gets for a chunk, row for row, what `JointModel.sample` returns
+for it.  The conditional estimator (`rare_event`) draws standard normals from
+its chunk's generator directly; one generator per chunk keeps the draws the
+same at any worker count, though the ziggurat takes a varying number of raw
+words per normal.
 
 The joint survival P(X > x, Y > y) has one route, `joint_log_survival`, which
 works in log space for every kind, at a corner or at arrays of corners.  It
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri
+from scipy.special import log_ndtr
 
 from . import kernels
 from .errors import UnsupportedKind
@@ -71,8 +76,8 @@ _FIELDS = {
     MIN_CONSTRUCTION: {"alpha": _PARAMS[LOG_WEIBULL]["alpha"]},
     MIXED_MIN: {"base": (None, MODEL), "lighter": (None, MODEL)},
 }
-# uniforms each pair construction turns into one row
-_UNIFORMS_PER_ROW = {BIVARIATE_LOGNORMAL: 2, COMONOTONE_INVERSE: 1, MIN_CONSTRUCTION: 3, MIXED_MIN: 3}
+# uniforms each inverse-CDF pair construction turns into one row
+_UNIFORMS_PER_ROW = {COMONOTONE_INVERSE: 1, MIN_CONSTRUCTION: 3, MIXED_MIN: 3}
 # keys whose values are not plain numbers: nested model configs and the dimension
 _READERS = {"marginal": model_from_config, "base": model_from_config, "lighter": model_from_config, "dim": config_integer}
 
@@ -98,14 +103,18 @@ def _seed_key(seed) -> tuple:
 
 
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
-    """Philox generator for `SeedSequence(seed, spawn_key=spawn_key)`: the one way a key becomes draws."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+    """SFC64 generator for `SeedSequence(seed, spawn_key=spawn_key)`: the one way a key becomes draws.
+
+    Every caller draws from the start of its own key's stream, never at an
+    offset into another's, so nothing needs a counter-based generator.
+    """
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
 def _uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous out with gen's next uniforms, clipped into (0, 1); return out.
 
-    The clip keeps ndtri and the quantiles finite.
+    The clip keeps the quantiles finite.
     """
     gen.random(out=out)
     return np.clip(out, _U_LO, _U_HI, out=out)
@@ -159,28 +168,34 @@ class JointModel:
 
     # -- sampling ---------------------------------------------------------------
 
-    @property
-    def uniform_dim(self) -> int:
-        """Uniforms per row: the width of the array `rows` takes."""
-        return self.dim if self.kind == IID_PAIR else _UNIFORMS_PER_ROW[self.kind]
-
     def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
-        """n iid rows from the stream of chunk `stream` of key (seed,): at n <= `rare_event.CHUNK`, that chunk's rows."""
+        """n iid rows, by `rows`, from the SFC64 stream of chunk `stream` of key (seed,): at n <= `rare_event.CHUNK`, that chunk's rows."""
         check_value("n", n, COUNT)
-        return self.rows(_uniforms(_stream(*_seed_key((seed, stream))), np.empty((n, self.uniform_dim))))
+        return self.rows(_stream(*_seed_key((seed, stream))), n)
 
-    def rows(self, u: np.ndarray) -> np.ndarray:
-        """Rows of the joint law from a (k, uniform_dim) array of uniforms in (0, 1), row by row."""
+    def rows(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """size iid rows of the joint law, drawn from gen (a chunk's SFC64 generator, `_stream`), as a (size, dim) array.
+
+        The bivariate lognormal draws (size, 2) standard normals Z by numpy's
+        ziggurat and mixes them as `kernels.equicorr_chunk` does at d = 2,
+        W1 = Z0 and W2 = rho Z0 + s Z1, bit for bit; its rows are
+        exp(mu + sigma W), the terms the conditional estimator scores at unit
+        coefficients.  Every other kind draws uniforms (`_uniforms`) and
+        transforms them elementwise by its quantiles.
+        """
         kind = self.kind
+        if kind == BIVARIATE_LOGNORMAL:
+            w = gen.standard_normal((size, 2))
+            # below[0] is rho, diag[1] the s of the exact pair, sqrt((1 - rho)(1 + rho))
+            below, diag = kernels._equicorr_cholesky(2, self.rho)
+            w[:, 1] *= diag[1]
+            w[:, 1] += below[0] * w[:, 0]
+            w *= self.sigma
+            w += self.mu
+            return np.exp(w, out=w)
+        u = _uniforms(gen, np.empty((size, self.dim if kind == IID_PAIR else _UNIFORMS_PER_ROW[kind])))
         if kind == IID_PAIR:
             return self.marginal.quantile(u)
-        if kind == BIVARIATE_LOGNORMAL:
-            g = ndtri(u)
-            z1 = g[:, 0]
-            # the s of the conditional estimator and the exact pair, sqrt((1 - rho)(1 + rho))
-            s = kernels._equicorr_cholesky(2, self.rho)[1][1]
-            z2 = self.rho * g[:, 0] + s * g[:, 1]
-            return np.exp(self.mu + self.sigma * np.column_stack([z1, z2]))
         if kind == COMONOTONE_INVERSE:
             u = u[:, 0]
             v = np.clip(1.0 - u, _U_LO, _U_HI)

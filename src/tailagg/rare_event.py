@@ -11,9 +11,11 @@ Four routes:
     cond_mc_lognormal_curve scores one set of draws at several thresholds.
 
 Replications are partitioned into chunks of `CHUNK` rows.  Chunk k of the
-key (seed, *words) draws its whole array in one call from the Philox stream
-of `SeedSequence(seed, spawn_key=(*words, k))`, so distinct (key, chunk)
-pairs never share a stream while k < 2^32, which `_map_chunks` enforces.
+key (seed, *words) draws its whole array in one call from the SFC64 stream
+of `SeedSequence(seed, spawn_key=(*words, k))` (`joint._stream`), so distinct
+(key, chunk) pairs never share a stream while k < 2^32, which `_map_chunks`
+enforces.  No chunk reads another's stream, so a generator with random
+access by counter (Philox) would buy nothing.
 A chunk's replication values are reduced to the numpy pairwise sums of the
 values and of their squares, and never by BLAS, whose threaded dot product
 would make the last bits depend on the BLAS build and its thread count (and
@@ -23,10 +25,10 @@ results are bit-identical no matter how many workers ran the chunks, and
 each chunk in flight holds CHUNK rows, whatever n.
 
 Conditional MC draws standard normals directly, by numpy's ziggurat
-(`Generator.standard_normal`), and scores them; plain MC draws uniforms
-(`_uniforms`) and turns them into rows of the joint law by inverse CDF
-(`JointModel.rows`, which needs uniforms for every joint kind) and counts
-them (`_count_rows`).  The ziggurat takes a varying number of raw words per
+(`Generator.standard_normal`), and scores them; plain MC draws each chunk's
+rows with `JointModel.rows` (ziggurat normals for the bivariate lognormal,
+uniforms and an inverse CDF for the other kinds) and counts them
+(`_count_rows`).  The ziggurat takes a varying number of raw words per
 normal, so a chunk's draws are stable only because each chunk has its own
 generator.
 
@@ -45,11 +47,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-# nothing here calls ndtri: the benchmark tracer wraps `rare_event.ndtri` by name
+# nothing here calls ndtri or _uniforms: the benchmark tracer wraps `rare_event.ndtri`
+# and `rare_event._uniforms` by name
 from scipy.special import ndtri  # noqa: F401
 
 from . import kernels
-from .joint import JointModel, _seed_key, _stream, _uniforms
+from .joint import JointModel, _seed_key, _stream, _uniforms  # noqa: F401
 from .models import _PARAMS, COUNT, FINITE, LOGNORMAL, NONNEGATIVE, POSITIVE, check_fields, check_value, norm_sf
 
 CHUNK = 1 << 14
@@ -249,9 +252,10 @@ def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.n
     return out.reshape(shape)
 
 
-def _chunk_ranges(n: int):
-    for k, lo in enumerate(range(0, n, CHUNK)):
-        yield k, min(CHUNK, n - lo)
+def _chunk_ranges(n: int, ks: Optional[range] = None):
+    """(k, rows) of each chunk k in ks of n rows, by default every chunk, one at a time."""
+    for k in range(-(-n // CHUNK)) if ks is None else ks:
+        yield k, min(CHUNK, n - k * CHUNK)
 
 
 def plain_mc(
@@ -264,9 +268,9 @@ def plain_mc(
 ) -> EstimateResult:
     """Fraction of sampled rows with sum_i a_i X_i > x.
 
-    Each chunk's uniforms are turned into rows by `JointModel.rows`, the
-    transform `JointModel.sample` applies to its draw, and their hits are
-    counted by `_count_rows`.  std_error is the binomial sqrt(p(1-p)/n).  A
+    Each chunk's rows are drawn by `JointModel.rows` from the chunk's
+    generator, the rows `JointModel.sample` returns for it, and their hits
+    are counted by `_count_rows`.  std_error is the binomial sqrt(p(1-p)/n).  A
     NaN threshold gives a NaN estimate, as in conditional MC, and draws nothing.
     """
     a = np.asarray(a, dtype=float)
@@ -287,8 +291,7 @@ def _count_rows(model: JointModel, test, n: int, seed, workers: int = 1):
 
     def run(item):
         k, size = item
-        u = _uniforms(_stream(*key, k), np.empty((size, model.uniform_dim)))
-        return np.count_nonzero(test(model.rows(u)), axis=-1)
+        return np.count_nonzero(test(model.rows(_stream(*key, k), size)), axis=-1)
 
     return sum(_map_chunks(run, n, workers))
 
@@ -297,18 +300,20 @@ def _map_chunks(fn, n: int, workers: int) -> list:
     """fn((k, size)) of every chunk of n rows, in chunk order.
 
     Up to `workers` threads each run one contiguous share of the chunks as
-    one pool task: with a task per chunk, `simulate` ran slower.
+    one pool task: with a task per chunk, `simulate` ran slower.  A share is
+    a range of chunk indices, and its items are read from `_chunk_ranges` as
+    they are run, so nothing per chunk is held before the first call.
     """
     if n > CHUNK * 2**32:
         # chunk 2^32 of key (s, w) would draw what chunk 1 of key (s, w, 0) draws (see `_seed_key`)
         raise ValueError(f"n = {n} needs more than 2^32 chunks of {CHUNK} rows")
-    items = list(_chunk_ranges(n))
-    workers = min(workers, len(items))
+    chunks = -(-n // CHUNK)
+    workers = min(workers, chunks)
     if workers <= 1:  # a pool cannot split one chunk
-        return [fn(it) for it in items]
-    shares = [items[len(items) * i // workers : len(items) * (i + 1) // workers] for i in range(workers)]
+        return [fn(it) for it in _chunk_ranges(n)]
+    shares = [range(chunks * i // workers, chunks * (i + 1) // workers) for i in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        done = pool.map(lambda share: [fn(it) for it in share], shares)
+        done = pool.map(lambda share: [fn(it) for it in _chunk_ranges(n, share)], shares)
         return [part for parts in done for part in parts]
 
 

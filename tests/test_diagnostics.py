@@ -38,6 +38,7 @@ from tailagg.diagnostics import (
     _safe_exp,
     _sampled_hits,
 )
+from test_joint import reference_rows
 
 LN = lognormal(0.0, 1.0)
 
@@ -425,11 +426,8 @@ def test_mc_checks_equal_rejection_references(name):
 
 
 def _keyed_rows(model, n, key):
-    # the n rows of key, each chunk drawn whole from its own Philox stream
-    return np.concatenate([
-        model.rows(rare_event._uniforms(rare_event._stream(*key, c), np.empty((size, model.uniform_dim))))
-        for c, size in rare_event._chunk_ranges(n)
-    ])
+    # the n rows of key, each chunk drawn whole from its own stream
+    return np.concatenate([reference_rows(model, rare_event._stream(*key, c), size) for c, size in rare_event._chunk_ranges(n)])
 
 
 def _keyed_hits(model, corners, focal, n, seed):
@@ -492,7 +490,7 @@ def test_pair_checks_take_auto_or_mc_only():
 
 def test_mc_check_memory_stays_one_block_whatever_mc_n():
     # 62 chunks of 16384 rows: a whole draw would hold n x 3 uniforms of 8 B
-    model, n = min_construction(2.0), 10**6
+    model, n, width = min_construction(2.0), 10**6, 3
     tracemalloc.start()
     try:
         rep = check_conditional(model, "A3", 1.0, np.array([2.0, 4.0]), method="mc", mc_n=n, seed=3)
@@ -500,7 +498,7 @@ def test_mc_check_memory_stays_one_block_whatever_mc_n():
     finally:
         tracemalloc.stop()
     assert not math.isnan(rep.values[0])
-    assert peak < n * model.uniform_dim * 8 / 8
+    assert peak < n * width * 8 / 8
 
 
 @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 0.5])

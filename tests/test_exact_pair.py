@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from tailagg import cond_mc_lognormal, exact_comonotone_lognormal, exact_lognormal_pair, exact_lognormal_single
+from tailagg import (
+    bivariate_lognormal,
+    cond_mc_lognormal,
+    exact_comonotone_lognormal,
+    exact_lognormal_pair,
+    exact_lognormal_single,
+    plain_mc,
+)
 from tailagg import rare_event
 
 
@@ -62,6 +69,17 @@ def test_conditional_mc_mean_within_ten_standard_errors(rho, a, x):
     assert est.ess > 0.1 * n
     truth = float(exact_lognormal_pair(0.0, 1.0, rho, a[0], a[1], x))
     assert abs(est.estimate - truth) <= 10.0 * est.std_error
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.3, 0.9])
+def test_plain_mc_within_ten_standard_errors(rho):
+    # every cell has at least 100 hits, so its binomial standard error means something
+    n, xs = 10**6, [2.0, 5.0, 10.0, 20.0, 40.0]
+    truth = exact_lognormal_pair(0.0, 1.0, rho, 1.0, 1.0, np.array(xs))
+    for x, p in zip(xs, truth.tolist()):
+        est = plain_mc(bivariate_lognormal(0.0, 1.0, rho), [1.0, 1.0], x, n, seed=11)
+        assert est.ess >= 100
+        assert abs(est.estimate - p) <= 10.0 * est.std_error
 
 
 def test_vectorised_call_equals_scalar_calls_bit_for_bit():

@@ -26,7 +26,7 @@ from tailagg import (
     mixed_min,
 )
 from tailagg.joint import JointModel
-from tailagg.models import norm_log_sf
+from tailagg.models import log_weibull, norm_log_sf
 
 KINDS = {
     "iid": iid_pair(lognormal(0.0, 1.0)),
@@ -50,12 +50,35 @@ def test_sampler_determinism_and_streams():
         assert np.all(a > 0)
 
 
+def reference_rows(model, gen, size):
+    # size rows of the joint law from gen, each kind written out from its definition:
+    # the bivariate lognormal is exp(mu + sigma W) with W1 = Z0, W2 = rho Z0 + s Z1 for
+    # ziggurat normals Z, every other kind an inverse CDF of uniforms clipped into (0, 1)
+    if model.kind == "bivariate_lognormal":
+        z = gen.standard_normal((size, 2))
+        s = math.sqrt((1.0 - model.rho) * (1.0 + model.rho))
+        w = np.column_stack([z[:, 0], model.rho * z[:, 0] + s * z[:, 1]])
+        return np.exp(model.mu + model.sigma * w)
+    width = {"iid_pair": model.dim, "comonotone_inverse": 1, "min_construction": 3, "mixed_min": 3}[model.kind]
+    u = np.clip(gen.random((size, width)), 1e-300, 1.0 - 1e-16)
+    v = np.clip(1.0 - u[:, 0], 1e-300, 1.0 - 1e-16)  # the countermonotone partner of u[:, 0]
+    if model.kind == "iid_pair":
+        return model.marginal.quantile(u)
+    if model.kind == "comonotone_inverse":
+        return np.column_stack([model.marginal.quantile(u[:, 0]), model.marginal.quantile(v)])
+    if model.kind == "min_construction":
+        c = log_weibull(model.alpha).quantile(u)
+        return np.column_stack([np.minimum(c[:, 0], c[:, 1]), np.minimum(c[:, 1], c[:, 2])])
+    base, lighter = model.base.quantile, model.lighter.quantile
+    return np.column_stack([np.minimum(base(u[:, 0]), lighter(u[:, 1])), np.minimum(base(v), lighter(u[:, 2]))])
+
+
 def test_sample_is_chunk_stream_of_key_seed():
     from tailagg import rare_event
 
     for m in KINDS.values():
-        u = rare_event._uniforms(rare_event._stream(5, 3), np.empty((1000, m.uniform_dim)))
-        assert np.array_equal(m.sample(1000, seed=5, stream=3), m.rows(u))
+        want = reference_rows(m, rare_event._stream(5, 3), 1000)
+        assert np.array_equal(m.sample(1000, seed=5, stream=3), want)
 
 
 @pytest.mark.parametrize("seed, stream", [(1.7, 0), (True, 0), (-1, 0), (1, -1), (1, 0.5), (1, 2**32)])
