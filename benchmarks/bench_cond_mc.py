@@ -36,9 +36,12 @@ The figures of its record:
                                     threshold scored, including the
                                     threshold-independent work (mix, terms,
                                     conditional means) shared by all m
-                         reduction  per chunk, the sum and the sum of the
-                                    squares of one row of replication
-                                    values, per threshold
+                         reduction  per chunk, `rare_event._chunk_moments` on
+                                    one row of replication values, per
+                                    threshold: its sum and centred sum of
+                                    squares, as exact ints (records before
+                                    BENCH_26.json timed the plain sum and
+                                    sum of squares as floats)
 Beside each best-of figure, pipeline_ns_per_row and stages_ns_per_row, the
 record holds the median (`..._median`) and the interquartile range Q3 - Q1
 (`..._iqr`) of its --repeats timings, in the same unit: the same stage code
@@ -61,7 +64,7 @@ from scipy.special import ndtri
 
 from tailagg import cond_mc_lognormal_curve, kernels
 from tailagg.joint import _stream, _uniforms
-from tailagg.rare_event import CHUNK
+from tailagg.rare_event import CHUNK, _chunk_moments
 from tailagg.tables import TABLE3
 
 RHO = 0.0
@@ -104,16 +107,15 @@ def peak_per_call() -> dict:
 def stages(repeats: int) -> tuple:
     per_row = 1e9 / STAGE_ROWS
     out = {}
-    # one threshold's values of the stages' rows, and a chunk's worth for the squares
-    v = np.random.default_rng(1).random((1, STAGE_ROWS))
-    sq = np.empty((1, CHUNK))
+    # one threshold's values of the stages' rows, restored before each timing, as the reduction overwrites them
+    v0 = np.random.default_rng(1).random((1, STAGE_ROWS))
+    v = np.empty_like(v0)
 
     def reduction(_):
         for _k, lo, hi in CHUNKS:
-            v[:, lo:hi].sum(axis=1)
-            np.square(v[:, lo:hi], out=sq).sum(axis=1)
+            _chunk_moments(v[:, lo:hi])
 
-    out["reduction"] = timings(reduction, repeats), per_row
+    out["reduction"] = timings(reduction, repeats, lambda: np.copyto(v, v0)), per_row
     for d in (2, 3):
 
         def normals(_):

@@ -176,7 +176,7 @@ def _sampled_hits(model: JointModel, corners, focal: int, n: int, seed: int):
         above = rows > corner
         return np.stack((above.all(axis=1), above[:, focal]))
 
-    return [tuple(_count_rows(model, lambda r: test(r, c), n, (seed, k)).tolist()) for k, c in enumerate(corners)]
+    return [tuple(_count_rows(model, lambda r: test(r, c), n, (seed, k))) for k, c in enumerate(corners)]
 
 
 def _pair_report(assumption: str, model: JointModel, g, u, v, focal: int, method="auto", mc_n=None, seed=None):

@@ -11,32 +11,21 @@ Four routes:
     cond_mc_lognormal_curve scores one set of draws at several thresholds.
 
 Replications are partitioned into chunks of `CHUNK` rows.  Chunk k of the
-key (seed, *words) draws its whole array in one call from the SFC64 stream
-of `SeedSequence(seed, spawn_key=(*words, k))` (`joint._stream`), so distinct
-(key, chunk) pairs never share a stream while k < 2^32, which `_map_chunks`
-enforces.  No chunk reads another's stream, so a generator with random
-access by counter (Philox) would buy nothing.
-A chunk's replication values are reduced to the numpy pairwise sums of the
-values and of their squares, and never by BLAS, whose threaded dot product
-would make the last bits depend on the BLAS build and its thread count (and
-its spinning helper thread would take a core from the worker pool).  Merging
-is an ordered reduction of the per-chunk (sum, sum-of-squares) pairs, so
-results are bit-identical no matter how many workers ran the chunks, and
-each chunk in flight holds CHUNK rows, whatever n.
-
-Conditional MC draws standard normals directly, by numpy's ziggurat
-(`Generator.standard_normal`), and scores them; plain MC draws each chunk's
-rows with `JointModel.rows` (ziggurat normals for the bivariate lognormal,
-uniforms and an inverse CDF for the other kinds) and counts them
-(`_count_rows`).  The ziggurat takes a varying number of raw words per
-normal, so a chunk's draws are stable only because each chunk has its own
-generator.
+key (seed, *words) draws its whole array from its own SFC64 stream, that of
+`SeedSequence(seed, spawn_key=(*words, k))` (`joint._stream`; `joint` says why
+SFC64 and a generator per chunk), so distinct (key, chunk) pairs never share a
+stream while k < 2^32, which `_map_chunks` enforces.  Conditional MC scores
+the chunk's ziggurat normals; plain MC counts the rows of `JointModel.rows`.
+A chunk's replication values are reduced by `_chunk_moments`, in numpy and
+never by BLAS (whose threaded dot product would make the last bits depend on
+its build and thread count), to a sum and a centred sum of squares, which
+`_map_chunks` adds as exact ints as each chunk finishes.  So results are
+bit-identical in any chunk order and at any worker count, and each chunk in
+flight holds CHUNK rows, whatever n.
 
 The conditional route samples each chunk once and scores it at every
-requested threshold (common random numbers).  A one-threshold call is the
-same engine with one threshold, so a curve entry equals, bit for bit, the
-call made at its threshold alone; the entries of one curve share their draws,
-so their errors are correlated across thresholds.
+requested threshold (common random numbers): a curve entry equals, bit for
+bit, the call at its threshold alone, and the entries' errors are correlated.
 """
 
 from __future__ import annotations
@@ -44,6 +33,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,6 +48,7 @@ from .joint import JointModel, _seed_key, _stream, _uniforms  # noqa: F401
 from .models import _PARAMS, COUNT, FINITE, LOGNORMAL, NONNEGATIVE, POSITIVE, check_fields, check_value, norm_sf
 
 CHUNK = 1 << 14
+_ULP = 2**1074  # a double times _ULP is an int, and a product of two doubles times _ULP**2
 
 EXACT = "exact"
 PLAIN_MC = "plain_mc"
@@ -87,15 +80,18 @@ class EstimateResult:
     ess: float = math.nan
 
     @staticmethod
-    def from_moments(total: float, total_sq: float, n: int, method: str, seed) -> "EstimateResult":
-        mean = total / n
-        if n > 1:
-            var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-            se = math.sqrt(var / n)
-        else:
-            se = float("nan")
-        ess = total * total / total_sq if total_sq > 0 else 0.0
-        return EstimateResult(min(mean, 1.0), n, se, 1.96 * se, method, seed, ess)
+    def from_moments(total, total_sq, n: int, method: str, seed) -> "EstimateResult":
+        """From the exact sum a / b and sum of squares c / e of n replication values (floats, ints or Fractions), each output rounded once."""
+        (a, b), (c, e) = total.as_integer_ratio(), total_sq.as_integer_ratio()
+        se = _sqrt(max(n * c * b * b - a * a * e, 0), n * n * (n - 1) * b * b * e) if n > 1 else math.nan
+        return EstimateResult(min(a / (b * n), 1.0), n, se, 1.96 * se, method, seed, a * a * e / (b * b * c) if c > 0 else 0.0)
+
+
+def _sqrt(num: int, den: int) -> float:
+    """sqrt(num / den) for num >= 0, rounded once (above 2^-1022): an integer root of 55 bits or more, its last bit set if inexact."""
+    shift = max(0, 112 - num.bit_length() + den.bit_length()) // 2
+    scaled, rem = divmod(num << 2 * shift, den)
+    return math.ldexp((root := math.isqrt(scaled)) | (rem > 0 or root * root < scaled), -shift)
 
 
 @dataclass(frozen=True)
@@ -225,17 +221,13 @@ def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.n
     Vectorised over broadcastable a1, a2 and x; returns an array of their
     broadcast shape.  At d = 2 the conditional estimator's replication value
     is g_1(W_2) + g_2(W_1), so P = sum_i of the integral of phi(w) g_i(w) dw,
-    a 1-D integral of a continuous function with one kink (`_pair_integrand`).
-    The estimator and its truth share the kernel's `_score`.  `_scan_range`
-    finds each integrand's range within e^-80 of its peak over a 1601-point
-    grid on [-40, 40], coarse to fine (at most 179 of its points a row, the
-    same ends as all 1601), and `kernels.gauss_legendre`, the rule the
-    bivariate normal orthant uses too, integrates it in pieces either side of
-    the kink.  |rho| must be at most `kernels._RHO_MAX` = 0.9999: the
-    pieces narrow with sqrt(1 - rho^2), so their number and cost grow as rho
-    nears +-1.  A cell with a zero coefficient, x <= 0 or a NaN x is
-    `exact_lognormal_single` of a1 + a2, so a NaN threshold gives NaN in its
-    own cell.
+    a 1-D integral of a continuous function with one kink (`_pair_integrand`,
+    which shares the kernel's `_score`), over the range `_scan_range` finds, by
+    `kernels.gauss_legendre` in pieces either side of the kink, as the
+    bivariate normal orthant is.  |rho| must be at most `kernels._RHO_MAX` =
+    0.9999: the pieces narrow with sqrt(1 - rho^2), so their number and cost
+    grow as rho nears +-1.  A cell with a zero coefficient, x <= 0 or a NaN x
+    is `exact_lognormal_single` of a1 + a2: a NaN x gives NaN in its own cell.
     """
     a1, a2, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a1, a2, x)))
     check_fields(_ARGS, mu=mu, sigma=sigma, a1=a1, a2=a2)
@@ -266,55 +258,72 @@ def plain_mc(
     seed,
     workers: int = 1,
 ) -> EstimateResult:
-    """Fraction of sampled rows with sum_i a_i X_i > x.
+    """Fraction of sampled rows with sum_i a_i X_i > x, counted chunk by chunk (`_count_rows`).
 
-    Each chunk's rows are drawn by `JointModel.rows` from the chunk's
-    generator, the rows `JointModel.sample` returns for it, and their hits
-    are counted by `_count_rows`.  std_error is the binomial sqrt(p(1-p)/n).  A
-    NaN threshold gives a NaN estimate, as in conditional MC, and draws nothing.
+    std_error is the binomial sqrt(p(1-p)/n).  A NaN threshold gives NaN, as in
+    conditional MC, and draws nothing.
     """
     a = np.asarray(a, dtype=float)
     if len(a) != model.dim:
         raise ValueError(f"need {model.dim} coefficients, got {len(a)}")
     check_fields(_ARGS, a=a, n=n, workers=workers)
     key = _seed_key(seed)
-    hits = math.nan if math.isnan(x) else float(_count_rows(model, lambda rows: rows @ a > x, n, key, workers))
+    hits = math.nan if math.isnan(x) else float(_count_rows(model, lambda rows: rows @ a > x, n, key, workers)[0])
     p = hits / n
     se = math.sqrt(p * (1.0 - p) / n)
     # for 0/1 replication values (sum v)^2 / sum v^2 is the hit count
     return EstimateResult(p, n, se, 1.96 * se, PLAIN_MC, key, hits)
 
 
-def _count_rows(model: JointModel, test, n: int, seed, workers: int = 1):
-    """Sum of count_nonzero(test(rows), axis=-1) over n rows of model, drawn and tested chunk by chunk."""
+def _count_rows(model: JointModel, test, n: int, seed, workers: int = 1) -> list:
+    """Sums of count_nonzero(test(rows), axis=-1), as a flat list of ints, over n rows of model drawn and tested chunk by chunk."""
     key = _seed_key(seed)
 
     def run(item):
         k, size = item
-        return np.count_nonzero(test(model.rows(_stream(*key, k), size)), axis=-1)
+        return np.count_nonzero(test(model.rows(_stream(*key, k), size)), axis=-1).reshape(-1).tolist()
 
-    return sum(_map_chunks(run, n, workers))
+    return _map_chunks(run, n, workers)
 
 
 def _map_chunks(fn, n: int, workers: int) -> list:
-    """fn((k, size)) of every chunk of n rows, in chunk order.
+    """The element-by-element sum of the lists of ints fn((k, size)) over every chunk of n rows.
 
-    Up to `workers` threads each run one contiguous share of the chunks as
-    one pool task: with a task per chunk, `simulate` ran slower.  A share is
-    a range of chunk indices, and its items are read from `_chunk_ranges` as
-    they are run, so nothing per chunk is held before the first call.
+    Up to `workers` threads each run one share, a range of chunk indices read
+    from `_chunk_ranges` as they are run, as one pool task (with a task per
+    chunk, `simulate` ran slower), adding each chunk's list into the share's
+    sum as it finishes.  Int sums are exact, so their order changes no bit.
     """
     if n > CHUNK * 2**32:
         # chunk 2^32 of key (s, w) would draw what chunk 1 of key (s, w, 0) draws (see `_seed_key`)
         raise ValueError(f"n = {n} needs more than 2^32 chunks of {CHUNK} rows")
+    add = lambda acc, part: [s + t for s, t in zip_longest(acc, part, fillvalue=0)]  # noqa: E731
     chunks = -(-n // CHUNK)
     workers = min(workers, chunks)
     if workers <= 1:  # a pool cannot split one chunk
-        return [fn(it) for it in _chunk_ranges(n)]
+        return reduce(add, map(fn, _chunk_ranges(n)), [])
     shares = [range(chunks * i // workers, chunks * (i + 1) // workers) for i in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        done = pool.map(lambda share: [fn(it) for it in _chunk_ranges(n, share)], shares)
-        return [part for parts in done for part in parts]
+        return reduce(add, pool.map(lambda share: reduce(add, map(fn, _chunk_ranges(n, share)), []), shares), [])
+
+
+def _chunk_moments(v: np.ndarray) -> list:
+    """[S_0 _ULP, Q_0 _ULP^2, S_1 _ULP, ...] as exact ints: for each row of v (overwritten), its sum S and sum of squares Q.
+
+    A double p / q, q = 2^k, is p 2^(1074 - k) in units of 1 / _ULP.  Q is
+    sum (v - c)^2 + 2 c S - size c^2 about c = S / size, so its error is
+    relative to the centred sum, and a small variance does not cancel.
+    """
+    if np.isnan(total := v.sum(axis=1)).any():
+        raise ValueError("a replication value is NaN: a term overflows a double")
+    mean = total / v.shape[1]
+    v -= mean[:, None]
+    out = []
+    for s, c, q in zip(total.tolist(), mean.tolist(), np.square(v, out=v).sum(axis=1).tolist()):
+        (s, a), (c, b), (q, e) = s.as_integer_ratio(), c.as_integer_ratio(), q.as_integer_ratio()
+        s, c = s << 1075 - a.bit_length(), c << 1075 - b.bit_length()
+        out += [s, (q << 2149 - e.bit_length()) + c * (2 * s - v.shape[1] * c)]
+    return out
 
 
 def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, workers: int) -> list:
@@ -322,12 +331,10 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
 
     One pass over the chunks samples each chunk once and scores it at every
     positive threshold: the kernel reads the chunk's normals in place and
-    writes its replication values into v, one row per threshold.  Each row of
-    v is reduced to its (sum, sum of squares), and the chunk moments are
-    added in chunk order.  An x <= 0 is certain and draws nothing.
+    writes its replication values into v, one row per threshold, for
+    `_chunk_moments`.  An x <= 0 is certain and a NaN x gives NaN; neither draws.
     """
-    nu = np.asarray(nu, dtype=float)
-    sig = np.asarray(sig, dtype=float)
+    nu, sig = np.asarray(nu, dtype=float), np.asarray(sig, dtype=float)
     d = len(nu)
     if d < 2 or len(sig) != d:
         raise ValueError("need at least two terms with matching volatilities")
@@ -337,25 +344,19 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
         raise ValueError(f"rho must lie in ({rho_min:.4g}, 1) for {d} terms")
     key = _seed_key(seed)
     xs = [float(x) for x in xs]
-    positive = [x for x in xs if not x <= 0.0]  # NaN included: only x <= 0 is certain
-    sums = [[0.0, 0.0] for _ in positive]
-    if positive:
-        def run(item):
-            k, size = item
-            z = _stream(*key, k).standard_normal((size, d))
-            v = kernels.equicorr_chunk(z, nu, sig, rho, positive, np.empty((len(positive), size)))
-            # the values are dead once summed, so they are squared in place
-            return list(zip(v.sum(axis=1).tolist(), np.square(v, out=v).sum(axis=1).tolist()))
+    positive = [x for x in xs if x > 0.0]
 
-        for part in _map_chunks(run, n, workers):
-            for acc, (t, tsq) in zip(sums, part):
-                acc[0] += t
-                acc[1] += tsq
-    moments = iter(sums)
+    def run(item):
+        k, size = item
+        z = _stream(*key, k).standard_normal((size, d))
+        return _chunk_moments(kernels.equicorr_chunk(z, nu, sig, rho, positive, np.empty((len(positive), size))))
+
+    moments = iter(_map_chunks(run, n, workers) if positive else [])
     return [
-        EstimateResult(1.0, n, 0.0, 0.0, COND_MC, key)
-        if x <= 0.0
-        else EstimateResult.from_moments(*next(moments), n, COND_MC, key)
+        EstimateResult.from_moments(Fraction(next(moments), _ULP), Fraction(next(moments), _ULP**2), n, COND_MC, key)
+        if x > 0.0
+        else EstimateResult(1.0, n, 0.0, 0.0, COND_MC, key) if x <= 0.0
+        else EstimateResult(math.nan, n, math.nan, math.nan, COND_MC, key)
         for x in xs
     ]
 
@@ -369,11 +370,10 @@ def cond_mc_terms(
     seed,
     workers: int = 1,
 ) -> EstimateResult:
-    """Conditional MC for P(sum_i exp(nu_i + sig_i Z_i) > x), Z equicorrelated.
+    """Conditional MC for P(sum_i exp(nu_i + sig_i Z_i) > x), Z equicorrelated: the engine behind `cond_mc_lognormal`.
 
-    This is the general engine behind `cond_mc_lognormal`; `nu` absorbs both
-    per-term coefficients and location shifts, `sig` the per-term volatilities
-    (so power transforms of a common base fit the same mold).
+    nu absorbs per-term coefficients and location shifts, sig the per-term
+    volatilities, so power transforms of a common base fit the same mold.
     """
     return _cond_mc_curve(nu, sig, rho, [x], n, seed, workers)[0]
 

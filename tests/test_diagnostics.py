@@ -480,7 +480,7 @@ def test_mc_check_counts_are_bit_identical_at_every_worker_count(monkeypatch, na
         return np.stack((above.all(axis=1), above[:, 0]))
 
     for workers in (1, 2, 3, 4, 7):
-        assert tuple(rare_event._count_rows(model, test, n, (seed, 0), workers).tolist()) == want
+        assert tuple(rare_event._count_rows(model, test, n, (seed, 0), workers)) == want
 
 
 def test_pair_checks_take_auto_or_mc_only():

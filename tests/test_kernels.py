@@ -31,8 +31,8 @@ def _cholesky(d, rho):
     return L
 
 
-def _unblocked(z, nu, sig, rho, xs):
-    """`equicorr_chunk` from its formulas, over the whole chunk in one pass per expression.
+def _unblocked_values(z, nu, sig, rho, xs):
+    """`equicorr_chunk`'s values from its formulas, over the whole chunk in one pass per expression.
 
     The mix is w_i = sum_{k<i} L[i,k] z_k + L[i,i] z_i.  The last term's
     conditional mean is its prefix sum_{k<i} L[i,k] z_k; every other term's is
@@ -50,15 +50,19 @@ def _unblocked(z, nu, sig, rho, xs):
     c = rho / (1.0 + (d - 2) * rho)
     means = [c * functools.reduce(np.add, w[:i] + w[i + 1 :]) for i in range(d - 1)] + [prefix]
     t = [np.exp(nu[i] + sig[i] * w[i]) for i in range(d)]
-    out = np.empty((len(xs), 2))
+    out = np.empty((len(xs), n))
     for j, x in enumerate(xs):
         for i in range(d):
             others = t[:i] + t[i + 1 :]
             b = np.maximum(functools.reduce(np.maximum, others), x - functools.reduce(np.add, others))
             term = _phibar(((np.log(b) - nu[i]) / sig[i] - means[i]) / L[d - 1][d - 1])
-            v = term if i == 0 else v + term
-        out[j] = v.sum(), np.square(v, out=v).sum()
+            out[j] = term if i == 0 else out[j] + term
     return out
+
+
+def _unblocked(z, nu, sig, rho, xs):
+    """(sum, sum of squares) of `_unblocked_values` at each threshold."""
+    return np.array([(v.sum(), np.square(v).sum()) for v in _unblocked_values(z, nu, sig, rho, xs)])
 
 
 def _moments(z, nu, sig, rho, xs):

@@ -4,10 +4,13 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc, ndtr
 
 from tailagg import (
@@ -31,7 +34,7 @@ from tailagg import (
 from tailagg import kernels, rare_event, tables
 from tailagg.rare_event import EstimateResult
 from test_joint import reference_rows
-from test_kernels import _unblocked
+from test_kernels import _unblocked_values
 
 LN = lognormal(0.0, 1.0)
 
@@ -104,10 +107,26 @@ def test_plain_mc_threshold_zero_is_certain():
     assert r.estimate == 1.0 and r.std_error == 0.0
 
 
-def test_plain_mc_nan_threshold_gives_nan_as_conditional_mc_does():
+def test_plain_mc_nan_threshold_gives_nan_as_conditional_mc_does(monkeypatch):
+    def fields(r):
+        return [r.estimate, r.std_error, r.half_width95, r.ess]
+
     r = plain_mc(bivariate_lognormal(0.0, 1.0, 0.3), [1.0, 1.0], math.nan, 1000, seed=1)
-    assert math.isnan(r.estimate) and math.isnan(r.std_error) and math.isnan(r.half_width95)
-    assert math.isnan(cond_mc_lognormal(0.0, 1.0, 0.3, [1.0, 1.0], math.nan, 1000, seed=1).estimate)
+    assert all(math.isnan(v) for v in fields(r))
+    assert all(math.isnan(v) for v in fields(cond_mc_lognormal(0.0, 1.0, 0.3, [1.0, 1.0], math.nan, 1000, seed=1)))
+    # among other thresholds, every entry is its one-threshold call, bit for bit
+    xs = [5.0, math.nan, 50.0]
+    curve = cond_mc_lognormal_curve(0.0, 1.0, 0.3, [1.0, 1.0], xs, 1000, 1)
+    assert [repr(r) for r in curve] == [repr(cond_mc_lognormal(0.0, 1.0, 0.3, [1.0, 1.0], x, 1000, 1)) for x in xs]
+
+    def no_draws(*args):
+        raise AssertionError("drew for a NaN threshold")
+
+    # a NaN-only curve draws nothing, as plain MC at a NaN threshold draws nothing
+    monkeypatch.setattr(rare_event, "_stream", no_draws)
+    assert math.isnan(plain_mc(iid_pair(LN), [1.0, 1.0], math.nan, 1000, seed=1).estimate)
+    curve = cond_mc_lognormal_curve(0.0, 1.0, 0.3, [1.0, 1.0], [math.nan, math.nan], 1000, 1)
+    assert all(math.isnan(v) for r in curve for v in fields(r))
 
 
 def test_plain_mc_countermonotone_matches_exact():
@@ -287,21 +306,36 @@ def _chunk_normals(key, k, shape):
     return rare_event._stream(*key, k).standard_normal(shape)
 
 
+def _exact_moments(chunks):
+    # the exact (sum, sum of squares) of the values of every chunk, as Fractions: a
+    # chunk of values v gives its pairwise sum s and, about c = s / len(v) as a
+    # double, its sum of squares as sum (v - c)^2 + 2 c s - len(v) c^2
+    total = total_sq = Fraction(0)
+    for v in chunks:
+        s = float(v.sum())
+        c = s / len(v)
+        total += Fraction(s)
+        total_sq += Fraction(float(np.square(v - c).sum())) + 2 * Fraction(c) * Fraction(s) - len(v) * Fraction(c) ** 2
+    return total, total_sq
+
+
+def _pair_values(mu, rho, x, key, k, size):
+    # chunk k's replication values, the d = 2 estimator written out inline
+    sc = math.sqrt((1.0 - rho) * (1.0 + rho))
+    z = _chunk_normals(key, k, (size, 2))
+    w1, w2 = z[:, 0], rho * z[:, 0] + sc * z[:, 1]
+    t1, t2 = np.exp(mu + w1), np.exp(mu + w2)
+    v = 0.5 * erfc((((np.log(np.maximum(t2, x - t2)) - mu) - rho * w2) / sc) * (1.0 / math.sqrt(2.0)))
+    v += 0.5 * erfc((((np.log(np.maximum(t1, x - t1)) - mu) - rho * w1) / sc) * (1.0 / math.sqrt(2.0)))
+    return v
+
+
 def _reference_pair_estimate(mu, rho, x, n, seed):
     # one threshold at a time, with the d = 2 estimator written out inline and
-    # the chunks reduced in order: the arithmetic every curve entry must match
+    # the chunk moments added exactly: the arithmetic every curve entry must match
     key = rare_event._seed_key(seed)
-    sc = math.sqrt((1.0 - rho) * (1.0 + rho))
-    total = total_sq = 0.0
-    for k, size in rare_event._chunk_ranges(n):
-        z = _chunk_normals(key, k, (size, 2))
-        w1, w2 = z[:, 0], rho * z[:, 0] + sc * z[:, 1]
-        t1, t2 = np.exp(mu + w1), np.exp(mu + w2)
-        v = 0.5 * erfc((((np.log(np.maximum(t2, x - t2)) - mu) - rho * w2) / sc) * (1.0 / math.sqrt(2.0)))
-        v += 0.5 * erfc((((np.log(np.maximum(t1, x - t1)) - mu) - rho * w1) / sc) * (1.0 / math.sqrt(2.0)))
-        total += float(v.sum())
-        total_sq += float(np.square(v, out=v).sum())
-    return EstimateResult.from_moments(total, total_sq, n, "cond_mc", key)
+    chunks = (_pair_values(mu, rho, x, key, k, size) for k, size in rare_event._chunk_ranges(n))
+    return EstimateResult.from_moments(*_exact_moments(chunks), n, "cond_mc", key)
 
 
 def test_curve_matches_a_per_threshold_reference(small_chunks):
@@ -344,6 +378,14 @@ def test_curve_nonpositive_threshold_is_certain(small_chunks):
     assert curve[1] == cond_mc_lognormal(0.0, 1.0, -0.5, [1.0, 1.0], 10.0, N_SPAN, 4)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_replication_values_that_overflow_to_nan_are_refused():
+    # terms of 1e300 e^(50 z) overflow to inf, and at x = inf the kernel's x - inf is NaN:
+    # a NaN has no exact int, so the call raises rather than return a NaN estimate
+    with pytest.raises(ValueError, match="replication value is NaN"):
+        cond_mc_lognormal(0.0, 50.0, 0.5, [1e300, 1e300], math.inf, 20000, 1, workers=2)
+
+
 def test_curve_draws_nothing_without_a_positive_threshold(monkeypatch):
     def no_draws(*args):
         raise AssertionError("sampled for a certain event")
@@ -378,10 +420,8 @@ def _whole_chunk_curve(nu, sig, rho, xs, n, seed):
     # each chunk drawn, transformed and scored whole, with whole-vector reductions
     key = rare_event._seed_key(seed)
     nu, sig = np.asarray(nu, dtype=float), np.asarray(sig, dtype=float)
-    sums = np.zeros((len(xs), 2))
-    for k, size in rare_event._chunk_ranges(n):
-        sums += _unblocked(_chunk_normals(key, k, (size, len(nu))), nu, sig, rho, xs)
-    return [EstimateResult.from_moments(t, tsq, n, "cond_mc", key) for t, tsq in sums.tolist()]
+    values = [_unblocked_values(_chunk_normals(key, k, (size, len(nu))), nu, sig, rho, xs) for k, size in rare_event._chunk_ranges(n)]
+    return [EstimateResult.from_moments(*_exact_moments(v[j] for v in values), n, "cond_mc", key) for j in range(len(xs))]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -445,7 +485,7 @@ def test_plain_rows_are_the_terms_the_d2_kernel_scores(small_chunks, rho):
             assert np.array_equal(got[j], v)
 
 
-def test_chunk_memory_grows_with_the_block_not_the_chunk():
+def test_call_memory_is_one_chunk_of_values_not_n_rows():
     # 32 chunks at 19 thresholds: 19 x 2^19 x 8 B = 76 MiB as an n-wide buffer,
     # 19 x CHUNK x 8 B = 2.4 MiB as one chunk's replication values
     xs = np.geomspace(3.0, 1000.0, 19).tolist()
@@ -456,6 +496,36 @@ def test_chunk_memory_grows_with_the_block_not_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_call_memory_does_not_grow_with_the_chunk_count(monkeypatch):
+    # 16-row chunks at 7 thresholds: a result held per chunk, about 855 B, would
+    # take 1.3 MB more at 2000 chunks than at 500
+    monkeypatch.setattr(rare_event, "CHUNK", 16)
+    xs = [float(r[0]) for r in tables.TABLE3]
+
+    def peak(chunks):
+        tracemalloc.start()
+        try:
+            cond_mc_lognormal_curve(0.0, 1.0, 0.0, [1.0, 1.0], xs, 16 * chunks, 42)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # what a first call allocates once
+    assert abs(peak(2000) - peak(500)) < 64 * 2**10
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_deep_x_std_error_matches_a_two_pass_reference(n):
+    # at x = 1e9 the values spread about 3e-8 of their mean, so
+    # sum v^2 - n mean^2 keeps few digits; two passes keep them all
+    key = rare_event._seed_key(7)
+    v = np.concatenate([_pair_values(0.0, 0.0, 1e9, key, k, size) for k, size in rare_event._chunk_ranges(n)])
+    mean = math.fsum(v) / n
+    se = math.sqrt(math.fsum(np.square(v - mean)) / (n - 1) / n)
+    # relative, as pytest.approx's default absolute tolerance of 1e-12 would pass any SE near 1e-105
+    assert abs(cond_mc_lognormal(0.0, 1.0, 0.0, [1.0, 1.0], 1e9, n, 7).std_error / se - 1.0) < 1e-5
 
 
 # ---------------------------------------------------------------- seed keys
@@ -603,7 +673,7 @@ def test_one_chunk_runs_inline_without_a_pool(monkeypatch):
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_each_worker_gets_one_pool_task_of_contiguous_chunks(small_chunks, monkeypatch, workers):
-    tasks = []
+    tasks, seen = [], []
 
     class CountingPool(ThreadPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
@@ -612,10 +682,46 @@ def test_each_worker_gets_one_pool_task_of_contiguous_chunks(small_chunks, monke
 
     monkeypatch.setattr(rare_event, "ThreadPoolExecutor", CountingPool)
     chunks = list(rare_event._chunk_ranges(N_SPAN))
-    assert rare_event._map_chunks(lambda item: item, N_SPAN, workers) == chunks
+    # each chunk adds [1, size], so the sum is [chunks, rows]
+    assert rare_event._map_chunks(lambda item: seen.append(item) or [1, item[1]], N_SPAN, workers) == [len(chunks), N_SPAN]
+    assert sorted(seen) == chunks
     assert len(tasks) == (0 if workers == 1 else min(workers, len(chunks)))
-    # the shares, in task order, are the chunk indices in order
-    assert [k for (share,) in tasks for k in share] == ([] if workers == 1 else [k for k, _ in chunks])
+    assert all(type(share) is range and share.step == 1 for (share,) in tasks)
+
+
+class _ReversedPool(ThreadPoolExecutor):
+    # runs and returns the shares last first
+    def map(self, fn, *iterables, **kwargs):
+        return super().map(fn, *(list(it)[::-1] for it in iterables), **kwargs)
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_bits_do_not_depend_on_the_order_chunks_run_or_are_added_in(small_chunks, monkeypatch, workers):
+    nu, sig, key = np.zeros(3), np.ones(3), (3, 1)
+    calls = [
+        lambda w: rare_event._cond_mc_curve(nu, sig, 0.4, CHUNK_XS, N_SPAN, key, w),
+        lambda w: plain_mc(bivariate_lognormal(0.0, 1.0, 0.4), [1.0, 1.0], 4.0, N_SPAN, key, w),
+    ]
+    want = [call(1) for call in calls]
+    chunk_ranges = rare_event._chunk_ranges
+    monkeypatch.setattr(rare_event, "ThreadPoolExecutor", _ReversedPool)
+    assert [call(workers) for call in calls] == want
+    # each share's chunks last first, too
+    monkeypatch.setattr(rare_event, "_chunk_ranges", lambda n, ks=None: reversed(list(chunk_ranges(n, ks))))
+    assert [call(workers) for call in calls] == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300), min_size=1, max_size=40), st.randoms(use_true_random=False))
+def test_the_chunk_sum_is_the_correctly_rounded_sum_in_any_order(values, rnd):
+    # a value a chunk: the exact int sum, rounded once, is math.fsum's sum
+    def total(vals, workers):
+        (acc,) = rare_event._map_chunks(lambda item: [int(Fraction(vals[item[0]]) * rare_event._ULP)], len(vals) * rare_event.CHUNK, workers)
+        return acc / rare_event._ULP
+
+    shuffled = list(values)
+    rnd.shuffle(shuffled)
+    assert total(values, 1) == total(shuffled, 3) == math.fsum(values)
 
 
 class _FirstCall(Exception):
@@ -665,16 +771,17 @@ def test_exactly_2_32_chunks_are_allowed(monkeypatch):
 
 # estimates of one full chunk, pinned to the bits of SFC64 draws: chunk 0 draws
 # its whole array from stream 0 of the key, so these move only with the draw
+# and with the reduction (`_chunk_moments`, `EstimateResult.from_moments`)
 ONE_CHUNK_BITS = {
     "cond_d2": (
         lambda: [cond_mc_lognormal(0.0, 1.0, 0.3, [1.0, 1.0], 20.0, 16384, (7, 3))],
-        [("0x1.583fb00ae461fp-8", "0x1.013fbc9a43b0fp-14", "0x1.3cadfed0b44cep+12")],
+        [("0x1.583fb00ae461fp-8", "0x1.013fbc9a43b0fp-14", "0x1.3cadfed0b44cfp+12")],
     ),
     "cond_d3": (
         lambda: cond_mc_lognormal_curve(0.1, 0.9, 0.3, [1.0, 0.5, 2.0], [5.0, 50.0], 16384, 11, workers=2),
         [
-            ("0x1.c050228cd46a0p-2", "0x1.ebfda58b4e334p-10", "0x1.8985d7e963d68p+13"),
-            ("0x1.246dc0ffac99dp-11", "0x1.3d4ad1671fac0p-16", "0x1.9d00507f2a64cp+9"),
+            ("0x1.c050228cd46a0p-2", "0x1.ebfda58b4e333p-10", "0x1.8985d7e963d68p+13"),
+            ("0x1.246dc0ffac99dp-11", "0x1.3d4ad1671fabfp-16", "0x1.9d00507f2a64ep+9"),
         ],
     ),
     "plain": (
