@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AuxiliaryNotDiverging, UnsupportedKind
 from .joint import BIVARIATE_LOGNORMAL, MIXED_MIN, JointModel
-from .models import COUNT, FINITE, POSITIVE, AuxiliaryFn, Domain, TailModel, check_value
+from .models import COUNT, POSITIVE, AuxiliaryFn, Domain, TailModel, check_value
 from .rare_event import _count_rows
 
 A1_MDA = "A1_MDA"
@@ -80,10 +80,8 @@ class AssumptionReport:
             raise ValueError("grid must be strictly increasing")
 
 
-def default_grid(lo_log10: float = 1.0, hi_log10: float = 5.0, count: int = 9) -> np.ndarray:
-    check_value("lo_log10 and hi_log10", [lo_log10, hi_log10], FINITE)
-    check_value("count", count, COUNT)
-    return np.logspace(lo_log10, hi_log10, count)
+def default_grid() -> np.ndarray:
+    return np.logspace(1.0, 5.0, 9)
 
 
 def classify_trend(values: Sequence[float]) -> Trend:
@@ -139,14 +137,13 @@ def _levels(aux: AuxiliaryFn, g: np.ndarray, L: float) -> np.ndarray:
     return L * fx
 
 
-def check_mda_gumbel(model: TailModel, x_grid=None, t_grid=(-1.0, 0.0, 1.0, 2.0)) -> AssumptionReport:
-    """Worst deviation of sf(x + t f(x))/sf(x) from exp(-t) over t_grid."""
-    check_value("t_grid", t_grid, FINITE)
+def check_mda_gumbel(model: TailModel, x_grid=None) -> AssumptionReport:
+    """Worst deviation of sf(x + t f(x))/sf(x) from exp(-t) over t = -1, 0, 1, 2."""
     g = _as_grid(x_grid)
     fx = _levels(model.auxiliary(), g, 1.0)
     vals = np.zeros(len(g))
     base = model.log_survival(g)
-    for t in t_grid:
+    for t in (-1.0, 0.0, 1.0, 2.0):
         ratio = np.exp(model.log_survival(g + t * fx) - base)
         vals = np.maximum(vals, np.abs(ratio - math.exp(-t)))
     return AssumptionReport(A1_MDA, tuple(g), tuple(vals), classify_trend(vals), CLOSED_FORM)
@@ -191,13 +188,13 @@ def _pair_report(assumption: str, model: JointModel, g, u, v, focal: int, method
         check_value("mc_n", mc_n, COUNT)
         hits = _sampled_hits(model, zip(u, v), focal, mc_n, seed)
         if assumption == A5_JOINT_AUX:
-            log_margs = model.marginal_log_survival(focal, g).tolist()
+            log_margs = model.marginal_log_survival(g).tolist()
             vals = [_safe_exp(math.log(c / mc_n) - lm) if c else 0.0 for (c, _), lm in zip(hits, log_margs)]
         else:
             vals = [c / m if m >= _MC_MIN_HITS else math.nan for c, m in hits]
         return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), MONTE_CARLO, mc_n, seed)
     check_value("method", method, Domain(lambda m: m in ("auto", "mc"), "auto or mc"))
-    log_margs = model.marginal_log_survival(focal, g).tolist()
+    log_margs = model.marginal_log_survival(g).tolist()
     log_joints = model.joint_log_survival(u, v).tolist()
     vals = [_safe_exp(lj - lm) if lj > -math.inf else 0.0 for lj, lm in zip(log_joints, log_margs)]
     return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), _pair_method(model))
@@ -233,7 +230,7 @@ def _first_marginal(model: JointModel) -> TailModel:
         # the product marginal keeps the base's auxiliary up to asymptotic
         # equivalence in all catalog configurations; use the heavier factor
         return model.base
-    return model.marginal_model(0)
+    return model.marginal_model()
 
 
 def check_joint_aux(

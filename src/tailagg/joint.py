@@ -49,6 +49,7 @@ from .models import (
     Domain,
     TailModel,
     check_fields,
+    check_unread,
     check_value,
     config_fields,
     config_integer,
@@ -146,13 +147,12 @@ class JointModel:
         if self.kind not in _FIELDS:
             raise ValueError(f"unknown joint kind {self.kind!r}")
         check_fields(_FIELDS[self.kind], **vars(self))
-        if self.kind != IID_PAIR and self.dim != 2:
-            raise ValueError(f"{self.kind} is a pair construction (dim = 2)")
+        check_unread(self, _FIELDS[self.kind])
 
     # -- marginals ------------------------------------------------------------
 
-    def marginal_model(self, i: int = 0) -> TailModel:
-        """The i-th marginal as a TailModel, where one exists in the catalog."""
+    def marginal_model(self) -> TailModel:
+        """The marginal, shared by every coordinate, as a TailModel where one exists in the catalog."""
         if self.kind == IID_PAIR or self.kind == COMONOTONE_INVERSE:
             return self.marginal
         if self.kind == BIVARIATE_LOGNORMAL:
@@ -161,10 +161,10 @@ class JointModel:
             return log_weibull_min(self.alpha)
         raise UnsupportedKind("mixed_min marginal is a product law; use marginal_log_survival")
 
-    def marginal_log_survival(self, i: int, x):
+    def marginal_log_survival(self, x):
         if self.kind == MIXED_MIN:
             return self.base.log_survival(x) + self.lighter.log_survival(x)
-        return self.marginal_model(i).log_survival(x)
+        return self.marginal_model().log_survival(x)
 
     # -- sampling ---------------------------------------------------------------
 

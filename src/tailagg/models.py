@@ -19,7 +19,7 @@ import math
 import numbers
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Callable
 
 import numpy as np
@@ -60,6 +60,17 @@ def check_fields(fields: dict, **values) -> None:
     for key, value in values.items():
         if key in fields:
             check_value(key, value, fields[key][1])
+
+
+def check_unread(model, declared: dict) -> None:
+    """Raise ValueError naming each field of the dataclass model that `declared` does not declare and that is off its default.
+
+    The first field, the family or kind, names the declaration and is not checked.
+    """
+    tag, *rest = dataclass_fields(model)
+    unread = [f.name for f in rest if f.name not in declared and getattr(model, f.name) != f.default]
+    if unread:
+        raise ValueError(f"{getattr(model, tag.name)} does not read {', '.join(unread)}")
 
 
 _MODIFIERS = {"scale": (1.0, POSITIVE), "power": (1.0, POSITIVE)}
@@ -130,8 +141,7 @@ class TailModel:
         if self.family not in _PARAMS:
             raise ValueError(f"unknown family {self.family!r}")
         check_fields(_PARAMS[self.family], **vars(self))
-        if self.family == STD_NORMAL and self.power != 1.0:
-            raise ValueError("power transform of a signed variable is undefined")
+        check_unread(self, _PARAMS[self.family])
 
     # -- support ------------------------------------------------------------
 

@@ -12,12 +12,11 @@ For a linear constraint sum_i a_i l_i >= L with positive l_i the stage-(i)
 optimum forces every coordinate to the common maximum, so the solution is the
 equal allocation a_i = L / sum_j l_j and stage (ii) is degenerate.
 
-The surrogate is a heuristic at finite thresholds (solutions carry
-`heuristic=True`); `grid_verify` is the audit path.  It sweeps the binding
-constraint of the 2-asset study on the grid of the reference simulation
-study, but scores every point by exact quadrature where that study used one
-simulation per point, and checks the conditional Monte Carlo estimator at the
-two-stage solution against the exact value there.
+The surrogate is a heuristic at finite thresholds; `grid_verify` is the audit
+path.  It sweeps the binding constraint of the 2-asset study on the grid of
+the reference simulation study, but scores every point by exact quadrature
+where that study used one simulation per point, and checks the conditional
+Monte Carlo estimator at the two-stage solution against the exact value there.
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ class LinearConstraint:
         check_value("l", self.l, POSITIVE, UnsupportedConstraint)
         check_value("L", self.L, FINITE)
 
-    def satisfied(self, a: Sequence[float], tol: float = 1e-9) -> bool:
-        return float(np.dot(self.l, a)) >= self.L - tol
-
 
 @dataclass(frozen=True)
 class GridConstraint:
@@ -61,8 +57,8 @@ class GridConstraint:
     def __post_init__(self):
         check_value("L", self.L, FINITE)
 
-    def satisfied(self, a: Sequence[float], tol: float = 1e-9) -> bool:
-        return float(self.h(a)) >= self.L - tol
+    def satisfied(self, a: Sequence[float]) -> bool:
+        return float(self.h(a)) >= self.L - 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,6 @@ class PortfolioSolution:
     m_d: float
     N_d: float
     approx_prob: float
-    heuristic: bool = True
 
 
 def _solution(p: PortfolioProblem, a: tuple) -> PortfolioSolution:
@@ -122,14 +117,11 @@ def solve_two_stage(p: PortfolioProblem) -> PortfolioSolution:
 
 @dataclass(frozen=True)
 class GridPoint:
-    """One audited allocation; estimate is its exact probability, so std_error is 0 and exact True."""
+    """One audited allocation and its exact probability."""
 
     a1: float
     a2: float
     estimate: float
-    std_error: float
-    exact: bool
-    zero_hits: bool
 
 
 @dataclass(frozen=True)
@@ -187,7 +179,7 @@ def grid_verify(
 
     probs = exact_lognormal_pair(joint.mu, joint.sigma, joint.rho, *cells, x).tolist()
     e2 = probs[k_star] if on_grid else probs.pop()
-    points = tuple(GridPoint(a1, a2, pr, 0.0, True, pr == 0.0) for a1, a2, pr in zip(a1s, a2s, probs))
+    points = tuple(GridPoint(a1, a2, pr) for a1, a2, pr in zip(a1s, a2s, probs))
     k_min = int(np.argmin(probs))
     e1 = probs[k_min]
     rel = (e2 - e1) / e1 if e1 > 0 else math.inf

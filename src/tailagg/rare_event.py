@@ -330,9 +330,11 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
     """Conditional MC of P(sum_i exp(nu_i + sig_i Z_i) > x) for every x in xs.
 
     One pass over the chunks samples each chunk once and scores it at every
-    positive threshold: the kernel reads the chunk's normals in place and
-    writes its replication values into v, one row per threshold, for
-    `_chunk_moments`.  An x <= 0 is certain and a NaN x gives NaN; neither draws.
+    positive finite threshold: the kernel reads the chunk's normals in place
+    and writes its replication values into v, one row per threshold, for
+    `_chunk_moments`.  An x <= 0 is certain, an x = inf impossible (a term
+    that overflows to inf would score it inf - inf) and a NaN x gives NaN;
+    none of them draws.
     """
     nu, sig = np.asarray(nu, dtype=float), np.asarray(sig, dtype=float)
     d = len(nu)
@@ -344,18 +346,19 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
         raise ValueError(f"rho must lie in ({rho_min:.4g}, 1) for {d} terms")
     key = _seed_key(seed)
     xs = [float(x) for x in xs]
-    positive = [x for x in xs if x > 0.0]
+    drawn = [x for x in xs if 0.0 < x < math.inf]
 
     def run(item):
         k, size = item
         z = _stream(*key, k).standard_normal((size, d))
-        return _chunk_moments(kernels.equicorr_chunk(z, nu, sig, rho, positive, np.empty((len(positive), size))))
+        return _chunk_moments(kernels.equicorr_chunk(z, nu, sig, rho, drawn, np.empty((len(drawn), size))))
 
-    moments = iter(_map_chunks(run, n, workers) if positive else [])
+    moments = iter(_map_chunks(run, n, workers) if drawn else [])
     return [
         EstimateResult.from_moments(Fraction(next(moments), _ULP), Fraction(next(moments), _ULP**2), n, COND_MC, key)
-        if x > 0.0
+        if 0.0 < x < math.inf
         else EstimateResult(1.0, n, 0.0, 0.0, COND_MC, key) if x <= 0.0
+        else EstimateResult(0.0, n, 0.0, 0.0, COND_MC, key, 0.0) if x == math.inf
         else EstimateResult(math.nan, n, math.nan, math.nan, COND_MC, key)
         for x in xs
     ]

@@ -36,22 +36,22 @@ def phibar(z):
 
 def test_pair_iid_lognormal_at_30():
     res = approx_sum_pair(LN, LN, 30.0)
-    assert res.value == pytest.approx(2.0 * phibar(math.log(30.0)), rel=1e-12)
-    assert res.value == pytest.approx(6.7091e-4, rel=2e-5)
+    assert res.value == pytest.approx(2.0 * phibar(math.log(30.0)), rel=1e-12, abs=0)
+    assert res.value == pytest.approx(6.7091e-4, rel=2e-5, abs=0)
     assert res.recipe.c == (1.0, 1.0)
     assert res.recipe.N_d == 2.0 and res.recipe.m_d == 1.0
 
 
 def test_pair_supplied_zero_constant():
     res = approx_sum_pair(LN, exponential(1.0), 50.0, c=0.0)
-    assert res.value == pytest.approx(float(LN.survival(50.0)), rel=1e-12)
+    assert res.value == pytest.approx(float(LN.survival(50.0)), rel=1e-12, abs=0)
 
 
 def test_pair_probed_vanishing_ratio():
     # a much thinner lognormal: probe collapses, c -> 0
     res = approx_sum_pair(LN, lognormal(0.0, 0.25), 100.0)
     assert res.recipe.c[1] == 0.0
-    assert res.value == pytest.approx(phibar(math.log(100.0)), rel=1e-12)
+    assert res.value == pytest.approx(phibar(math.log(100.0)), rel=1e-12, abs=0)
 
 
 def test_pair_wrong_order_raises():
@@ -76,20 +76,20 @@ def test_probe_statuses():
 
 def test_sum_three_iid_lognormals():
     res = approx_sum_d([LN, LN, LN], 50.0)
-    assert res.value == pytest.approx(3.0 * phibar(math.log(50.0)), rel=1e-12)
-    assert res.value == pytest.approx(1.5 * 9.1526e-5, rel=2e-5)
+    assert res.value == pytest.approx(3.0 * phibar(math.log(50.0)), rel=1e-12, abs=0)
+    assert res.value == pytest.approx(1.5 * 9.1526e-5, rel=2e-5, abs=0)
 
 
 def test_sum_single_model_is_plain_survival():
     res = approx_sum_d([LN], 20.0)
-    assert res.value == pytest.approx(float(LN.survival(20.0)), rel=1e-15)
+    assert res.value == pytest.approx(float(LN.survival(20.0)), rel=1e-15, abs=0)
     assert res.recipe.N_d == 1.0
 
 
 def test_sum_drops_lighter_weibull_term():
     res = approx_sum_d([LN, weibull_type(0.5)], 100.0)
     assert res.recipe.c == (1.0, 0.0)
-    assert res.value == pytest.approx(phibar(math.log(100.0)), rel=1e-12)
+    assert res.value == pytest.approx(phibar(math.log(100.0)), rel=1e-12, abs=0)
 
 
 def test_sum_heavier_later_tail_raises():
@@ -110,19 +110,19 @@ def test_sum_rejects_signed_risks():
 def test_linear_unequal_coefficients_single_argmax():
     res = approx_linear([LN, LN], [3.0, 2.0], 30.0, c=[1.0, 1.0])
     assert res.recipe.m_d == 3.0 and res.recipe.N_d == 1.0
-    assert res.value == pytest.approx(float(LN.survival(10.0)), rel=1e-12)
+    assert res.value == pytest.approx(float(LN.survival(10.0)), rel=1e-12, abs=0)
 
 
 def test_linear_equal_coefficients_full_tie():
     res = approx_linear([LN, LN], [0.5, 0.5], 20.0)
     assert res.recipe.N_d == 2.0
-    assert res.value == pytest.approx(2.0 * float(LN.survival(40.0)), rel=1e-12)
+    assert res.value == pytest.approx(2.0 * float(LN.survival(40.0)), rel=1e-12, abs=0)
 
 
 def test_linear_small_equal_coefficients_reference_value():
     res = approx_linear([LN, LN], [0.2, 0.2], 10.0)
-    assert res.value == pytest.approx(2.0 * phibar(math.log(50.0)), rel=1e-12)
-    assert res.value == pytest.approx(9.1526e-5, rel=2e-5)
+    assert res.value == pytest.approx(2.0 * phibar(math.log(50.0)), rel=1e-12, abs=0)
+    assert res.value == pytest.approx(9.1526e-5, rel=2e-5, abs=0)
 
 
 def test_linear_zero_tail_ratio_refused():
@@ -159,7 +159,7 @@ def test_powers_reduces_to_linear_on_common_base():
     powered = base.transformed(power=1.3).canonical()
     res_l = approx_linear([powered] * 3, a, 1e5, c=[1.0, 1.0, 1.0])
     assert res_p.recipe.J_d == 2 and res_p.recipe.q_d == 5.0
-    assert res_p.value == pytest.approx(res_l.value, rel=1e-12)
+    assert res_p.value == pytest.approx(res_l.value, rel=1e-12, abs=0)
 
 
 def test_powers_equal_everything_gives_full_tie():
@@ -171,7 +171,7 @@ def test_powers_highest_power_dominates_regardless_of_coefficient():
     res = approx_powers(LN, [1.0, 1000.0], [2.0, 1.0], 1e6)
     assert res.recipe.beta == 2.0 and res.recipe.q_d == 1.0 and res.recipe.J_d == 1
     # the approximation is the survival of the squared base, untouched by a2
-    assert res.value == pytest.approx(float(lognormal(0.0, 2.0).survival(1e6)), rel=1e-12)
+    assert res.value == pytest.approx(float(lognormal(0.0, 2.0).survival(1e6)), rel=1e-12, abs=0)
     res_other = approx_powers(LN, [1.0, 10.0**6], [2.0, 1.0], 1e6)
     assert res_other.value == res.value
 
@@ -215,7 +215,7 @@ def test_scaling_covariance(kappa, a1, a2):
     with pytest.warns(NearTieWarning) if tie_changes else contextlib.nullcontext():
         base = approx_linear([LN, LN], [a1, a2], x, c=[1.0, 1.0])
     scaled = approx_linear([LN, LN], [kappa * a1, kappa * a2], kappa * x, c=[1.0, 1.0])
-    assert scaled.recipe.m_d == pytest.approx(kappa * base.recipe.m_d, rel=1e-12)
+    assert scaled.recipe.m_d == pytest.approx(kappa * base.recipe.m_d, rel=1e-12, abs=0)
     if tie_changes:
         return
     assert scaled.recipe.N_d == base.recipe.N_d

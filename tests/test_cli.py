@@ -39,9 +39,9 @@ def _run_json(capsys, argv):
 def test_approx_command(capsys, bivln_cfg):
     rc, payload = _run_json(capsys, ["approx", "--joint", bivln_cfg, "--coeffs", "3,2", "--threshold", "30"])
     assert rc == 0
-    assert payload["value"] == pytest.approx(phibar(math.log(10.0)), rel=1e-12)
+    assert payload["value"] == pytest.approx(phibar(math.log(10.0)), rel=1e-12, abs=0)
     assert payload["recipe"]["m_d"] == 3.0 and payload["recipe"]["N_d"] == 1.0
-    assert payload["log10_value"] == pytest.approx(math.log10(payload["value"]), rel=1e-12)
+    assert payload["log10_value"] == pytest.approx(math.log10(payload["value"]), rel=1e-12, abs=0)
 
 
 def test_exact_command(capsys):
@@ -60,7 +60,7 @@ def test_simulate_command_plain(capsys, bivln_cfg):
     assert rc == 0
     assert payload["method"] == "plain_mc" and payload["n"] == 100_000
     assert abs(payload["estimate"] - 0.0338) < 5e-3
-    assert payload["ratio_vs_asymptotic"]["asymptotic_value"] == pytest.approx(2 * phibar(math.log(10.0)), rel=1e-12)
+    assert payload["ratio_vs_asymptotic"]["asymptotic_value"] == pytest.approx(2 * phibar(math.log(10.0)), rel=1e-12, abs=0)
 
 
 def test_simulate_command_cond(capsys, bivln_cfg):
@@ -71,8 +71,8 @@ def test_simulate_command_cond(capsys, bivln_cfg):
     )
     assert rc == 0
     assert payload["method"] == "cond_mc"
-    assert payload["ratio_vs_asymptotic"]["ratio"] == pytest.approx(1.0927, abs=0.01)
-    assert payload["half_width95"] == pytest.approx(1.96 * payload["std_error"], rel=1e-12)
+    assert payload["ratio_vs_asymptotic"]["ratio"] == pytest.approx(1.0927, rel=0, abs=0.01)
+    assert payload["half_width95"] == pytest.approx(1.96 * payload["std_error"], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("method", ["cond", "plain"])

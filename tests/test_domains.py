@@ -6,8 +6,8 @@ integer, ...) either raises ValueError or a TailAggError, or, for a NaN
 threshold, gives NaN; it never gives a finite number.  Left out, as they take
 no numeric parameter of their own: `solve_two_stage` and
 `single_asset_extremes` (their problem and model are checked when built), the
-config readers (tests/test_config.py) and `classify_trend`, whose NaN profile
-points mark blank points of a check.
+config readers (tests/test_config.py), `default_grid` and `classify_trend`,
+whose NaN profile points mark blank points of a check.
 """
 
 import math
@@ -84,8 +84,7 @@ ENTRIES = [
     Entry(ta.approx_powers, {"base_marginal": LN, "a": [1.0, 1.0], "beta": [1.0, 2.0], "x": 100.0},
           {"a": "nonnegative", "beta": "nonnegative", "x": "threshold"}),
     Entry(ta.probe_tail_ratio, {"model_num": LN, "model_den": LN, "x": 10.0}, {"x": "positive"}),
-    Entry(ta.check_mda_gumbel, {"model": LN, "x_grid": GRID, "t_grid": [0.0, 1.0]},
-          {"x_grid": "threshold", "t_grid": "finite"}),
+    Entry(ta.check_mda_gumbel, {"model": LN, "x_grid": GRID}, {"x_grid": "threshold"}),
     Entry(ta.check_tail_ratio, {"model_x": LN, "model_y": LN, "x_grid": GRID}, {"x_grid": "threshold"}),
     Entry(ta.check_conditional,
           {"model": BL, "which": "A3", "t": 1.0, "x_grid": GRID, "method": "mc", "mc_n": 100, "seed": 0},
@@ -94,8 +93,6 @@ ENTRIES = [
           {"L": "positive", "x_grid": "threshold", "mc_n": "count", "seed": "seed"}),
     Entry(ta.check_subexp_criterion, {"model": LN, "L": 1.0, "x_grid": GRID}, {"L": "positive", "x_grid": "threshold"}),
     Entry(ta.check_asy_indep, {"model": BL, "x_grid": GRID}, {"x_grid": "threshold"}),
-    Entry(ta.default_grid, {"lo_log10": 1.0, "hi_log10": 5.0, "count": 9},
-          {"lo_log10": "finite", "hi_log10": "finite", "count": "count"}),
     Entry(ta.self_neglect_profile, {"aux": LN.auxiliary(), "x_grid": GRID, "t": 1.0},
           {"x_grid": "threshold", "t": "finite"}),
     Entry(ta.exact_comonotone_lognormal, {"mu": 0.0, "x": 10.0}, {"mu": "finite", "x": "threshold"}),

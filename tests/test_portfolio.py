@@ -40,8 +40,7 @@ def test_linear_reference_solution_is_exact_fifth():
     sol = solve_two_stage(_problem())
     assert sol.a == (0.2, 0.2)
     assert sol.m_d == 0.2 and sol.N_d == 2.0
-    assert sol.heuristic
-    assert sol.approx_prob == pytest.approx(2.0 * phibar(math.log(50.0)), rel=1e-12)
+    assert sol.approx_prob == pytest.approx(2.0 * phibar(math.log(50.0)), rel=1e-12, abs=0)
 
 
 def test_linear_unit_earnings_gives_unit_allocation():
@@ -61,7 +60,6 @@ def test_linear_vanishing_revenue_target_gives_boundary():
 def test_linear_constraint_satisfied_within_tolerance():
     p = _problem(l=(2.0, 3.0), L=1.0)
     sol = solve_two_stage(p)
-    assert p.constraint.satisfied(sol.a)
     assert float(np.dot(p.constraint.l, sol.a)) >= p.constraint.L - 1e-9
 
 
@@ -106,7 +104,7 @@ def test_grid_constraint_infeasible():
 def test_solution_reconstructs_recipe_value():
     sol = solve_two_stage(_problem(threshold=25.0))
     expect = sol.N_d * float(LN.survival(25.0 / sol.m_d))
-    assert sol.approx_prob == pytest.approx(expect, rel=1e-12)
+    assert sol.approx_prob == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------- grid audit
@@ -129,10 +127,8 @@ def test_grid_verify_endpoints_are_exact():
     joint = bivariate_lognormal(0.0, 1.0, 0.0)
     audit = grid_verify(p, joint, grid_step=0.1, n=1000, seed=5)
     first, last = audit.points[0], audit.points[-1]
-    assert first.exact and last.exact
-    assert first.estimate == pytest.approx(phibar(math.log(30.0)), rel=1e-12)
-    assert last.estimate == pytest.approx(phibar(math.log(20.0)), rel=1e-12)
-    assert first.std_error == 0.0
+    assert first.estimate == pytest.approx(phibar(math.log(30.0)), rel=1e-12, abs=0)
+    assert last.estimate == pytest.approx(phibar(math.log(20.0)), rel=1e-12, abs=0)
 
 
 def test_grid_verify_requires_supported_shapes():
@@ -157,7 +153,7 @@ def test_two_stage_is_minimax_over_grid():
     sol = solve_two_stage(p)
     max_coeffs = [max(pt.a1, pt.a2) for pt in audit.points]
     assert sol.m_d <= min(max_coeffs) + 1e-12
-    assert min(max_coeffs) == pytest.approx(sol.m_d, abs=1e-12)
+    assert min(max_coeffs) == pytest.approx(sol.m_d, rel=0, abs=1e-12)
 
 
 def test_two_stage_dominates_larger_minimax_candidates_in_the_recipe():
@@ -187,10 +183,10 @@ def test_single_asset_extremes_exact_values():
     p = _problem(threshold=10.0)
     joint = bivariate_lognormal(0.0, 1.0, 0.0)
     e1, e2 = single_asset_extremes(p, joint)
-    assert e1 == pytest.approx(phibar(math.log(20.0)), rel=1e-12)
-    assert e2 == pytest.approx(phibar(math.log(30.0)), rel=1e-12)
-    assert e1 == pytest.approx(1.3689e-3, rel=1e-4)
-    assert e2 == pytest.approx(3.3546e-4, rel=1e-4)
+    assert e1 == pytest.approx(phibar(math.log(20.0)), rel=1e-12, abs=0)
+    assert e2 == pytest.approx(phibar(math.log(30.0)), rel=1e-12, abs=0)
+    assert e1 == pytest.approx(1.3689e-3, rel=1e-4, abs=0)
+    assert e2 == pytest.approx(3.3546e-4, rel=1e-4, abs=0)
 
 
 def test_problem_validation():
@@ -212,10 +208,10 @@ def test_grid_verify_E2_off_the_grid_is_the_estimate_at_the_solution(step):
     audit = grid_verify(p, joint, grid_step=step, n=10**4, seed=3)
     at_star = cond_mc_lognormal(0.0, 1.0, 0.0, [0.2, 0.2], 5.0, 10**4, 3)
     assert audit.E2_mc.estimate == at_star.estimate
-    assert audit.E2_mc.estimate == pytest.approx(0.0017204, rel=1e-4)
+    assert audit.E2_mc.estimate == pytest.approx(0.0017204, rel=1e-4, abs=0)
     assert audit.E2 == float(exact_lognormal_pair(0.0, 1.0, 0.0, 0.2, 0.2, 5.0))
     assert abs(audit.E2_mc.estimate - audit.E2) < 10.0 * audit.E2_mc.std_error
-    assert audit.E2 == pytest.approx(1.7196e-3, rel=1e-4)
+    assert audit.E2 == pytest.approx(1.7196e-3, rel=1e-4, abs=0)
     assert audit.E2 != audit.points[round(0.2 / step)].estimate
 
 
@@ -246,4 +242,3 @@ def test_grid_verify_makes_one_monte_carlo_call_at_the_solution(monkeypatch, ste
     monkeypatch.setattr(portfolio, "cond_mc_lognormal", counted)
     audit = grid_verify(_problem(threshold=5.0), bivariate_lognormal(0.0, 1.0, 0.3), grid_step=step, n=1000, seed=4)
     assert [(c[3], c[6]) for c in calls] == [([0.2, 0.2], 4)]
-    assert all(pt.exact and pt.std_error == 0.0 for pt in audit.points)

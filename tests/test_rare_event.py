@@ -47,8 +47,8 @@ def phibar(z):
 
 
 def test_exact_published_anchor_values():
-    assert exact_comonotone_lognormal(0.0, 10.0).estimate == pytest.approx(0.0219, abs=1e-4)
-    assert exact_comonotone_lognormal(0.0, 1000.0).estimate == pytest.approx(4.923859e-12, rel=1e-6)
+    assert exact_comonotone_lognormal(0.0, 10.0).estimate == pytest.approx(0.0219, rel=0, abs=1e-4)
+    assert exact_comonotone_lognormal(0.0, 1000.0).estimate == pytest.approx(4.923859e-12, rel=1e-6, abs=0)
 
 
 def test_exact_boundary_is_one():
@@ -63,23 +63,24 @@ def test_exact_formula_structure():
     x = 10.0
     root4 = (x + math.sqrt(x * x - 4.0)) / 2.0
     good = phibar(math.log(root4)) + (1.0 - phibar(-math.log(root4)))
-    assert exact_comonotone_lognormal(0.0, x).estimate == pytest.approx(good, rel=1e-12)
-    assert good == pytest.approx(0.0219, abs=1e-4)
+    assert exact_comonotone_lognormal(0.0, x).estimate == pytest.approx(good, rel=1e-12, abs=0)
+    assert good == pytest.approx(0.0219, rel=0, abs=1e-4)
 
     rp = (x + math.sqrt(x * x - 2.0)) / 2.0
     rm = (x - math.sqrt(x * x - 2.0)) / 2.0
     bad = phibar(math.log(rp)) + (1.0 - phibar(math.log(rm)))
-    assert bad == pytest.approx(0.01219, abs=1e-4)
+    assert bad == pytest.approx(0.01219, rel=0, abs=1e-4)
     assert abs(bad - 0.0219) > 5e-3  # the variant cannot reproduce the anchor
 
 
 def test_exact_two_sided_symmetry_identity():
-    # 2 Phibar(log t+) equals the two-sided form Phibar(log t+) + Phi(log t-)
+    # 2 Phibar(log t+) equals the two-sided form Phibar(log t+) + Phi(log t-); the roots'
+    # product is 1, and t- = 1/t+ and Phi(z) = Phibar(-z) keep the reference from cancelling
     for x in (3.0, 10.0, 100.0):
         tp = (x + math.sqrt(x * x - 4.0)) / 2.0
-        tm = (x - math.sqrt(x * x - 4.0)) / 2.0
-        two_sided = phibar(math.log(tp)) + (1.0 - phibar(math.log(tm)))
-        assert exact_comonotone_lognormal(0.0, x).estimate == pytest.approx(two_sided, rel=1e-12)
+        tm = 1.0 / tp
+        two_sided = phibar(math.log(tp)) + phibar(-math.log(tm))
+        assert exact_comonotone_lognormal(0.0, x).estimate == pytest.approx(two_sided, rel=1e-12, abs=0)
 
 
 def test_exact_nonzero_mu():
@@ -146,7 +147,7 @@ def test_plain_mc_fields_and_determinism():
     assert r1 == r2
     assert r1.half_width95 == 1.96 * r1.std_error
     p = r1.estimate
-    assert r1.std_error == pytest.approx(math.sqrt(p * (1 - p) / 50_000), rel=1e-12)
+    assert r1.std_error == pytest.approx(math.sqrt(p * (1 - p) / 50_000), rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         plain_mc(iid_pair(LN), [1.0], 5.0, 100, seed=1)
 
@@ -222,7 +223,7 @@ def test_cond_mc_rejects_what_the_exact_pair_rejects(kw, call):
 def test_cond_mc_drops_zero_coefficients():
     r = cond_mc_lognormal(0.0, 1.0, 0.3, [0.0, 2.0], 10.0, 1000, seed=9)
     assert r.method == "exact" and r.std_error == 0.0
-    assert r.estimate == pytest.approx(exact_lognormal_single(0.0, 1.0, 2.0, 10.0), rel=1e-14)
+    assert r.estimate == pytest.approx(exact_lognormal_single(0.0, 1.0, 2.0, 10.0), rel=1e-14, abs=0)
     r0 = cond_mc_lognormal(0.0, 1.0, 0.3, [0.0, 0.0], 10.0, 1000, seed=9)
     assert r0.estimate == 0.0
     with pytest.raises(ValueError):
@@ -380,10 +381,23 @@ def test_curve_nonpositive_threshold_is_certain(small_chunks):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_replication_values_that_overflow_to_nan_are_refused():
-    # terms of 1e300 e^(50 z) overflow to inf, and at x = inf the kernel's x - inf is NaN:
-    # a NaN has no exact int, so the call raises rather than return a NaN estimate
+    # a NaN has no exact int, so the reduction raises rather than return a NaN estimate
     with pytest.raises(ValueError, match="replication value is NaN"):
-        cond_mc_lognormal(0.0, 50.0, 0.5, [1e300, 1e300], math.inf, 20000, 1, workers=2)
+        rare_event._chunk_moments(np.array([[0.5, 0.25], [0.5, math.nan]]))
+
+
+def test_an_infinite_threshold_is_impossible_without_a_draw(monkeypatch):
+    # terms of 1e300 e^(50 z) overflow to inf, where the kernel would score x = inf as inf - inf
+    def no_draws(*args):
+        raise AssertionError("sampled for an impossible event")
+
+    with monkeypatch.context() as m:
+        m.setattr(rare_event, "_stream", no_draws)
+        r = cond_mc_lognormal(0.0, 50.0, 0.5, [1e300, 1e300], math.inf, 20000, 1)
+    assert (r.estimate, r.std_error, r.half_width95, r.ess) == (0.0, 0.0, 0.0, 0.0)
+    xs = [20.0, math.inf, 5.0]
+    curve = cond_mc_lognormal_curve(0.0, 1.0, 0.3, [1.0, 1.0], xs, 20000, 1)
+    assert curve == [cond_mc_lognormal(0.0, 1.0, 0.3, [1.0, 1.0], x, 20000, 1) for x in xs]
 
 
 def test_curve_draws_nothing_without_a_positive_threshold(monkeypatch):
@@ -593,7 +607,7 @@ def test_ess_of_estimates():
     # the ESS is the moment ratio, so it also fixes the relative error: with
     # mean m and ESS e, Var v = m^2 (n/e - 1) up to the n-1 correction
     rel_var = (r.std_error / r.estimate) ** 2 * r.n
-    assert rel_var == pytest.approx((r.n / r.ess - 1.0) * r.n / (r.n - 1), rel=1e-9)
+    assert rel_var == pytest.approx((r.n / r.ess - 1.0) * r.n / (r.n - 1), rel=1e-9, abs=0)
     p = plain_mc(iid_pair(LN), [1.0, 1.0], 10.0, 20_000, seed=4)
     assert p.ess == round(p.estimate * p.n)
 
@@ -616,7 +630,7 @@ def test_ratio_published_table_row_arithmetic():
     # the rho = 0.9 row at threshold 50 reproduces its printed ratio
     est = EstimateResult(5.2652e-4, 10**7, 0.0, 0.0, "cond_mc", 0)
     approx = approx_sum_pair(LN, LN, 50.0, c=1.0)
-    assert round(ratio_vs_asymptotic(est, approx).ratio, 4) == pytest.approx(5.7527, abs=2e-4)
+    assert round(ratio_vs_asymptotic(est, approx).ratio, 4) == pytest.approx(5.7527, rel=0, abs=2e-4)
 
 
 def test_ratio_rejects_nonpositive_approximation():
@@ -629,7 +643,7 @@ def test_estimate_result_moment_reduction():
     r = EstimateResult.from_moments(50.0, 30.0, 100, "cond_mc", 3)
     assert r.estimate == 0.5
     var = (30.0 - 100 * 0.25) / 99
-    assert r.std_error == pytest.approx(math.sqrt(var / 100), rel=1e-12)
+    assert r.std_error == pytest.approx(math.sqrt(var / 100), rel=1e-12, abs=0)
     assert r.half_width95 == 1.96 * r.std_error
 
 
@@ -646,7 +660,7 @@ def test_weibull_pair_sum_ratio_matches_quadrature():
     x = 50.0
     inner, _ = quad(lambda y: sf(x - y) * pdf(y), 0.0, x / 2.0, limit=400)
     oracle = (2.0 * inner + sf(x / 2.0) ** 2) / (2.0 * sf(x))
-    assert oracle == pytest.approx(1.2080, abs=2e-3)
+    assert oracle == pytest.approx(1.2080, rel=0, abs=2e-3)
 
     r = plain_mc(iid_pair(weibull_type(alpha)), [1.0, 1.0], x, 10**6, seed=33)
     denom = 2.0 * sf(x)

@@ -74,10 +74,10 @@ def test_report_carries_exact_values_and_the_mc_check(tmp_path):
     assert [e["threshold"] for e in sim["exact"]] == [r[0] for r in sim["rows"]]
     for (x, est, asym, _, hw), e in zip(sim["rows"], sim["exact"]):
         assert e["exact"] == float(exact_lognormal_pair(0.0, 1.0, -0.9, 1.0, 1.0, x))
-        assert e["z"] == pytest.approx((est - e["exact"]) / (hw * asym / 1.96), rel=1e-9)
+        assert e["z"] == pytest.approx((est - e["exact"]) / (hw * asym / 1.96), rel=1e-9, abs=0)
 
     opt = report["tables"]["5"]
     assert all(len(r) == 5 for r in opt["rows"])
     for (x, a1, e1, e2, _), mc in zip(opt["rows"], opt["E2_mc"]):
         assert mc["threshold"] == x and 0.0 <= a1 <= 0.5 and e1 <= e2
-        assert mc["z"] == pytest.approx((mc["estimate"] - e2) / mc["std_error"], rel=1e-12)
+        assert mc["z"] == pytest.approx((mc["estimate"] - e2) / mc["std_error"], rel=1e-12, abs=0)
