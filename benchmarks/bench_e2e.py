@@ -7,6 +7,13 @@ The figures of its record, each keyed <tree>/<case>:
   wall_s_iqr    Q3 - Q1 of those seconds (`_record.summary`)
   peak_rss_mb   the child's peak resident memory, `ru_maxrss` from
                 `os.wait4` / 1024, median of the same runs
+  rel_se        of each `simulate` case, std_error / estimate as its
+                output JSON gives it (the seed is fixed, so every round
+                gives the same value)
+  z             of each d = 2 `simulate` case, (estimate - exact) /
+                std_error against `exact_d2`
+  exact_d2      `exact_lognormal_pair(0, 1, 0.9, 1, 1, 100)` of the tree
+                the script runs from: the d = 2 cases' true value
 The cases:
   tables<k>_w<w>  `reproduce-tables --which k --seed 42 --workers w` for
                   k = 2, 3, 4 and w = 1, 2, at the full budget (1e7 rows
@@ -29,6 +36,7 @@ round writes its outputs into a fresh temporary directory.  `_record.main` store
 record, with the speed probes (see `_record`).
 """
 
+import json
 import os
 import statistics
 import subprocess
@@ -39,6 +47,7 @@ from pathlib import Path
 
 import _record  # first: it puts src/ and perfbench/ on sys.path
 from _record import summaries
+from tailagg import exact_lognormal_pair
 
 OPTIONS = {
     "parent": dict(help="root of a second tree, run in alternation with this one"),
@@ -77,22 +86,38 @@ def run_cli(tree: Path, argv: list) -> tuple:
     return wall, usage.ru_maxrss / 1024.0
 
 
+def simulate_quality(out: Path, exact) -> tuple:
+    """(rel_se, z against exact) of the `simulate` output JSON at out; z is None where exact or the SE is."""
+    est = json.loads(out.read_text())
+    se = est["std_error"]
+    return est["rel_se"], None if exact is None or not se else (est["estimate"] - exact) / se
+
+
 def figures(args) -> dict:
     trees = {"change": _record.ROOT}
     if args.parent:
         trees = {"parent": Path(args.parent).resolve(), **trees}
-    runs = {}
+    exact = float(exact_lognormal_pair(0.0, 1.0, 0.9, 1.0, 1.0, 100.0))
+    runs, rel_se, z = {}, {}, {}
     for r in range(args.repeats):
         order = list(trees.items())[:: -1 if r % 2 else 1]
         with tempfile.TemporaryDirectory() as tmp:
             for case, argv in cases(Path(tmp)).items():
                 for label, tree in order:
-                    runs.setdefault(f"{label}/{case}", []).append(run_cli(tree, argv))
+                    key = f"{label}/{case}"
+                    runs.setdefault(key, []).append(run_cli(tree, argv))
+                    if argv[0] == "simulate":
+                        rel_se[key], zk = simulate_quality(Path(argv[argv.index("--out") + 1]), exact if case.endswith("_d2") else None)
+                        if zk is not None:
+                            z[key] = zk
     _, wall, wall_iqr = summaries({key: ([w for w, _ in r], 1.0) for key, r in runs.items()})
     return {
         "wall_s": wall,
         "wall_s_iqr": wall_iqr,
         "peak_rss_mb": {key: statistics.median(rss for _, rss in r) for key, r in runs.items()},
+        "rel_se": rel_se,
+        "z": z,
+        "exact_d2": exact,
     }
 
 

@@ -12,17 +12,23 @@ sets, so the replication value is an unbiased estimate with far lower
 variance than the raw indicator.
 
 One kernel serves every d >= 2, column by column: the correlation mix, the
-terms, the conditional means and the largest and sum of the other terms are
+terms, the offsets below and the largest and sum of the other terms are
 elementwise passes over columns, never reductions along rows of d elements.
 Each column of the Cholesky factor L of the equicorrelated matrix is constant
 below the diagonal, so W_i = p_i + L[i,i] Z_i where the prefix
 p_i = sum_{k<i} L[i,k] Z_k grows by one column per term; p_{d-1} is also the
 last term's conditional mean, and L[d-1,d-1] every term's conditional
-standard deviation.  At d = 2 the largest and the sum of the other terms are
-the other column itself, uncopied, and each value is the same IEEE operation
-on the same operands as in the two-term kernel this one replaced
-(W_1 = rho Z_0 + s Z_1 with s = sqrt((1 - rho)(1 + rho)), conditional means
-rho W_1 and rho Z_0), so d = 2 results are bit-identical to it.
+standard deviation s.  At d = 2 the largest and the sum of the other terms
+are the other column itself, uncopied.
+
+The conditional probability is scored as erfc(k_i log b_i - off_i) / 2, with
+one scalar slope k_i = scale / sig_i per term and one offset array
+off_i = scale (m_i + nu_i / sig_i) per term, scale = 1 / (s sqrt2), built
+once per chunk: the fixed affine map of log b_i (minus nu_i, over sig_i, minus
+m_i, over s, times 1/sqrt2) is two passes.  So `_score` takes six passes
+over a chunk per term and threshold (x - S, max, log, times k, minus off,
+erfc), and a threshold's row takes 7d: d - 1 additions of terms and one
+halving of their sum (14 at d = 2).
 
 A call scores the rows it is given, one chunk in the estimator, and writes
 their replication values at xs[j] into row j of the caller's out, of shape
@@ -31,8 +37,9 @@ the thresholds are then scored one after another on it, so every row equals
 the result of a one-threshold call.  What grows with the number of
 thresholds m is out: m x `rare_event.CHUNK` x 8 B per chunk in flight
 (0.9 MiB at m = 7).  A chunk's own arrays (at most 4d + 1 of CHUNK doubles,
-5 at d = 2) stay in the per-core L2 cache while the elementwise passes run
-over them, most with `out=`.
+5 at d = 2: the terms, the offsets, the largest and the sum of the other
+terms, and one row of scores) stay in the per-core L2 cache while the
+elementwise passes run over them, most with `out=`.
 
 The module also holds the one quadrature rule behind both exact routes,
 `gauss_legendre`: `rare_event.exact_lognormal_pair` integrates the
@@ -56,18 +63,14 @@ from .models import Domain
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _score(m, x: float, s, nu: float, sig: float, mean, sd: float, out: np.ndarray) -> None:
-    """out = Phibar(((log(max(m, x - s)) - nu) / sig - mean) / sd), one pass at a time in out."""
+def _score(m, x: float, s, k: float, off, out: np.ndarray) -> None:
+    """out = erfc(k log(max(m, x - s)) - off), one pass at a time in out: twice a term's conditional probability."""
     np.subtract(x, s, out=out)
     np.maximum(m, out, out=out)
     np.log(out, out=out)
-    out -= nu
-    out /= sig
-    out -= mean
-    out /= sd
-    out *= _INV_SQRT2
+    out *= k
+    out -= off
     erfc(out, out=out)
-    out *= 0.5
 
 
 # the exact quadratures' rule: 24-node Gauss-Legendre on equal pieces of each
@@ -164,6 +167,7 @@ def equicorr_chunk(
     has
       mean  rho * sum_{j != i} W_j / (1 + (d-2) rho)
       var   L[d-1, d-1]^2 = 1 - (d-1) rho^2 / (1 + (d-2) rho)
+    and each row is half the sum over i of erfc(slope_i log b_i - off_i).
     """
     k, d = z.shape
     below, diag = _equicorr_cholesky(d, rho)
@@ -176,10 +180,16 @@ def equicorr_chunk(
         wi += p
         w.append(wi)
 
-    # the last term's conditional mean is its prefix p; every other term's is c times
-    # the sum of the other w
+    # term i's erfc argument is slope_i log b_i - off_i, with slope_i = scale / sig_i and
+    # off_i = scale (mean_i + nu_i / sig_i): the last term's conditional mean is its
+    # prefix p, scaled in place, every other term's c times the sum of the other w
+    scale = _INV_SQRT2 / diag[-1]
+    slope = scale / sig
     c = rho / (1.0 + (d - 2) * rho)
-    means = [np.multiply(c, _fold(np.add, w[:i] + w[i + 1 :])) for i in range(d - 1)] + [p]
+    off = [np.multiply(c * scale, _fold(np.add, w[:i] + w[i + 1 :])) for i in range(d - 1)]
+    off.append(np.multiply(scale, p, out=p))
+    for i in range(d):
+        off[i] += nu[i] / sig[i] * scale
 
     t = []
     for i, wi in enumerate(w):
@@ -196,9 +206,10 @@ def equicorr_chunk(
     for j, x in enumerate(xs):
         for i in range(d):
             # the first term writes row j, the others are added to it
-            _score(m_other[i], x, s_other[i], nu[i], sig[i], means[i], diag[-1], b if i else out[j])
+            _score(m_other[i], x, s_other[i], slope[i], off[i], b if i else out[j])
             if i:
                 out[j] += b
+        out[j] *= 0.5
     return out
 
 

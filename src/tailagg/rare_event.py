@@ -180,17 +180,23 @@ def _scan_range(f, kinks: np.ndarray):
 
 
 def _pair_integrand(w, phi, x, nu_i, nu_j, sigma: float, rho: float, s: float) -> np.ndarray:
-    """phi(w) g_i(w): term i's conditional probability in the estimator, given the other term's normal w.
+    """2 phi(w) g_i(w): twice term i's conditional probability in the estimator, given the other term's normal w.
 
-    g_i is `kernels._score` with the other term t_j = exp(nu_j + sigma w) as
-    both the largest and the sum of the others, conditional mean rho w and
-    standard deviation s, exactly as `kernels.equicorr_chunk` scores term i at
-    d = 2.  Rows are cells (x, nu_i, nu_j are columns), w the points of each.
+    2 g_i is `kernels._score` with the other term t_j = exp(nu_j + sigma w) as
+    both the largest and the sum of the others, slope scale / sigma and offset
+    scale (rho w + nu_i / sigma), scale = 1 / (s sqrt2): conditional mean rho w
+    and standard deviation s, as `kernels.equicorr_chunk` scores term i at
+    d = 2.  The caller halves the sum of the two terms' integrals, as the
+    kernel halves each row.  Rows are cells (x, nu_i, nu_j are columns), w the
+    points of each.
     """
+    scale = kernels._INV_SQRT2 / s
     t = np.multiply(sigma, w) + nu_j
     np.exp(t, out=t)
+    off = rho * w + nu_i / sigma
+    off *= scale
     out = np.empty(t.shape)
-    kernels._score(t, x, t, nu_i, sigma, rho * w, s, out)
+    kernels._score(t, x, t, scale / sigma, off, out)
     out *= phi
     return out
 
@@ -212,7 +218,7 @@ def _pair_quadrature(mu: float, sigma: float, rho: float, a1, a2, x) -> np.ndarr
         lambda w: _pair_integrand(w, np.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi), *args),
         _SCAN, first, last, kink, kernels.step_pieces(s),
     )
-    return per_row[: len(a1)] + per_row[len(a1) :]
+    return 0.5 * (per_row[: len(a1)] + per_row[len(a1) :])
 
 
 def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.ndarray:

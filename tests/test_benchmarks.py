@@ -84,3 +84,13 @@ def test_e2e_cases_parse(monkeypatch, tmp_path):
     assert "check" in cases
     for argv in cases.values():
         assert cli.build_parser(argv[0]).parse_args(argv).command == argv[0]
+
+
+def test_e2e_reads_rel_se_and_z_from_a_simulate_output(monkeypatch, tmp_path):
+    bench = _load(monkeypatch, ROOT / "benchmarks" / "bench_e2e.py")
+    out = tmp_path / "simulate.json"
+    out.write_text(json.dumps({"estimate": 0.5, "std_error": 0.01, "rel_se": 0.02}))
+    assert bench.simulate_quality(out, 0.49) == pytest.approx((0.02, 1.0), rel=1e-12, abs=0)
+    assert bench.simulate_quality(out, None) == (0.02, None)
+    out.write_text(json.dumps({"estimate": 0.0, "std_error": 0.0, "rel_se": None}))
+    assert bench.simulate_quality(out, 0.49) == (None, None)

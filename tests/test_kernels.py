@@ -36,10 +36,12 @@ def _unblocked_values(z, nu, sig, rho, xs):
 
     The mix is w_i = sum_{k<i} L[i,k] z_k + L[i,i] z_i.  The last term's
     conditional mean is its prefix sum_{k<i} L[i,k] z_k; every other term's is
-    rho / (1 + (d-2) rho) times the sum of the other w.  The largest and the
-    sum of the other terms fold the other columns in index order.  At d = 2
-    these are the expressions of the two-term kernel this one replaced:
-    w2 = rho z1 + sqrt((1-rho)(1+rho)) z2, conditional means rho w2 and rho w1.
+    c = rho / (1 + (d-2) rho) times the sum of the other w.  With
+    g = (1/sqrt2) / L[d-1][d-1], term i is erfc(g / sig_i log b_i - off_i), where
+    off_i = (c g) (sum of the other w) + nu_i / sig_i g, or for the last term
+    prefix g + nu_i / sig_i g, and each threshold's sum of terms is halved.
+    The largest and the sum of the other terms fold the other columns in
+    index order.
     """
     n, d = z.shape
     L = _cholesky(d, rho)
@@ -47,16 +49,19 @@ def _unblocked_values(z, nu, sig, rho, xs):
     for i in range(1, d):
         prefix = functools.reduce(np.add, [L[i][k] * z[:, k] for k in range(i)])
         w.append(prefix + L[i][i] * z[:, i])
+    g = (1.0 / math.sqrt(2.0)) / L[d - 1][d - 1]
     c = rho / (1.0 + (d - 2) * rho)
-    means = [c * functools.reduce(np.add, w[:i] + w[i + 1 :]) for i in range(d - 1)] + [prefix]
+    off = [(c * g) * functools.reduce(np.add, w[:i] + w[i + 1 :]) for i in range(d - 1)] + [prefix * g]
+    off = [o + nu[i] / sig[i] * g for i, o in enumerate(off)]
     t = [np.exp(nu[i] + sig[i] * w[i]) for i in range(d)]
     out = np.empty((len(xs), n))
     for j, x in enumerate(xs):
         for i in range(d):
             others = t[:i] + t[i + 1 :]
             b = np.maximum(functools.reduce(np.maximum, others), x - functools.reduce(np.add, others))
-            term = _phibar(((np.log(b) - nu[i]) / sig[i] - means[i]) / L[d - 1][d - 1])
+            term = erfc(g / sig[i] * np.log(b) - off[i])
             out[j] = term if i == 0 else out[j] + term
+        out[j] *= 0.5
     return out
 
 
@@ -248,18 +253,124 @@ def test_equicorr_cholesky_is_within_2_ulp_of_mpmath(d, rho):
 
 @pytest.mark.parametrize("rho", [0.9999, -0.9999, 0.9, -0.3, 1e-8])
 def test_estimator_and_exact_pair_score_with_one_s_within_1_ulp_of_mpmath(monkeypatch, rho):
-    # both routes score through kernels._score, whose 7th argument is the conditional sd s
+    # both routes score through kernels._score(m, x, s, k, off, out), with slope
+    # k = g / sigma and offset g (mean + nu / sigma), g = (1/sqrt2) / s for the
+    # conditional sd s.  At sigma = 1, nu = 1 and a zero conditional mean (every
+    # row of z = 0, and the exact pair's scan point w = 0, where t_j = e^1), k and
+    # off are g itself
     seen = []
     score = kernels._score
 
-    def spy(*args):
-        seen.append(args[6])
-        score(*args)
+    def spy(m, x, s, k, off, out):
+        seen.append((k, np.broadcast_to(off, np.shape(m))[m == np.exp(1.0)]))
+        score(m, x, s, k, off, out)
 
     monkeypatch.setattr(kernels, "_score", spy)
-    equicorr_chunk(np.zeros((4, 2)), np.zeros(2), np.ones(2), rho, [3.0], np.empty((1, 4)))
-    rare_event.exact_lognormal_pair(0.0, 1.0, rho, 1.0, 1.0, 3.0)
-    assert len(set(seen)) == 1
+    equicorr_chunk(np.zeros((4, 2)), np.ones(2), np.ones(2), rho, [3.0], np.empty((1, 4)))
+    estimator = len(seen)
+    rare_event.exact_lognormal_pair(1.0, 1.0, rho, 1.0, 1.0, 3.0)
+    ks = {k for k, _ in seen}
+    assert len(ks) == 1
+    g = ks.pop()
+    for route in (seen[:estimator], seen[estimator:]):
+        offs = np.concatenate([off for _, off in route])
+        assert len(offs) > 0 and (offs == g).all()
     with mpmath.workdps(50):
-        want = float(mpmath.sqrt(1 - mpmath.mpf(rho) ** 2))
-    assert _ulps(seen[0], want) <= 1
+        want_s = mpmath.sqrt(1 - mpmath.mpf(rho) ** 2)
+        want_g = float(1 / (want_s * mpmath.sqrt(2)))
+        want_s = float(want_s)
+    # g is (1/sqrt2) / s for one double s within 1 ulp of sqrt(1 - rho^2) ...
+    near = [want_s, math.nextafter(want_s, 0.0), math.nextafter(want_s, 2.0)]
+    assert g in [kernels._INV_SQRT2 / s for s in near]
+    # ... and within 2 ulp of 1 / (sqrt(1 - rho^2) sqrt2)
+    assert _ulps(g, want_g) <= 2
+
+
+# Accuracy against 40 digits, from the same doubles: the reference takes the
+# kernel's double inputs (z, nu, sig, rho, x; w and phi for the pair) and does
+# everything else in mpmath.  Cells: rho +-0.9 (-0.9 / (d-1) at d = 3) and 0.3;
+# nu 0, or down to log 0.001 = -6.9, with unequal sig; x from 2 to 1e3, and 1e12
+# at rho = 0.3 only: at |rho| = 0.9 the conditional sd is 0.44 and every value
+# at x = 1e12 underflows.  Values below 1e-280 are not compared, as near the
+# underflow a double keeps few bits however it is computed.  Each bound, keyed
+# by x = 1e12, holds for the arithmetic before the slope and offset were folded
+# too: its worst was 8.4e-14 and 2.4e-13 for the kernel, 2.5e-13 and 4.3e-13
+# for the pair (the fold: 1.1e-13 and 3.0e-13, 2.5e-13 and 3.8e-13).
+_MP_DPS = 40
+_TINY = mpmath.mpf("1e-280")
+_KERNEL_BOUND = {False: 2e-13, True: 4e-13}
+_PAIR_BOUND = {False: 3e-13, True: 6e-13}
+
+
+def _mp_rel_errors(got, want):
+    return [float(abs(mpmath.mpf(float(g)) - v) / v) for g, v in zip(got, want) if v > _TINY]
+
+
+def _mp_equicorr_values(z, nu, sig, rho, x):
+    """The replication values of the rows of z, in mpmath: Cholesky mix, terms, and sum_i Phibar of each conditional."""
+    d = z.shape[1]
+    mp = mpmath.mpf
+    r = mp(rho)
+    L = mpmath.cholesky(mpmath.matrix([[1 if i == j else r for j in range(d)] for i in range(d)]))
+    c = r / (1 + (d - 2) * r)
+    sd = mpmath.sqrt(1 - (d - 1) * r * r / (1 + (d - 2) * r))
+    out = []
+    for row in z:
+        w = [sum(L[i, k] * mp(float(row[k])) for k in range(i + 1)) for i in range(d)]
+        t = [mpmath.exp(mp(float(nu[i])) + mp(float(sig[i])) * w[i]) for i in range(d)]
+        v = 0
+        for i in range(d):
+            others = t[:i] + t[i + 1 :]
+            b = max(max(others), mp(x) - sum(others))
+            mean = c * (sum(w) - w[i])
+            v += mpmath.erfc(((mpmath.log(b) - mp(float(nu[i]))) / mp(float(sig[i])) - mean) / (sd * mpmath.sqrt(2))) / 2
+        out.append(v)
+    return out
+
+
+def _accuracy_cells(d):
+    for rho in (0.9, -0.9 / (d - 1), 0.3):
+        for nu, sig in ((np.zeros(d), np.ones(d)), (np.log([1.0, 0.001, 0.5][:d]), np.array([1.0, 0.6, 1.4][:d]))):
+            for x in (2.0, 20.0, 1e3) + ((1e12,) if rho == 0.3 else ()):
+                yield rho, nu, sig, x
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_equicorr_values_are_within_bound_of_mpmath(d):
+    z = np.random.default_rng(20 + d).standard_normal((32, d))
+    worst = {False: 0.0, True: 0.0}
+    with mpmath.workdps(_MP_DPS):
+        for rho, nu, sig, x in _accuracy_cells(d):
+            got = equicorr_chunk(z, nu, sig, rho, [x], np.empty((1, len(z))))[0]
+            errs = _mp_rel_errors(got, _mp_equicorr_values(z, nu, sig, rho, x))
+            assert len(errs) == len(z)
+            worst[x == 1e12] = max(worst[x == 1e12], max(errs))
+    assert all(worst[big] <= _KERNEL_BOUND[big] for big in worst), worst
+
+
+def test_pair_integrand_is_within_bound_of_mpmath():
+    # _pair_integrand returns 2 phi(w) g_i(w), phi taken as given
+    w = np.linspace(-8.0, 8.0, 41)[None, :]
+    phi = np.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
+    worst = {False: 0.0, True: 0.0}
+    compared = 0
+    mp = mpmath.mpf
+    with mpmath.workdps(_MP_DPS):
+        for rho in (0.9, -0.9, 0.3):
+            s = math.sqrt((1.0 - rho) * (1.0 + rho))
+            sd = mpmath.sqrt(1 - mp(rho) ** 2)
+            for sigma in (1.0, 0.6):
+                for nu_i, nu_j in ((0.0, 0.0), (math.log(0.001), 0.0), (0.0, math.log(0.001))):
+                    for x in (2.0, 20.0, 1e3, 1e12):
+                        cell = [np.array([[v]]) for v in (x, nu_i, nu_j)]
+                        got = rare_event._pair_integrand(w, phi, *cell, sigma, rho, s)[0]
+                        want = []
+                        for wv, pv in zip(w[0], phi[0]):
+                            t = mpmath.exp(mp(nu_j) + mp(sigma) * mp(float(wv)))
+                            arg = ((mpmath.log(max(t, mp(x) - t)) - mp(nu_i)) / mp(sigma) - mp(rho) * mp(float(wv))) / (sd * mpmath.sqrt(2))
+                            want.append(mp(float(pv)) * mpmath.erfc(arg))
+                        errs = _mp_rel_errors(got, want)
+                        compared += len(errs)
+                        worst[x == 1e12] = max([worst[x == 1e12]] + errs)
+    assert compared > 2000
+    assert all(worst[big] <= _PAIR_BOUND[big] for big in worst), worst

@@ -321,13 +321,17 @@ def _exact_moments(chunks):
 
 
 def _pair_values(mu, rho, x, key, k, size):
-    # chunk k's replication values, the d = 2 estimator written out inline
+    # chunk k's replication values, the d = 2 estimator written out inline: at
+    # sigma = 1 each term is erfc(g log b - off), g = (1/sqrt2) / sc, with offset
+    # (rho g) w2 + mu g for the first and (rho w1) g + mu g for the second
     sc = math.sqrt((1.0 - rho) * (1.0 + rho))
+    g = (1.0 / math.sqrt(2.0)) / sc
     z = _chunk_normals(key, k, (size, 2))
     w1, w2 = z[:, 0], rho * z[:, 0] + sc * z[:, 1]
     t1, t2 = np.exp(mu + w1), np.exp(mu + w2)
-    v = 0.5 * erfc((((np.log(np.maximum(t2, x - t2)) - mu) - rho * w2) / sc) * (1.0 / math.sqrt(2.0)))
-    v += 0.5 * erfc((((np.log(np.maximum(t1, x - t1)) - mu) - rho * w1) / sc) * (1.0 / math.sqrt(2.0)))
+    v = erfc(g * np.log(np.maximum(t2, x - t2)) - ((rho * g) * w2 + mu * g))
+    v += erfc(g * np.log(np.maximum(t1, x - t1)) - ((rho * w1) * g + mu * g))
+    v *= 0.5
     return v
 
 
@@ -486,6 +490,7 @@ def test_plain_rows_are_the_terms_the_d2_kernel_scores(small_chunks, rho):
     seen = []
     rare_event._count_rows(model, lambda rows: seen.append(rows.copy()) or rows[:, 0] > 1.0, N_SPAN, key)
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    g = (1.0 / math.sqrt(2.0)) / s
     assert [len(rows) for rows in seen] == [size for _, size in rare_event._chunk_ranges(N_SPAN)]
     for k, rows in enumerate(seen):
         z = rare_event._stream(*key, k).standard_normal((len(rows), 2))
@@ -494,8 +499,9 @@ def test_plain_rows_are_the_terms_the_d2_kernel_scores(small_chunks, rho):
         got = kernels.equicorr_chunk(z, np.full(2, mu), np.full(2, sigma), rho, xs, np.empty((len(xs), len(rows))))
         t1, t2 = rows[:, 0], rows[:, 1]
         for j, x in enumerate(xs):
-            v = 0.5 * erfc((((np.log(np.maximum(t2, x - t2)) - mu) / sigma - rho * w2) / s) * (1.0 / math.sqrt(2.0)))
-            v += 0.5 * erfc((((np.log(np.maximum(t1, x - t1)) - mu) / sigma - rho * w1) / s) * (1.0 / math.sqrt(2.0)))
+            v = erfc(g / sigma * np.log(np.maximum(t2, x - t2)) - ((rho * g) * w2 + mu / sigma * g))
+            v += erfc(g / sigma * np.log(np.maximum(t1, x - t1)) - ((rho * w1) * g + mu / sigma * g))
+            v *= 0.5
             assert np.array_equal(got[j], v)
 
 
@@ -784,18 +790,19 @@ def test_exactly_2_32_chunks_are_allowed(monkeypatch):
 
 
 # estimates of one full chunk, pinned to the bits of SFC64 draws: chunk 0 draws
-# its whole array from stream 0 of the key, so these move only with the draw
-# and with the reduction (`_chunk_moments`, `EstimateResult.from_moments`)
+# its whole array from stream 0 of the key, so these move only with the draw,
+# with the kernel's arithmetic (`kernels._score`) and with the reduction
+# (`_chunk_moments`, `EstimateResult.from_moments`)
 ONE_CHUNK_BITS = {
     "cond_d2": (
         lambda: [cond_mc_lognormal(0.0, 1.0, 0.3, [1.0, 1.0], 20.0, 16384, (7, 3))],
-        [("0x1.583fb00ae461fp-8", "0x1.013fbc9a43b0fp-14", "0x1.3cadfed0b44cfp+12")],
+        [("0x1.583fb00ae4622p-8", "0x1.013fbc9a43b11p-14", "0x1.3cadfed0b44d0p+12")],
     ),
     "cond_d3": (
         lambda: cond_mc_lognormal_curve(0.1, 0.9, 0.3, [1.0, 0.5, 2.0], [5.0, 50.0], 16384, 11, workers=2),
         [
             ("0x1.c050228cd46a0p-2", "0x1.ebfda58b4e333p-10", "0x1.8985d7e963d68p+13"),
-            ("0x1.246dc0ffac99dp-11", "0x1.3d4ad1671fabfp-16", "0x1.9d00507f2a64ep+9"),
+            ("0x1.246dc0ffac99ep-11", "0x1.3d4ad1671fac1p-16", "0x1.9d00507f2a64dp+9"),
         ],
     ),
     "plain": (
