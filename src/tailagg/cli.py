@@ -122,25 +122,18 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _recipe_dict(res) -> dict:
-    r = res.recipe
-    out = {"c": list(r.c), "m_d": r.m_d, "N_d": r.N_d}
-    if r.beta is not None:
-        out.update(beta=r.beta, q_d=r.q_d, J_d=r.J_d)
-    return out
-
-
 def cmd_approx(args) -> int:
     joint = joint_from_config(_load_json(args.joint))
     a = _parse_floats(args.coeffs)
     models = _marginals(joint, len(a))
     c = _parse_floats(args.c) if args.c else None
     res = approx_linear(models, a, args.threshold, c=c)
+    r = res.recipe
     _emit(
         {
             "value": res.value,
             "log10_value": res.log_value / math.log(10.0),
-            "recipe": _recipe_dict(res),
+            "recipe": {"c": list(r.c), "m_d": r.m_d, "N_d": r.N_d},
         },
         args.out,
     )

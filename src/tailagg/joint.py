@@ -41,7 +41,7 @@ from scipy.special import log_ndtr
 from . import kernels
 from .errors import UnsupportedKind
 from .models import (
-    _PARAMS,
+    _FAMILIES,
     COUNT,
     LOGNORMAL,
     LOG_WEIBULL,
@@ -72,9 +72,9 @@ _CORRELATION = Domain(lambda v: -1.0 <= v < 1.0, "in [-1, 1)")
 # kind -> its config keys as (default, domain), None marking a required key
 _FIELDS = {
     IID_PAIR: {"marginal": (None, MODEL), "dim": (2, Domain(lambda v: COUNT.test(v) and v >= 2, "an integer >= 2"))},
-    BIVARIATE_LOGNORMAL: {k: _PARAMS[LOGNORMAL][k] for k in ("mu", "sigma")} | {"rho": (None, _CORRELATION)},
+    BIVARIATE_LOGNORMAL: {k: _FAMILIES[LOGNORMAL].params[k] for k in ("mu", "sigma")} | {"rho": (None, _CORRELATION)},
     COMONOTONE_INVERSE: {"marginal": (None, MODEL)},
-    MIN_CONSTRUCTION: {"alpha": _PARAMS[LOG_WEIBULL]["alpha"]},
+    MIN_CONSTRUCTION: {"alpha": _FAMILIES[LOG_WEIBULL].params["alpha"]},
     MIXED_MIN: {"base": (None, MODEL), "lighter": (None, MODEL)},
 }
 # uniforms each inverse-CDF pair construction turns into one row

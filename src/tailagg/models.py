@@ -15,6 +15,7 @@ to a closed form (see `canonical`).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -74,20 +75,7 @@ def check_unread(model, declared: dict) -> None:
 
 
 _MODIFIERS = {"scale": (1.0, POSITIVE), "power": (1.0, POSITIVE)}
-
-# family -> its config keys as (default, domain), None marking a required key;
-# std_normal takes no power, since a power of a signed variable is undefined
-_PARAMS = {
-    LOGNORMAL: {"mu": (0.0, FINITE), "sigma": (1.0, POSITIVE), **_MODIFIERS},
-    LOG_WEIBULL: {"alpha": (None, ABOVE_ONE), **_MODIFIERS},
-    LOG_WEIBULL_MIN: {"alpha": (None, ABOVE_ONE), **_MODIFIERS},
-    WEIBULL_TYPE: {"alpha": (None, UNIT), **_MODIFIERS},
-    EXPONENTIAL: {"rate": (1.0, POSITIVE), **_MODIFIERS},
-    STD_NORMAL: {"scale": _MODIFIERS["scale"]},
-}
-
-# family -> largest value of the base variable X with survival 1
-_EDGE = {LOGNORMAL: 0.0, LOG_WEIBULL: 1.0, LOG_WEIBULL_MIN: 1.0, WEIBULL_TYPE: 0.0, EXPONENTIAL: 0.0, STD_NORMAL: -math.inf}
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
 
 def norm_log_sf(z):
@@ -99,13 +87,83 @@ def norm_sf(z):
     return np.exp(norm_log_sf(z))
 
 
+# a tail family: `params` maps its config keys to (default, domain), None marking a
+# required key, and `edge` is the largest value of its base variable X with survival 1.
+# The forms take the model m and act on X above the edge: log_sf(m, z) is log P(X > z),
+# quantile(m, p, e) the p-quantile given e = -log(1 - p), log_pdf(m, z, lz) the log
+# density given lz = log z, and aux(m) the (closed form, source, diverges) of AuxiliaryFn
+_Family = namedtuple("_Family", "params edge log_sf quantile log_pdf aux")
+_FAMILIES = {
+    LOGNORMAL: _Family(
+        {"mu": (0.0, FINITE), "sigma": (1.0, POSITIVE), **_MODIFIERS},
+        0.0,
+        lambda m, z: norm_log_sf((np.log(z) - m.mu) / m.sigma),
+        lambda m, p, e: np.exp(m.mu + m.sigma * ndtri(p)),
+        lambda m, z, lz: -0.5 * ((lz - m.mu) / m.sigma) ** 2 - lz - math.log(m.sigma) - _HALF_LOG_2PI,
+        lambda m: (lambda x: m.sigma**2 * x / (np.log(x) - m.mu), "mean_excess", True),
+    ),
+    LOG_WEIBULL: _Family(
+        {"alpha": (None, ABOVE_ONE), **_MODIFIERS},
+        1.0,
+        lambda m, z: -(np.log(z) ** m.alpha),
+        lambda m, p, e: np.exp(e ** (1.0 / m.alpha)),
+        lambda m, z, lz: math.log(m.alpha) + (m.alpha - 1) * np.log(lz) - lz - lz**m.alpha,
+        lambda m: (lambda x: x / (m.alpha * np.log(x) ** (m.alpha - 1.0)), "von_mises", True),
+    ),
+    LOG_WEIBULL_MIN: _Family(
+        {"alpha": (None, ABOVE_ONE), **_MODIFIERS},
+        1.0,
+        lambda m, z: -2.0 * np.log(z) ** m.alpha,
+        lambda m, p, e: np.exp((e / 2.0) ** (1.0 / m.alpha)),
+        lambda m, z, lz: math.log(2 * m.alpha) + (m.alpha - 1) * np.log(lz) - lz - 2.0 * lz**m.alpha,
+        lambda m: (lambda x: x / (2.0 * m.alpha * np.log(x) ** (m.alpha - 1.0)), "von_mises", True),
+    ),
+    WEIBULL_TYPE: _Family(
+        {"alpha": (None, UNIT), **_MODIFIERS},
+        0.0,
+        lambda m, z: -(z**m.alpha),
+        lambda m, p, e: e ** (1.0 / m.alpha),
+        lambda m, z, lz: math.log(m.alpha) + (m.alpha - 1) * lz - z**m.alpha,
+        lambda m: (lambda x: (m.scale**m.alpha) * x ** (1.0 - m.alpha) / m.alpha, "von_mises", True),
+    ),
+    EXPONENTIAL: _Family(
+        {"rate": (1.0, POSITIVE), **_MODIFIERS},
+        0.0,
+        lambda m, z: -m.rate * z,
+        lambda m, p, e: e / m.rate,
+        lambda m, z, lz: math.log(m.rate) - m.rate * z,
+        lambda m: (lambda x: np.full_like(x, 1.0 / m.rate), "von_mises", False),
+    ),
+    # no power, since a power of a signed variable is undefined
+    STD_NORMAL: _Family(
+        {"scale": _MODIFIERS["scale"]},
+        -math.inf,
+        lambda m, z: norm_log_sf(z),
+        lambda m, p, e: ndtri(p),
+        lambda m, z, lz: -0.5 * z**2 - _HALF_LOG_2PI,
+        lambda m: (lambda x: 1.0 / x, "von_mises", False),
+    ),
+}
+
+
+def _elementwise(form):
+    """Make form(model, a), which maps a 1-d float array a, take and return a scalar or an array."""
+    @functools.wraps(form)
+    def method(self, values):
+        a = np.asarray(values, dtype=float)
+        out = form(self, np.atleast_1d(a))
+        return float(out[0]) if a.ndim == 0 else out
+
+    return method
+
+
 @dataclass(frozen=True)
 class AuxiliaryFn:
     """Closed-form auxiliary (scaling) function of a tail model.
 
-    `closed_form` maps x to f(x) > 0 above the support edge; `source` records
-    where the form comes from ("von_mises", "mean_excess" or "supplied");
-    `diverges` tells whether f(x) -> infinity.
+    `closed_form` maps a float array x to f(x) > 0 above the support edge;
+    `source` records where the form comes from ("von_mises", "mean_excess" or
+    "supplied"); `diverges` tells whether f(x) -> infinity.
     """
 
     closed_form: Callable[[np.ndarray], np.ndarray]
@@ -120,7 +178,8 @@ class AuxiliaryFn:
 class TailModel:
     """A univariate distribution `scale * X ** power` with X from `family`.
 
-    Parameter roles by family (`_PARAMS` declares each one's domain):
+    Each family is declared once, in `_FAMILIES`: its parameter domains, its
+    support edge and the formulas of X.  Parameter roles by family:
       lognormal        mu, sigma   survival  Phibar((log x - mu)/sigma)
       log_weibull      alpha       survival  exp(-(log x)^alpha), x > 1
       log_weibull_min  alpha       survival  exp(-2 (log x)^alpha), x > 1
@@ -138,18 +197,17 @@ class TailModel:
     power: float = 1.0
 
     def __post_init__(self):
-        if self.family not in _PARAMS:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        check_fields(_PARAMS[self.family], **vars(self))
-        check_unread(self, _PARAMS[self.family])
+        check_fields(_FAMILIES[self.family].params, **vars(self))
+        check_unread(self, _FAMILIES[self.family].params)
 
     # -- support ------------------------------------------------------------
 
     @property
     def support_edge(self) -> float:
         """Largest x with survival(x) = 1 (or -inf for std_normal)."""
-        edge = _EDGE[self.family]
-        return edge if edge == -math.inf else self.scale * edge**self.power
+        return self.scale * _FAMILIES[self.family].edge ** self.power
 
     @property
     def nonnegative(self) -> bool:
@@ -161,9 +219,10 @@ class TailModel:
         """Map an observation of scale*X**power back to the base variable X."""
         if self.scale == 1.0 and self.power == 1.0:
             return x
+        if not self.nonnegative:  # a signed X takes no power
+            return x / self.scale
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(x > 0, np.exp((np.log(np.where(x > 0, x, 1.0)) - math.log(self.scale)) / self.power), x)
-        return out
+            return np.where(x > 0, np.exp((np.log(np.where(x > 0, x, 1.0)) - math.log(self.scale)) / self.power), x)
 
     def transformed(self, scale: float = 1.0, power: float = 1.0) -> "TailModel":
         """Return the model of `scale * Y ** power` where Y is this model."""
@@ -197,35 +256,22 @@ class TailModel:
 
     # -- distribution functions ----------------------------------------------
 
+    @_elementwise
     def log_survival(self, x):
         """log P(X > x), exact to the floating-point limit (never -inf early).
 
         Values whose linear-space survival underflows (e.g. weibull_type at
         x = 1e6, where log-survival is -1000) stay finite here.  A NaN x gives
-        NaN: each family tests z <= edge for its certain part, which NaN fails.
+        NaN: the certain part is z <= edge, which NaN fails.
         """
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+        fam = _FAMILIES[self.family]
         z = self._base_arg(x)
-        fam = self.family
         with np.errstate(divide="ignore", invalid="ignore"):
-            if fam == LOGNORMAL:
-                out = np.where(z <= 0, 0.0, norm_log_sf((np.log(np.where(z <= 0, 1.0, z)) - self.mu) / self.sigma))
-            elif fam == LOG_WEIBULL:
-                lz = np.log(np.where(z <= 1, np.e, z))
-                out = np.where(z <= 1, 0.0, -(lz**self.alpha))
-            elif fam == LOG_WEIBULL_MIN:
-                lz = np.log(np.where(z <= 1, np.e, z))
-                out = np.where(z <= 1, 0.0, -2.0 * lz**self.alpha)
-            elif fam == WEIBULL_TYPE:
-                out = np.where(z <= 0, 0.0, -np.where(z <= 0, 0.0, z) ** self.alpha)
-            elif fam == EXPONENTIAL:
-                out = np.where(z <= 0, 0.0, -self.rate * z)
-            else:  # std_normal
-                out = norm_log_sf(x / self.scale)
-        out = np.where(np.isposinf(x), -np.inf, out)
-        return float(out[0]) if scalar else out
+            if fam.edge == -math.inf:  # no certain part; log_sf(-inf) is the -0.0 this keeps
+                out = fam.log_sf(self, z)
+            else:
+                out = np.where(z <= fam.edge, 0.0, fam.log_sf(self, np.where(z > fam.edge, z, np.nan)))
+        return np.where(np.isposinf(x), -np.inf, out)
 
     def survival(self, x):
         """P(X > x); underflows below ~1e-308 round to 0 (use log_survival there)."""
@@ -234,61 +280,29 @@ class TailModel:
     def cdf(self, x):
         return -np.expm1(self.log_survival(x))
 
+    @_elementwise
     def quantile(self, p):
         """Inverse cdf; p in [0, 1)."""
-        p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
-        p = np.atleast_1d(p)
         if np.any((p < 0) | (p >= 1)):
             raise ValueError("quantile defined for p in [0, 1)")
-        nlog1mp = -np.log1p(-p)  # -log(1-p), accurate near p=1
-        fam = self.family
-        if fam == LOGNORMAL:
-            base = np.exp(self.mu + self.sigma * ndtri(p))
-        elif fam == LOG_WEIBULL:
-            base = np.exp(nlog1mp ** (1.0 / self.alpha))
-        elif fam == LOG_WEIBULL_MIN:
-            base = np.exp((nlog1mp / 2.0) ** (1.0 / self.alpha))
-        elif fam == WEIBULL_TYPE:
-            base = nlog1mp ** (1.0 / self.alpha)
-        elif fam == EXPONENTIAL:
-            base = nlog1mp / self.rate
-        else:
-            base = self.scale * ndtri(p)
-            return float(base[0]) if scalar else base
-        out = self.scale * base**self.power
-        return float(out[0]) if scalar else out
+        base = _FAMILIES[self.family].quantile(self, p, -np.log1p(-p))  # -log(1-p), accurate near p=1
+        return self.scale * base**self.power
 
+    @_elementwise
     def log_density(self, x):
         """log of the density at x: -inf outside the support and at +-inf, NaN at a NaN x."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+        fam = _FAMILIES[self.family]
         z = self._base_arg(x)
-        fam = self.family
         with np.errstate(divide="ignore", invalid="ignore"):
-            safe = np.where(z > _EDGE[fam], z, np.nan)
+            safe = np.where(z > fam.edge, z, np.nan)
             lz = np.log(safe)
-            if fam == LOGNORMAL:
-                out = -0.5 * ((lz - self.mu) / self.sigma) ** 2 - lz - math.log(self.sigma) - 0.5 * math.log(2 * math.pi)
-            elif fam == LOG_WEIBULL:
-                out = math.log(self.alpha) + (self.alpha - 1) * np.log(lz) - lz - lz**self.alpha
-            elif fam == LOG_WEIBULL_MIN:
-                out = math.log(2 * self.alpha) + (self.alpha - 1) * np.log(lz) - lz - 2.0 * lz**self.alpha
-            elif fam == WEIBULL_TYPE:
-                out = math.log(self.alpha) + (self.alpha - 1) * np.log(safe) - safe**self.alpha
-            elif fam == EXPONENTIAL:
-                out = math.log(self.rate) - self.rate * safe
-            else:
-                zz = x / self.scale
-                out = -0.5 * zz**2 - 0.5 * math.log(2 * math.pi) - math.log(self.scale)
-                out = np.where(np.isinf(x), -np.inf, out)
-                return float(out[0]) if scalar else out
+            out = fam.log_pdf(self, safe, lz)
             # jacobian of y = scale * x**power: dx/dy = x / (power * y)
-            if self.scale != 1.0 or self.power != 1.0:
-                out = out + (1.0 - self.power) * lz - math.log(self.power) - math.log(self.scale)
-        out = np.where(np.isnan(out) & ~np.isnan(x), -np.inf, out)
-        return float(out[0]) if scalar else out
+            if self.power != 1.0:
+                out = out + (1.0 - self.power) * lz - math.log(self.power)
+            if self.scale != 1.0:
+                out = out - math.log(self.scale)
+        return np.where(np.isnan(out) & ~np.isnan(x), -np.inf, out)
 
     def density(self, x):
         return np.exp(self.log_density(x))
@@ -302,32 +316,14 @@ class TailModel:
         equivalent auxiliary functions are interchangeable for every use in
         this package.  Raises AuxiliaryUnavailable for scale/power shapes
         that do not reduce to a tabulated family (re-express the model first,
-        e.g. through `canonical`).
+        e.g. through `canonical`); only weibull_type's form reads a scale.
         """
         m = self.canonical()
-        if m.scale != 1.0 or m.power != 1.0:
-            if not (m.family == WEIBULL_TYPE and m.power == 1.0):
-                raise AuxiliaryUnavailable(
-                    f"no tabulated auxiliary function for {self.family} with scale={self.scale}, power={self.power}"
-                )
-        fam = m.family
-        if fam == LOGNORMAL:
-            mu, sig2 = m.mu, m.sigma**2
-            return AuxiliaryFn(lambda x: sig2 * x / (np.log(x) - mu), "mean_excess", True)
-        if fam == LOG_WEIBULL:
-            a = m.alpha
-            return AuxiliaryFn(lambda x: x / (a * np.log(x) ** (a - 1.0)), "von_mises", True)
-        if fam == LOG_WEIBULL_MIN:
-            a = m.alpha
-            return AuxiliaryFn(lambda x: x / (2.0 * a * np.log(x) ** (a - 1.0)), "von_mises", True)
-        if fam == WEIBULL_TYPE:
-            a, s = m.alpha, m.scale
-            return AuxiliaryFn(lambda x: (s**a) * x ** (1.0 - a) / a, "von_mises", True)
-        if fam == EXPONENTIAL:
-            r = m.rate
-            return AuxiliaryFn(lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / r), "von_mises", False)
-        # std_normal: standard Von Mises choice
-        return AuxiliaryFn(lambda x: 1.0 / np.asarray(x, dtype=float), "von_mises", False)
+        if (m.scale != 1.0 or m.power != 1.0) and not (m.family == WEIBULL_TYPE and m.power == 1.0):
+            raise AuxiliaryUnavailable(
+                f"no tabulated auxiliary function for {self.family} with scale={self.scale}, power={self.power}"
+            )
+        return AuxiliaryFn(*_FAMILIES[m.family].aux(m))
 
 
 def self_neglect_profile(aux: AuxiliaryFn, x_grid, t: float):
@@ -434,15 +430,16 @@ def model_from_config(cfg: dict) -> TailModel:
     Example: {"family": "lognormal", "mu": 0.0, "sigma": 1.0,
               "scale": 1.0, "power": 1.0}
     """
-    fam = config_tag(cfg, "family", _PARAMS, _FAMILY_ALIASES)
-    if "lambda" in cfg and "rate" in _PARAMS[fam]:
+    fam = config_tag(cfg, "family", _FAMILIES, _FAMILY_ALIASES)
+    params = _FAMILIES[fam].params
+    if "lambda" in cfg and "rate" in params:
         if "rate" in cfg:
             raise ValueError("give 'rate' or its alias 'lambda', not both")
         cfg = {("rate" if k == "lambda" else k): v for k, v in cfg.items()}
-    return TailModel(fam, **config_fields(cfg, "family", _PARAMS[fam]))
+    return TailModel(fam, **config_fields(cfg, "family", params))
 
 
 def model_to_config(m: TailModel) -> dict:
     """The config of m; the modifiers are written only where they transform."""
-    params = _PARAMS[m.family].items()
+    params = _FAMILIES[m.family].params.items()
     return {"family": m.family, **{k: getattr(m, k) for k, (d, _) in params if k not in _MODIFIERS or getattr(m, k) != d}}

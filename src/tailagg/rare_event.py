@@ -45,7 +45,7 @@ from scipy.special import ndtri  # noqa: F401
 
 from . import kernels
 from .joint import JointModel, _seed_key, _stream, _uniforms  # noqa: F401
-from .models import _PARAMS, COUNT, FINITE, LOGNORMAL, NONNEGATIVE, POSITIVE, check_fields, check_value, norm_sf
+from .models import _FAMILIES, COUNT, FINITE, LOGNORMAL, NONNEGATIVE, POSITIVE, check_fields, check_value, norm_sf
 
 CHUNK = 1 << 14
 _ULP = 2**1074  # a double times _ULP is an int, and a product of two doubles times _ULP**2
@@ -56,7 +56,7 @@ COND_MC = "cond_mc"
 
 # the parameters the routes below check, as (default, domain); mu and sigma are the lognormal family's
 _ARGS = {
-    **{k: _PARAMS[LOGNORMAL][k] for k in ("mu", "sigma")},
+    **{k: _FAMILIES[LOGNORMAL].params[k] for k in ("mu", "sigma")},
     **dict.fromkeys(("a", "a1", "a2"), (None, NONNEGATIVE)),
     "nu": (None, FINITE),
     "sig": (None, POSITIVE),
@@ -332,6 +332,13 @@ def _chunk_moments(v: np.ndarray) -> list:
     return out
 
 
+def _check_equicorrelation(rho: float, d: int) -> None:
+    """Raise ValueError unless rho makes the d x d equicorrelation matrix positive definite."""
+    rho_min = -1.0 / (d - 1)
+    if not rho_min < rho < 1.0:
+        raise ValueError(f"rho must lie in ({rho_min:.4g}, 1) for {d} terms; its endpoints are exact or degenerate")
+
+
 def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, workers: int) -> list:
     """Conditional MC of P(sum_i exp(nu_i + sig_i Z_i) > x) for every x in xs.
 
@@ -347,9 +354,7 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
     if d < 2 or len(sig) != d:
         raise ValueError("need at least two terms with matching volatilities")
     check_fields(_ARGS, nu=nu, sig=sig, n=n, workers=workers)
-    rho_min = -1.0 / (d - 1)
-    if not rho_min < rho < 1.0:
-        raise ValueError(f"rho must lie in ({rho_min:.4g}, 1) for {d} terms")
+    _check_equicorrelation(rho, d)
     key = _seed_key(seed)
     xs = [float(x) for x in xs]
     drawn = [x for x in xs if 0.0 < x < math.inf]
@@ -393,8 +398,7 @@ def _lognormal_terms(mu: float, sigma: float, rho: float, a: Sequence[float], n:
     check_fields(_ARGS, mu=mu, sigma=sigma, a=a, n=n, workers=workers)
     if len(a) < 2:
         raise ValueError("need at least two coefficients")
-    if not -1.0 < rho < 1.0:
-        raise ValueError("rho must be in (-1, 1); the endpoints have exact/degenerate forms")
+    _check_equicorrelation(rho, len(a))  # over all the terms, zero coefficients or not
     a_pos = a[a > 0]
     return a_pos, mu + np.log(a_pos), np.full(len(a_pos), float(sigma))
 
@@ -417,11 +421,12 @@ def cond_mc_lognormal(
 ) -> EstimateResult:
     """Unbiased conditional-MC estimate of P(sum_i a_i exp(Z_i) > x).
 
-    Z is d-variate normal with common mean mu, volatility sigma and pairwise
-    correlation rho in (-1, 1); rho = -1 has the closed form
-    `exact_comonotone_lognormal` and rho = 1 is degenerate.  Zero coefficients
-    are dropped up front (they cannot move the sum); if only one positive term
-    remains the probability is computed exactly.
+    Z is d-variate normal, d = len(a), with common mean mu, volatility sigma
+    and pairwise correlation rho in (-1/(d-1), 1), where its matrix is
+    positive definite; at d = 2, rho = -1 has the closed form
+    `exact_comonotone_lognormal`, and rho = 1 is degenerate.  Zero
+    coefficients are dropped after that check (they cannot move the sum); if
+    only one positive term remains the probability is computed exactly.
     """
     a_pos, nu, sig = _lognormal_terms(mu, sigma, rho, a, n, workers)
     if len(a_pos) < 2:

@@ -71,6 +71,30 @@ def test_probe_statuses():
     assert status == "zero"
 
 
+def test_probe_zero_unstable_and_probed_stable_routes():
+    # both last ratios underflow to 0 at x = 200; at x = 5 they vanish, decreasing, by the drop rule
+    assert probe_tail_ratio(exponential(2.0), exponential(1.0), 200.0)[1] == "zero"
+    assert probe_tail_ratio(exponential(2.0), exponential(1.0), 5.0)[1] == "zero"
+    # the ratio creeps from 1.051 to 1.151 over the probe grid: neither stable nor growing 1.5-fold
+    ratios, status = probe_tail_ratio(weibull_type(0.5, scale=1.01), weibull_type(0.5), 100.0)
+    assert status == "unstable" and 1.05 < ratios[0] < ratios[-1] < 1.16
+    with pytest.raises(NonStabilizingRatio):
+        approx_linear([weibull_type(0.5), weibull_type(0.5, scale=1.01)], [1.0, 1.0], 100.0)
+    # equal in law but not ==, so c is probed: the last ratio, 1 up to rounding
+    m0, m1 = exponential(2.0), exponential(1.0, scale=0.5)
+    assert m0 != m1
+    ratios, status = probe_tail_ratio(m1, m0, 5.0)
+    assert status == "stable"
+    c = approx_linear([m0, m1], [1.0, 1.0], 5.0).recipe.c
+    assert c == (1.0, ratios[-1]) and c[1] == pytest.approx(1.0, rel=1e-13, abs=0)
+
+
+def test_linear_supplied_c_may_omit_its_leading_one():
+    assert approx_linear([LN, LN], [1.0, 2.0], 30.0, c=[1.0]).recipe.c == (1.0, 1.0)
+    with pytest.raises(ValueError, match="one tail-ratio constant per model"):
+        approx_linear([LN, LN], [1.0, 2.0], 30.0, c=[1.0, 1.0, 1.0])
+
+
 # ---------------------------------------------------------------- sums
 
 

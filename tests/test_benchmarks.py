@@ -94,3 +94,21 @@ def test_e2e_reads_rel_se_and_z_from_a_simulate_output(monkeypatch, tmp_path):
     assert bench.simulate_quality(out, None) == (0.02, None)
     out.write_text(json.dumps({"estimate": 0.0, "std_error": 0.0, "rel_se": None}))
     assert bench.simulate_quality(out, 0.49) == (None, None)
+
+
+def test_one_check_grid_pass_meets_the_benchmark_checks(monkeypatch, tmp_path, capsys):
+    # the benchmark's own op list and output checks, so a model change that breaks an op fails here
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    from tailagg import cli
+
+    configs, ops = workloads.build("check_grid", 1, str(tmp_path), 0)
+    workloads.write_configs(configs, str(tmp_path), 0)
+    assert len(ops) == 48
+    for op in ops:
+        rc = cli.main(list(op.argv))
+        captured = capsys.readouterr()
+        result = workloads.check(op, rc, captured.out, {})
+        assert result.ok, f"{' '.join(op.argv)}: {result.why} {captured.err}"

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from tailagg import bivariate_lognormal, check_conditional, cond_mc_lognormal, exact_lognormal_pair
+from tailagg import (
+    bivariate_lognormal,
+    check_conditional,
+    cond_mc_lognormal,
+    diagnostics,
+    exact_lognormal_pair,
+    joint_from_config,
+    model_from_config,
+)
 from tailagg.cli import _COMMANDS, _parse_count, build_parser, main
 from tailagg.tables import make_table1, read_csv_rows
 
@@ -142,6 +150,48 @@ def test_check_univariate_model(capsys, tmp_path):
     rc, payload = _run_json(capsys, ["check", "--model", str(cfg), "--assumption", "SUBEXP", "--L", "1.0"])
     assert rc == 0
     assert payload["trend"]["kind"] == "decreasing_to_zero"
+
+
+_LN = {"family": "lognormal", "mu": 0.0, "sigma": 1.0}
+_LW = {"family": "log_weibull", "alpha": 2.0}
+_BIVLN = {"kind": "bivariate_lognormal", "mu": 0.0, "sigma": 1.0, "rho": 0.3}
+_COMO = {"kind": "comonotone_inverse", "marginal": {"family": "exponential", "rate": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "name, configs, direct",
+    [
+        ("A1", {"--model": _LN}, lambda m: diagnostics.check_mda_gumbel(m["--model"])),
+        ("A2", {"--model": _LN, "--model2": _LW},
+         lambda m: diagnostics.check_tail_ratio(m["--model"], m["--model2"])),
+        ("SUBEXP", {"--model": _LW}, lambda m: diagnostics.check_subexp_criterion(m["--model"], 1.0)),
+        ("A3", {"--joint": _BIVLN}, lambda m: diagnostics.check_conditional(m["--joint"], "A3", 1.0)),
+        ("A4", {"--joint": _BIVLN}, lambda m: diagnostics.check_conditional(m["--joint"], "A4", 1.0)),
+        ("A5", {"--joint": _COMO}, lambda m: diagnostics.check_joint_aux(m["--joint"], 1.0)),
+        ("ASYINDEP", {"--joint": _BIVLN}, lambda m: diagnostics.check_asy_indep(m["--joint"])),
+    ],
+)
+def test_check_writes_the_report_of_the_direct_call_and_names_a_missing_config(name, configs, direct, tmp_path, capsys):
+    argv = ["check", "--assumption", name]
+    for flag, cfg in configs.items():
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(cfg))
+        argv += [flag, str(path)]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    payload = json.loads(out.read_text())
+    read = {f: (joint_from_config if f == "--joint" else model_from_config)(c) for f, c in configs.items()}
+    report = direct(read)
+    assert payload["assumption"] == report.assumption and payload["method"] == report.method
+    assert payload["trend"] == {"kind": report.trend.kind, "limit": report.trend.limit}
+    assert payload["grid"] == list(report.grid)
+    # a non-finite value is written as its repr, which float reads back
+    np.testing.assert_array_equal([float(v) for v in payload["values"]], report.values)
+    for flag in configs:
+        i = argv.index(flag)
+        assert main(argv[:i] + argv[i + 2:]) == 2
+        assert f"pass {flag}" in capsys.readouterr().err
 
 
 def test_optimize_command_with_verify(capsys, bivln_cfg, tmp_path):

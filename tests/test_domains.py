@@ -37,6 +37,9 @@ OUTSIDE = {
     "seed": st.integers(max_value=-1) | st.floats(),
     "rho_joint": st.floats(min_value=1.0) | st.floats(max_value=-1.0, exclude_max=True) | _SPECIAL,
     "rho_estimator": st.floats(min_value=1.0) | st.floats(max_value=-1.0) | _SPECIAL,
+    # three terms, zero coefficients included, are positive definite only for rho in (-1/2, 1);
+    # (-1, -1/2] has a branch of its own, as the two-term domain holds it
+    "rho_estimator_d3": st.floats(min_value=1.0) | st.floats(-1.0, -0.5) | st.floats(max_value=-1.0) | _SPECIAL,
     "rho_quadrature": st.floats(min_value=math.nextafter(0.9999, 2.0))
     | st.floats(max_value=math.nextafter(-0.9999, -2.0))
     | _SPECIAL,
@@ -57,6 +60,7 @@ class Entry:
     fn: object
     args: dict  # valid arguments
     kinds: dict  # parameter -> kind, a key of OUTSIDE
+    label: str = ""  # tells apart the test ids of two entries of one fn
 
 
 ENTRIES = [
@@ -109,6 +113,12 @@ ENTRIES = [
     Entry(ta.cond_mc_lognormal_curve,
           {"mu": 0.0, "sigma": 1.0, "rho": 0.3, "a": [1.0, 1.0], "xs": [10.0, 20.0], "n": 100, "seed": 1, "workers": 1},
           {"mu": "finite", "sigma": "positive", "rho": "rho_estimator", "a": "nonnegative", "xs": "threshold", **MC}),
+    *[Entry(ta.cond_mc_lognormal,
+            {"mu": 0.0, "sigma": 1.0, "rho": 0.3, "a": a, "x": 10.0, "n": 100, "seed": 1, "workers": 1},
+            {"rho": "rho_estimator_d3"}, label) for a, label in (([1.0, 1.0, 0.0], "_a110"), ([1.0, 0.0, 0.0], "_a100"))],
+    Entry(ta.cond_mc_lognormal_curve,
+          {"mu": 0.0, "sigma": 1.0, "rho": 0.3, "a": [1.0, 1.0, 0.0], "xs": [10.0, 20.0], "n": 100, "seed": 1,
+           "workers": 1}, {"rho": "rho_estimator_d3"}, "_a110"),
     Entry(ta.cond_mc_terms, {"nu": [0.0, 0.0], "sig": [1.0, 1.0], "rho": 0.3, "x": 10.0, "n": 100, "seed": 1, "workers": 1},
           {"nu": "finite", "sig": "positive", "rho": "rho_estimator", "x": "threshold", **MC}),
     Entry(ta.ratio_vs_asymptotic, {"est": ta.EstimateResult(0.5, 10, 0.01, 0.0196, "plain_mc", 1), "approx": 0.5},
@@ -142,7 +152,7 @@ def _numbers(result) -> list:
     return np.ravel(np.asarray(result, dtype=float)).tolist()
 
 
-@pytest.mark.parametrize("entry, name", CASES, ids=[f"{e.fn.__name__}-{name}" for e, name in CASES])
+@pytest.mark.parametrize("entry, name", CASES, ids=[f"{e.fn.__name__}{e.label}-{name}" for e, name in CASES])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_a_value_outside_its_domain_raises_or_gives_nan(entry, name, data):

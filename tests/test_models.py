@@ -141,7 +141,7 @@ def test_density_matches_survival_slope():
 def test_density_with_scale_and_power_modifiers():
     m = weibull_type(0.5, scale=3.0, power=1.0)
     mp = lognormal(0.2, 0.7, scale=2.0, power=1.5)
-    for mm in (m, mp):
+    for mm in (m, mp, std_normal(2.0)):
         x = float(mm.quantile(0.8))
         h = 1e-6 * x
         slope = (mm.survival(x - h) - mm.survival(x + h)) / (2.0 * h)
@@ -351,3 +351,5 @@ def test_log_ndtr_agreement():
     z = np.array([1.0, 5.0, 13.0, 30.0])
     m = std_normal()
     assert np.allclose(m.log_survival(z), log_ndtr(-z), rtol=1e-13, atol=0)
+    # a scaled one maps x to x / scale on both sides of 0, as it takes no power
+    assert np.allclose(std_normal(2.0).log_survival(-2.0 * z), log_ndtr(z), rtol=1e-13, atol=0)
