@@ -259,6 +259,6 @@ def approx_powers(
         )
     powered = base_marginal.transformed(power=b_max).canonical()
     log_value = math.log(j_d) + float(powered.log_survival(x / q_d))
-    cs = tuple(1.0 if (bi == b_max and ai == q_d) else 0.0 for ai, bi in live)
+    cs = tuple(1.0 if (bi == b_max and ai == q_d) else 0.0 for ai, bi in zip(a, beta))
     recipe = ApproxRecipe(cs, m_d=q_d, N_d=float(j_d), beta=b_max, q_d=q_d, J_d=j_d)
     return ApproxResult(math.exp(log_value), log_value, recipe, powered)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AuxiliaryNotDiverging, UnsupportedKind
-from .joint import BIVARIATE_LOGNORMAL, MIXED_MIN, JointModel
+from .joint import BIVARIATE_LOGNORMAL, JointModel
 from .models import COUNT, POSITIVE, AuxiliaryFn, Domain, TailModel, check_value
 from .rare_event import _count_rows
 
@@ -155,13 +155,6 @@ def check_tail_ratio(model_x: TailModel, model_y: TailModel, x_grid=None) -> Ass
     return AssumptionReport(A2_TAIL_RATIO, tuple(g), tuple(vals), classify_trend(vals), CLOSED_FORM)
 
 
-def _pair_method(model: JointModel) -> str:
-    """How the exact route gets an orthant: quadrature for a correlated bivariate lognormal."""
-    if model.kind == BIVARIATE_LOGNORMAL and model.rho not in (-1.0, 0.0):
-        return QUADRATURE
-    return CLOSED_FORM
-
-
 def _sampled_hits(model: JointModel, corners, focal: int, n: int, seed: int):
     """(corner hits, focal hits) among n draws per corner (u, v), keyed (seed, k) at grid point k.
 
@@ -197,7 +190,7 @@ def _pair_report(assumption: str, model: JointModel, g, u, v, focal: int, method
     log_margs = model.marginal_log_survival(g).tolist()
     log_joints = model.joint_log_survival(u, v).tolist()
     vals = [_safe_exp(lj - lm) if lj > -math.inf else 0.0 for lj, lm in zip(log_joints, log_margs)]
-    return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), _pair_method(model))
+    return AssumptionReport(assumption, tuple(g), tuple(vals), classify_trend(vals), QUADRATURE if model.integrates() else CLOSED_FORM)
 
 
 def check_conditional(
@@ -211,7 +204,10 @@ def check_conditional(
 ) -> AssumptionReport:
     """P(|other| > t f(x) | focal > x) along the grid; A3 conditions on X, A4 on Y.
 
-    f is the auxiliary function of the first marginal.  All catalog kinds have
+    f is the auxiliary function of the first factor of the marginal
+    (`JointModel.factors`): mixed_min's product marginal keeps its base's
+    auxiliary up to asymptotic equivalence in all catalog configurations, so
+    the heavier factor stands for it.  All catalog kinds have
     an exact route (closed form or quadrature); method="mc" forces the
     rejection estimator, whose hit-starved grid points are left blank and make
     the trend inconclusive.
@@ -219,18 +215,10 @@ def check_conditional(
     check_value("which", which, Domain(lambda w: w in ("A3", "A4"), "'A3' or 'A4'"))
     check_value("t", t, POSITIVE)
     g = _as_grid(x_grid)
-    s = _levels(_first_marginal(model).auxiliary(), g, t)
+    s = _levels(model.factors()[0].auxiliary(), g, t)
     if which == "A3":
         return _pair_report(A3_COND_Y, model, g, g, s, 0, method, mc_n, seed)
     return _pair_report(A4_COND_X, model, g, s, g, 1, method, mc_n, seed)
-
-
-def _first_marginal(model: JointModel) -> TailModel:
-    if model.kind == MIXED_MIN:
-        # the product marginal keeps the base's auxiliary up to asymptotic
-        # equivalence in all catalog configurations; use the heavier factor
-        return model.base
-    return model.marginal_model()
 
 
 def check_joint_aux(
@@ -244,7 +232,7 @@ def check_joint_aux(
     """P(Y > L f(x), X > L f(x)) / P(X > x) along the grid."""
     check_value("L", L, POSITIVE)
     g = _as_grid(x_grid)
-    s = _levels(_first_marginal(model).auxiliary(), g, L)
+    s = _levels(model.factors()[0].auxiliary(), g, L)
     return _pair_report(A5_JOINT_AUX, model, g, s, s, 0, method, mc_n, seed)
 
 

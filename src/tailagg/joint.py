@@ -9,6 +9,8 @@ Philox, whose advantage is random access into one long stream, buys nothing
 here, and SFC64 draws faster (`BENCH_25.json`: 35 against 49 ns a row for a
 chunk's d = 2 normals, 10 against 25 for its uniforms, on a 2-vCPU x86-64
 machine).
+Each kind is declared once, in `_KINDS`: its config fields, the tail models
+whose survivals make up each coordinate's, its rows and its joint survival.
 `JointModel.rows` draws a chunk's rows from its generator: the bivariate
 lognormal by numpy's ziggurat normals, mixed as the conditional estimator
 mixes them at d = 2, every other kind by inverse CDF on `_uniforms`.  Plain
@@ -21,17 +23,18 @@ words per normal.
 The joint survival P(X > x, Y > y) has one route, `joint_log_survival`, which
 works in log space for every kind, at a corner or at arrays of corners.  It
 is exact for every kind except the bivariate lognormal with rho strictly
-inside (-1, 1), whose orthant probabilities have no closed form; those are
-computed by 1-d Gauss-Legendre quadrature (`kernels.gauss_legendre`, the rule
-of the exact d = 2 pair) of the integrand shifted by its peak log value, one
-row per corner and one call for all of them.  Both stay accurate far below
-the double-precision underflow threshold.
+inside (-1, 1) and not 0, whose orthant probabilities have no closed form;
+those are computed by 1-d Gauss-Legendre quadrature (`kernels.gauss_legendre`,
+the rule of the exact d = 2 pair) of the integrand shifted by its peak log
+value, one row per corner and one call for all of them.  Both stay accurate
+far below the double-precision underflow threshold.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,17 +71,6 @@ COMONOTONE_INVERSE = "comonotone_inverse"
 MIN_CONSTRUCTION = "min_construction"
 MIXED_MIN = "mixed_min"
 
-_CORRELATION = Domain(lambda v: -1.0 <= v < 1.0, "in [-1, 1)")
-# kind -> its config keys as (default, domain), None marking a required key
-_FIELDS = {
-    IID_PAIR: {"marginal": (None, MODEL), "dim": (2, Domain(lambda v: COUNT.test(v) and v >= 2, "an integer >= 2"))},
-    BIVARIATE_LOGNORMAL: {k: _FAMILIES[LOGNORMAL].params[k] for k in ("mu", "sigma")} | {"rho": (None, _CORRELATION)},
-    COMONOTONE_INVERSE: {"marginal": (None, MODEL)},
-    MIN_CONSTRUCTION: {"alpha": _FAMILIES[LOG_WEIBULL].params["alpha"]},
-    MIXED_MIN: {"base": (None, MODEL), "lighter": (None, MODEL)},
-}
-# uniforms each inverse-CDF pair construction turns into one row
-_UNIFORMS_PER_ROW = {COMONOTONE_INVERSE: 1, MIN_CONSTRUCTION: 3, MIXED_MIN: 3}
 # keys whose values are not plain numbers: nested model configs and the dimension
 _READERS = {"marginal": model_from_config, "base": model_from_config, "lighter": model_from_config, "dim": config_integer}
 
@@ -121,144 +113,12 @@ def _uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return np.clip(out, _U_LO, _U_HI, out=out)
 
 
-@dataclass(frozen=True)
-class JointModel:
-    """A d-variate dependence structure (d = 2 except iid_pair).
+# -- the kinds ---------------------------------------------------------------------
 
-    Kinds:
-      iid_pair             independent copies of `marginal` (dim >= 2)
-      bivariate_lognormal  (exp(Z1), exp(Z2)), Z bivariate normal(mu, sigma^2, rho)
-      comonotone_inverse   X = Q(U), Y = Q(1-U) for the marginal's quantile Q
-      min_construction     X = X1 ^ X2, Y = X2 ^ X3, Xi iid log_weibull(alpha)
-      mixed_min            X = Q(U) ^ H1, Y = Q(1-U) ^ H2 with H1, H2 iid
-    """
 
-    kind: str
-    marginal: Optional[TailModel] = None
-    mu: float = 0.0
-    sigma: float = 1.0
-    rho: float = 0.0
-    alpha: float = 2.0
-    base: Optional[TailModel] = None
-    lighter: Optional[TailModel] = None
-    dim: int = 2
-
-    def __post_init__(self):
-        if self.kind not in _FIELDS:
-            raise ValueError(f"unknown joint kind {self.kind!r}")
-        check_fields(_FIELDS[self.kind], **vars(self))
-        check_unread(self, _FIELDS[self.kind])
-
-    # -- marginals ------------------------------------------------------------
-
-    def marginal_model(self) -> TailModel:
-        """The marginal, shared by every coordinate, as a TailModel where one exists in the catalog."""
-        if self.kind == IID_PAIR or self.kind == COMONOTONE_INVERSE:
-            return self.marginal
-        if self.kind == BIVARIATE_LOGNORMAL:
-            return lognormal(self.mu, self.sigma)
-        if self.kind == MIN_CONSTRUCTION:
-            return log_weibull_min(self.alpha)
-        raise UnsupportedKind("mixed_min marginal is a product law; use marginal_log_survival")
-
-    def marginal_log_survival(self, x):
-        if self.kind == MIXED_MIN:
-            return self.base.log_survival(x) + self.lighter.log_survival(x)
-        return self.marginal_model().log_survival(x)
-
-    # -- sampling ---------------------------------------------------------------
-
-    def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
-        """n iid rows, by `rows`, from the SFC64 stream of chunk `stream` of key (seed,): at n <= `rare_event.CHUNK`, that chunk's rows."""
-        check_value("n", n, COUNT)
-        return self.rows(_stream(*_seed_key((seed, stream))), n)
-
-    def rows(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        """size iid rows of the joint law, drawn from gen (a chunk's SFC64 generator, `_stream`), as a (size, dim) array.
-
-        The bivariate lognormal draws (size, 2) standard normals Z by numpy's
-        ziggurat and mixes them as `kernels.equicorr_chunk` does at d = 2,
-        W1 = Z0 and W2 = rho Z0 + s Z1, bit for bit; its rows are
-        exp(mu + sigma W), the terms the conditional estimator scores at unit
-        coefficients.  Every other kind draws uniforms (`_uniforms`) and
-        transforms them elementwise by its quantiles.
-        """
-        kind = self.kind
-        if kind == BIVARIATE_LOGNORMAL:
-            w = gen.standard_normal((size, 2))
-            # below[0] is rho, diag[1] the s of the exact pair, sqrt((1 - rho)(1 + rho))
-            below, diag = kernels._equicorr_cholesky(2, self.rho)
-            w[:, 1] *= diag[1]
-            w[:, 1] += below[0] * w[:, 0]
-            w *= self.sigma
-            w += self.mu
-            return np.exp(w, out=w)
-        u = _uniforms(gen, np.empty((size, self.dim if kind == IID_PAIR else _UNIFORMS_PER_ROW[kind])))
-        if kind == IID_PAIR:
-            return self.marginal.quantile(u)
-        if kind == COMONOTONE_INVERSE:
-            u = u[:, 0]
-            v = np.clip(1.0 - u, _U_LO, _U_HI)
-            return np.column_stack([self.marginal.quantile(u), self.marginal.quantile(v)])
-        if kind == MIN_CONSTRUCTION:
-            c = log_weibull(self.alpha).quantile(u)
-            return np.column_stack([np.minimum(c[:, 0], c[:, 1]), np.minimum(c[:, 1], c[:, 2])])
-        # mixed_min
-        v = np.clip(1.0 - u[:, 0], _U_LO, _U_HI)
-        x = np.minimum(self.base.quantile(u[:, 0]), self.lighter.quantile(u[:, 1]))
-        y = np.minimum(self.base.quantile(v), self.lighter.quantile(u[:, 2]))
-        return np.column_stack([x, y])
-
-    # -- joint survival -----------------------------------------------------------
-
-    def joint_log_survival(self, x, y):
-        """log P(X > x, Y > y), computed in log space for every kind.
-
-        x and y broadcast against each other; a scalar pair gives a float,
-        arrays an array of the broadcast shape with each corner's value.  A
-        NaN threshold gives NaN in its own corner only.  Each closed form adds
-        log-survivals, so it stays finite where the probability underflows; a
-        bivariate lognormal with rho in (-1, 1) goes through one orthant
-        quadrature call for all its corners, except at rho = 0 and where a
-        threshold is <= 0 (a one-margin or trivial orthant).
-        """
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        shape = x.shape
-        x, y = x.ravel(), y.ravel()
-        kind = self.kind
-        if kind == IID_PAIR:
-            if self.dim != 2:
-                raise UnsupportedKind("the joint survival is a pair quantity")
-            out = self.marginal.log_survival(x) + self.marginal.log_survival(y)
-        elif kind == COMONOTONE_INVERSE:
-            out = _countermonotone_log_overlap(self.marginal, x, y)
-        elif kind == MIN_CONSTRUCTION:
-            f = log_weibull(self.alpha)
-            out = f.log_survival(x) + f.log_survival(np.maximum(x, y)) + f.log_survival(y)
-        elif kind == MIXED_MIN:
-            # countermonotone overlap of the base pair times the independent minima
-            lighter = self.lighter.log_survival(x) + self.lighter.log_survival(y)
-            out = _countermonotone_log_overlap(self.base, x, y) + lighter
-        elif self.rho == -1.0:
-            # Y = exp(2 mu) / X: the pair is countermonotone
-            out = _countermonotone_log_overlap(lognormal(self.mu, self.sigma), x, y)
-        else:
-            # math.log per corner: numpy's log rounds some values differently in the last bit,
-            # and the check outputs are pinned to math's; a NaN threshold gives a NaN t, not -inf
-            t1, t2 = (
-                np.array([(math.log(v) - self.mu) / self.sigma if not v <= 0 else -math.inf for v in c.tolist()])
-                for c in (x, y)
-            )
-            # a threshold <= 0 leaves one margin, or none; rho = 0 the product of the two
-            lsf1, lsf2 = norm_log_sf(t1), norm_log_sf(t2)
-            out = np.where(t1 == -math.inf, lsf2, np.where(t2 == -math.inf, lsf1, lsf1 + lsf2))
-            out[(t1 == -math.inf) & (t2 == -math.inf)] = 0.0
-            inner = (t1 > -math.inf) & (t2 > -math.inf)
-            if self.rho != 0.0 and inner.any():
-                # the rule's absolute error (~1e-16) can lift an orthant near 1 above its margins
-                orthant = bivariate_normal_orthant_log(t1[inner], t2[inner], self.rho)
-                out[inner] = np.minimum(orthant, np.minimum(lsf1[inner], lsf2[inner]))
-        return float(out[0]) if not shape else out.reshape(shape)
+def _countermonotone(marginal: TailModel, u: np.ndarray) -> np.ndarray:
+    """The rows (Q(u), Q(1 - u)) for the marginal's quantile Q, with 1 - u clipped into (0, 1) as u is."""
+    return np.column_stack([marginal.quantile(u), marginal.quantile(np.clip(1.0 - u, _U_LO, _U_HI))])
 
 
 def _countermonotone_log_overlap(marginal: TailModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -284,6 +144,183 @@ def _countermonotone_log_overlap(marginal: TailModel, x: np.ndarray, y: np.ndarr
     return np.array(out)
 
 
+def _lognormal_rows(m, gen: np.random.Generator, size: int) -> np.ndarray:
+    w = gen.standard_normal((size, 2))
+    # below[0] is rho, diag[1] the s of the exact pair, sqrt((1 - rho)(1 + rho))
+    below, diag = kernels._equicorr_cholesky(2, m.rho)
+    w[:, 1] *= diag[1]
+    w[:, 1] += below[0] * w[:, 0]
+    w *= m.sigma
+    w += m.mu
+    return np.exp(w, out=w)
+
+
+def _lognormal_log_joint(m, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if m.rho == -1.0:
+        # Y = exp(2 mu) / X: the pair is countermonotone
+        return _countermonotone_log_overlap(lognormal(m.mu, m.sigma), x, y)
+    # math.log per corner: numpy's log rounds some values differently in the last bit,
+    # and the check outputs are pinned to math's; a threshold <= 0 gives t = -inf, a NaN one NaN
+    t1, t2 = (np.array([(math.log(v) - m.mu) / m.sigma if not v <= 0 else -math.inf for v in c.tolist()]) for c in (x, y))
+    orthant = bivariate_normal_orthant_log(t1, t2, m.rho)
+    # the rule's absolute error (~1e-16) can lift an orthant near 1 above its margins; only a
+    # corner with both thresholds finite may go through the rule, so only those are capped
+    return np.minimum(orthant, np.minimum(norm_log_sf(t1), norm_log_sf(t2)), out=orthant, where=np.isfinite(t1) & np.isfinite(t2))
+
+
+def _min_rows(m, gen: np.random.Generator, size: int) -> np.ndarray:
+    c = log_weibull(m.alpha).quantile(_uniforms(gen, np.empty((size, 3))))
+    return np.minimum(c[:, :2], c[:, 1:])
+
+
+def _min_log_joint(m, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # X > x and Y > y: X1 > x, X2 > max(x, y) and X3 > y
+    f = log_weibull(m.alpha)
+    return f.log_survival(x) + f.log_survival(np.maximum(x, y)) + f.log_survival(y)
+
+
+def _mixed_min_rows(m, gen: np.random.Generator, size: int) -> np.ndarray:
+    u = _uniforms(gen, np.empty((size, 3)))
+    lighter = np.column_stack([m.lighter.quantile(u[:, 1]), m.lighter.quantile(u[:, 2])])
+    return np.minimum(_countermonotone(m.base, u[:, 0]), lighter)
+
+
+# a joint kind: `fields` maps its config keys to (default, domain), None marking a
+# required key.  The forms take the model m: factors(m) the TailModels whose
+# survivals multiply to each coordinate's (one factor: the marginal), rows(m, gen,
+# size) size rows drawn from gen as a (size, dim) array, log_joint(m, x, y) the log
+# joint survival at flat arrays of corners, and integrates(m) whether log_joint
+# takes its orthants from the quadrature rather than a closed form
+_Kind = namedtuple("_Kind", "fields factors rows log_joint integrates", defaults=(lambda m: False,))
+_KINDS = {
+    IID_PAIR: _Kind(
+        {"marginal": (None, MODEL), "dim": (2, Domain(lambda v: COUNT.test(v) and v >= 2, "an integer >= 2"))},
+        lambda m: (m.marginal,),
+        lambda m, gen, size: m.marginal.quantile(_uniforms(gen, np.empty((size, m.dim)))),
+        lambda m, x, y: m.marginal.log_survival(x) + m.marginal.log_survival(y),
+    ),
+    BIVARIATE_LOGNORMAL: _Kind(
+        {k: _FAMILIES[LOGNORMAL].params[k] for k in ("mu", "sigma")} | {"rho": (None, Domain(lambda v: -1.0 <= v < 1.0, "in [-1, 1)"))},
+        lambda m: (lognormal(m.mu, m.sigma),),
+        _lognormal_rows,
+        _lognormal_log_joint,
+        lambda m: m.rho not in (-1.0, 0.0),
+    ),
+    COMONOTONE_INVERSE: _Kind(
+        {"marginal": (None, MODEL)},
+        lambda m: (m.marginal,),
+        lambda m, gen, size: _countermonotone(m.marginal, _uniforms(gen, np.empty(size))),
+        lambda m, x, y: _countermonotone_log_overlap(m.marginal, x, y),
+    ),
+    MIN_CONSTRUCTION: _Kind(
+        {"alpha": _FAMILIES[LOG_WEIBULL].params["alpha"]},
+        lambda m: (log_weibull_min(m.alpha),),
+        _min_rows,
+        _min_log_joint,
+    ),
+    MIXED_MIN: _Kind(
+        {"base": (None, MODEL), "lighter": (None, MODEL)},
+        lambda m: (m.base, m.lighter),
+        _mixed_min_rows,
+        # the countermonotone overlap of the base pair times the independent minima
+        lambda m, x, y: _countermonotone_log_overlap(m.base, x, y)
+        + (m.lighter.log_survival(x) + m.lighter.log_survival(y)),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class JointModel:
+    """A d-variate dependence structure (d = 2 except iid_pair), declared in `_KINDS`.
+
+    Kinds:
+      iid_pair             independent copies of `marginal` (dim >= 2)
+      bivariate_lognormal  (exp(Z1), exp(Z2)), Z bivariate normal(mu, sigma^2, rho)
+      comonotone_inverse   X = Q(U), Y = Q(1-U) for the marginal's quantile Q
+      min_construction     X = X1 ^ X2, Y = X2 ^ X3, Xi iid log_weibull(alpha)
+      mixed_min            X = Q(U) ^ H1, Y = Q(1-U) ^ H2 with H1, H2 iid
+    """
+
+    kind: str
+    marginal: Optional[TailModel] = None
+    mu: float = 0.0
+    sigma: float = 1.0
+    rho: float = 0.0
+    alpha: float = 2.0
+    base: Optional[TailModel] = None
+    lighter: Optional[TailModel] = None
+    dim: int = 2
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown joint kind {self.kind!r}")
+        check_fields(_KINDS[self.kind].fields, **vars(self))
+        check_unread(self, _KINDS[self.kind].fields)
+
+    # -- marginals ------------------------------------------------------------
+
+    def factors(self) -> tuple:
+        """The TailModels whose survivals multiply to each coordinate's survival: the marginal alone, or mixed_min's (base, lighter)."""
+        return _KINDS[self.kind].factors(self)
+
+    def marginal_model(self) -> TailModel:
+        """The marginal, shared by every coordinate, as a TailModel where one exists in the catalog."""
+        marginal, *rest = self.factors()
+        if rest:
+            raise UnsupportedKind(f"{self.kind} marginal is a product law; use marginal_log_survival")
+        return marginal
+
+    def marginal_log_survival(self, x):
+        """log P(X > x): the factors' log-survivals at x, added in their order."""
+        first, *rest = (f.log_survival(x) for f in self.factors())
+        return sum(rest, first)
+
+    # -- sampling ---------------------------------------------------------------
+
+    def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
+        """n iid rows, by `rows`, from the SFC64 stream of chunk `stream` of key (seed,): at n <= `rare_event.CHUNK`, that chunk's rows."""
+        check_value("n", n, COUNT)
+        return self.rows(_stream(*_seed_key((seed, stream))), n)
+
+    def rows(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """size iid rows of the joint law, drawn from gen (a chunk's SFC64 generator, `_stream`), as a (size, dim) array.
+
+        The bivariate lognormal draws (size, 2) standard normals Z by numpy's
+        ziggurat and mixes them as `kernels.equicorr_chunk` does at d = 2,
+        W1 = Z0 and W2 = rho Z0 + s Z1, bit for bit; its rows are
+        exp(mu + sigma W), the terms the conditional estimator scores at unit
+        coefficients.  Every other kind draws uniforms (`_uniforms`) and
+        transforms them elementwise by its quantiles.
+        """
+        return _KINDS[self.kind].rows(self, gen, size)
+
+    # -- joint survival -----------------------------------------------------------
+
+    def joint_log_survival(self, x, y):
+        """log P(X > x, Y > y), computed in log space for every kind.
+
+        x and y broadcast against each other; a scalar pair gives a float,
+        arrays an array of the broadcast shape with each corner's value.  A
+        NaN threshold gives NaN in its own corner only.  Each closed form adds
+        log-survivals, so it stays finite where the probability underflows.
+        The bivariate lognormal at rho = -1 is the countermonotone overlap;
+        inside (-1, 1) it makes one `bivariate_normal_orthant_log` call for
+        all its corners, which answers a threshold <= 0 (one margin, and 0
+        for both), rho = 0 and an infinite threshold in closed form and every
+        other corner by quadrature, and caps each corner at its margins.  A
+        model of dim != 2 raises UnsupportedKind.
+        """
+        if self.dim != 2:
+            raise UnsupportedKind("the joint survival is a pair quantity")
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        out = _KINDS[self.kind].log_joint(self, x.ravel(), y.ravel())
+        return float(out[0]) if not x.shape else out.reshape(x.shape)
+
+    def integrates(self) -> bool:
+        """Whether `joint_log_survival` takes its orthants from the quadrature: a bivariate lognormal with rho not -1 or 0."""
+        return _KINDS[self.kind].integrates(self)
+
+
 # -- bivariate normal orthant via quadrature --------------------------------------
 
 
@@ -307,50 +344,55 @@ def bivariate_normal_orthant_log(t1, t2, rho: float):
 
     t1 and t2 broadcast against each other; a scalar pair gives a float,
     arrays an array of the broadcast shape, each element bit-identical to its
-    own scalar call.  Each one integrates phi(z) Phibar((t2 - rho z)/sqrt(1 - rho^2))
-    over z > t1, all in one call of `kernels.gauss_legendre`, the rule of the
-    exact d = 2 pair.  A scan of the log integrand over 45 units from t1
-    (`_ORTHANT_SCAN`) finds its peak and the range within 80 nats of it; the
-    rule integrates the integrand shifted by the peak, so results stay
-    meaningful far below the double-precision underflow threshold.  The log
-    integrand is concave with curvature >= 1: a scan whose top end is within
-    80 nats of its peak may miss mass, and is redone from 22.5 below the mode
-    of Z1 given Z2 > t2 (within 0.53 of rho max(t2, 0)), clipped to t1.
-    t1 = -inf is the one-margin orthant P(Z2 > t2).  |rho| must be at most
-    `kernels._RHO_MAX` = 0.9999; a NaN threshold gives NaN, and an orthant
-    whose integrand is 0 on the whole scan (t1 or t2 = inf) gives -inf.
+    own scalar call.  The corners with a closed form answer first: a
+    threshold at -inf leaves the other margin, log Phibar(t), and both at
+    -inf give 0; rho = 0 gives the product of the margins; a threshold at
+    +inf gives -inf and a NaN one NaN.  Every other orthant integrates
+    phi(z) Phibar((t2 - rho z)/sqrt(1 - rho^2)) over z > t1, all in one call
+    of `kernels.gauss_legendre`, the rule of the exact d = 2 pair.  A scan of
+    the log integrand over 45 units from t1 (`_ORTHANT_SCAN`) finds its peak
+    and the range within 80 nats of it; the rule integrates the integrand
+    shifted by the peak, so results stay meaningful far below the
+    double-precision underflow threshold, and an integrand that underflows on
+    the whole scan gives -inf.  The log integrand is concave with curvature
+    >= 1: a scan whose top end is within 80 nats of its peak may miss mass,
+    and is redone from 22.5 below the mode of Z1 given Z2 > t2 (within 0.53
+    of rho max(t2, 0)), clipped to t1.  |rho| must be at most
+    `kernels._RHO_MAX` = 0.9999.
     """
     check_value("rho", rho, kernels.QUAD_RHO)
     s = math.sqrt((1.0 - rho) * (1.0 + rho))  # exact to rounding as |rho| -> 1, unlike 1 - rho^2
-    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
-    shape = t1.shape
 
     def log_f(z, t2):
         return log_ndtr(-(t2 - rho * z) / s) - 0.5 * z * z - _LOG_SQRT_2PI
 
-    # one row per orthant: its scan, and its peak
-    t1, t2 = t1.reshape(-1, 1), t2.reshape(-1, 1)
-    scan = t1 + _ORTHANT_SCAN
-    logs = log_f(scan, t2)
-    far = np.isfinite(t1[:, 0]) & (t2[:, 0] < math.inf) & (logs[:, -1] >= logs.max(axis=1) - kernels._RANGE_NATS)
-    if far.any():
-        scan[far] = np.maximum(t1[far], rho * np.maximum(t2[far], 0.0) - 22.5) + _ORTHANT_SCAN
-        logs[far] = log_f(scan[far], t2[far])
-    out = logs.max(axis=1)
-    live = np.isfinite(out)  # a NaN or -inf peak is the orthant's value
-    one = t1[:, 0] == -math.inf
-    out[one] = norm_log_sf(t2[one, 0])
-    if live.any():
-        shift = out[live][:, None]
-        keep = logs[live] >= shift - kernels._RANGE_NATS
-        first, last = np.argmax(keep, axis=1), keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
-        t2 = t2[live]
-        val = kernels.gauss_legendre(
-            lambda z: np.exp(log_f(z, t2) - shift), scan[live], first, last, np.empty((len(t2), 0)), kernels.step_pieces(s)
-        )
-        # math.log per orthant, for the same bits as math's log of a scalar call
-        out[live] = [p + math.log(v) for p, v in zip(shift[:, 0].tolist(), val.tolist())]
-    return float(out[0]) if not shape else out.reshape(shape)
+    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+    low1, low2, lsf1, lsf2 = t1 == -math.inf, t2 == -math.inf, norm_log_sf(t1), norm_log_sf(t2)
+    out = np.where(low1, np.where(low2, 0.0, lsf2), np.where(low2, lsf1, lsf1 + lsf2))
+    inner = np.isfinite(t1) & np.isfinite(t2) & (rho != 0.0)
+    if inner.any():
+        # one row per orthant: its scan, and its peak
+        t1, t2 = t1[inner][:, None], t2[inner][:, None]
+        scan = t1 + _ORTHANT_SCAN
+        logs = log_f(scan, t2)
+        far = logs[:, -1] >= logs.max(axis=1) - kernels._RANGE_NATS
+        if far.any():
+            scan[far] = np.maximum(t1[far], rho * np.maximum(t2[far], 0.0) - 22.5) + _ORTHANT_SCAN
+            logs[far] = log_f(scan[far], t2[far])
+        peak = logs.max(axis=1)
+        live = np.isfinite(peak)  # a -inf peak is the orthant's value
+        if live.any():
+            shift = peak[live][:, None]
+            keep = logs[live] >= shift - kernels._RANGE_NATS
+            first, last = np.argmax(keep, axis=1), keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+            t2 = t2[live]
+            val = kernels.gauss_legendre(
+                lambda z: np.exp(log_f(z, t2) - shift), scan[live], first, last, np.empty((len(t2), 0)), kernels.step_pieces(s)
+            )
+            # math.log per orthant, for the same bits as math's log of a scalar call
+            peak[live] = [p + math.log(v) for p, v in zip(shift[:, 0].tolist(), val.tolist())]
+        out[inner] = peak
+    return float(out) if not out.ndim else out
 
 
 # -- configs ---------------------------------------------------------------------
@@ -361,13 +403,13 @@ def joint_from_config(cfg: dict) -> JointModel:
 
     Example: {"kind": "bivariate_lognormal", "mu": 0, "sigma": 1, "rho": -0.9}
     """
-    kind = config_tag(cfg, "kind", _FIELDS)
-    return JointModel(kind, **config_fields(cfg, "kind", _FIELDS[kind], _READERS))
+    kind = config_tag(cfg, "kind", _KINDS)
+    return JointModel(kind, **config_fields(cfg, "kind", _KINDS[kind].fields, _READERS))
 
 
 def joint_to_config(m: JointModel) -> dict:
     """The config of m; dim is written only when it is not 2."""
-    fields = [(k, getattr(m, k)) for k, (d, _) in _FIELDS[m.kind].items() if k != "dim" or m.dim != d]
+    fields = [(k, getattr(m, k)) for k, (d, _) in _KINDS[m.kind].fields.items() if k != "dim" or m.dim != d]
     return {"kind": m.kind, **{k: model_to_config(v) if isinstance(v, TailModel) else v for k, v in fields}}
 
 

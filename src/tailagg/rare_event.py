@@ -71,7 +71,6 @@ class EstimateResult:
     estimate: float
     n: int
     std_error: float
-    half_width95: float
     method: str
     # the seed key the estimate was drawn from (`_seed_key`); None for closed forms
     seed: Optional[tuple] = None
@@ -79,12 +78,17 @@ class EstimateResult:
     # NaN for exact results
     ess: float = math.nan
 
+    @property
+    def half_width95(self) -> float:
+        """The half-width of the normal 95% confidence interval, 1.96 std_error."""
+        return 1.96 * self.std_error
+
     @staticmethod
     def from_moments(total, total_sq, n: int, method: str, seed) -> "EstimateResult":
         """From the exact sum a / b and sum of squares c / e of n replication values (floats, ints or Fractions), each output rounded once."""
         (a, b), (c, e) = total.as_integer_ratio(), total_sq.as_integer_ratio()
         se = _sqrt(max(n * c * b * b - a * a * e, 0), n * n * (n - 1) * b * b * e) if n > 1 else math.nan
-        return EstimateResult(min(a / (b * n), 1.0), n, se, 1.96 * se, method, seed, a * a * e / (b * b * c) if c > 0 else 0.0)
+        return EstimateResult(min(a / (b * n), 1.0), n, se, method, seed, a * a * e / (b * b * c) if c > 0 else 0.0)
 
 
 def _sqrt(num: int, den: int) -> float:
@@ -113,10 +117,10 @@ def exact_comonotone_lognormal(mu: float, x: float) -> EstimateResult:
     check_fields(_ARGS, mu=mu)
     lo = 2.0 * math.exp(mu)
     if x <= lo:
-        return EstimateResult(1.0, 0, 0.0, 0.0, EXACT)
+        return EstimateResult(1.0, 0, 0.0, EXACT)
     root = (x + math.sqrt(x * x - lo * lo)) / 2.0
     p = 2.0 * float(norm_sf(math.log(root) - mu))
-    return EstimateResult(p, 0, 0.0, 0.0, EXACT)
+    return EstimateResult(p, 0, 0.0, EXACT)
 
 
 def exact_lognormal_single(mu: float, sigma: float, a: float, x: float) -> float:
@@ -278,7 +282,7 @@ def plain_mc(
     p = hits / n
     se = math.sqrt(p * (1.0 - p) / n)
     # for 0/1 replication values (sum v)^2 / sum v^2 is the hit count
-    return EstimateResult(p, n, se, 1.96 * se, PLAIN_MC, key, hits)
+    return EstimateResult(p, n, se, PLAIN_MC, key, hits)
 
 
 def _count_rows(model: JointModel, test, n: int, seed, workers: int = 1) -> list:
@@ -368,9 +372,9 @@ def _cond_mc_curve(nu, sig, rho: float, xs: Sequence[float], n: int, seed, worke
     return [
         EstimateResult.from_moments(Fraction(next(moments), _ULP), Fraction(next(moments), _ULP**2), n, COND_MC, key)
         if 0.0 < x < math.inf
-        else EstimateResult(1.0, n, 0.0, 0.0, COND_MC, key) if x <= 0.0
-        else EstimateResult(0.0, n, 0.0, 0.0, COND_MC, key, 0.0) if x == math.inf
-        else EstimateResult(math.nan, n, math.nan, math.nan, COND_MC, key)
+        else EstimateResult(1.0, n, 0.0, COND_MC, key) if x <= 0.0
+        else EstimateResult(0.0, n, 0.0, COND_MC, key, 0.0) if x == math.inf
+        else EstimateResult(math.nan, n, math.nan, COND_MC, key)
         for x in xs
     ]
 
@@ -406,7 +410,7 @@ def _lognormal_terms(mu: float, sigma: float, rho: float, a: Sequence[float], n:
 def _exact_below_two_terms(mu: float, sigma: float, a_pos: np.ndarray, x: float, seed) -> EstimateResult:
     # with no positive coefficient the sum is 0, which exact_lognormal_single covers at a = 0
     a1 = float(a_pos[0]) if len(a_pos) else 0.0
-    return EstimateResult(exact_lognormal_single(mu, sigma, a1, x), 0, 0.0, 0.0, EXACT, _seed_key(seed))
+    return EstimateResult(exact_lognormal_single(mu, sigma, a1, x), 0, 0.0, EXACT, _seed_key(seed))
 
 
 def cond_mc_lognormal(

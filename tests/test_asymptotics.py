@@ -191,6 +191,14 @@ def test_powers_equal_everything_gives_full_tie():
     assert res.recipe.J_d == 3
 
 
+def test_powers_recipe_c_has_one_entry_per_coefficient_as_linear_does():
+    # a zero coefficient keeps its place: c read (0.0, 1.0) here, so index 1 named coefficient 2
+    res = approx_powers(lognormal(), [1.0, 0.0, 2.0], [1.0, 1.0, 1.0], 100.0)
+    assert res.recipe.c == (0.0, 0.0, 1.0)
+    assert len(approx_linear([LN] * 3, [1.0, 0.0, 2.0], 100.0).recipe.c) == 3
+    assert approx_powers(LN, [1.0, 1000.0], [2.0, 1.0], 1e6).recipe.c == (1.0, 0.0)
+
+
 def test_powers_highest_power_dominates_regardless_of_coefficient():
     res = approx_powers(LN, [1.0, 1000.0], [2.0, 1.0], 1e6)
     assert res.recipe.beta == 2.0 and res.recipe.q_d == 1.0 and res.recipe.J_d == 1

@@ -34,7 +34,6 @@ from tailagg.diagnostics import (
     DECREASING_TO_ZERO,
     DIVERGING,
     INCONCLUSIVE,
-    _first_marginal,
     _safe_exp,
     _sampled_hits,
 )
@@ -287,7 +286,7 @@ _EVERY_KIND = {
 def _per_point(model, corner, level, grid):
     # one scalar marginal_log_survival call per grid point; corner(x, s) is
     # the orthant (x, y) whose joint survival the check divides
-    s = level * _first_marginal(model).auxiliary()(grid)
+    s = level * model.factors()[0].auxiliary()(grid)
     vals = []
     for xi, si in zip(grid, s):
         log_joint = model.joint_log_survival(*corner(xi, si))
@@ -412,7 +411,7 @@ def test_mc_checks_equal_rejection_references(name):
     model = _EVERY_KIND[name]
     grid = np.logspace(0.2, 2.5, 5)
     n, seed = 3000, 11
-    f = _first_marginal(model).auxiliary()
+    f = model.factors()[0].auxiliary()
     for which, focal, t in (("A3", 0, 1.5), ("A4", 1, 0.5)):
         rep = check_conditional(model, which, t, grid, method="mc", mc_n=n, seed=seed)
         ref = _conditional_mc_reference(model, list(zip(grid, t * f(grid))), focal, n, seed)
@@ -446,7 +445,7 @@ def test_mc_checks_equal_per_chunk_references_across_chunks(monkeypatch, name):
     model = _EVERY_KIND[name]
     grid = np.logspace(0.2, 2.5, 5)
     n, seed = 3 * 2500 + 700, 5
-    f = _first_marginal(model).auxiliary()
+    f = model.factors()[0].auxiliary()
     for which, focal, t in (("A3", 0, 1.5), ("A4", 1, 0.5)):
         s = t * f(grid)
         corners = list(zip(grid, s)) if focal == 0 else list(zip(s, grid))

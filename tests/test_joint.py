@@ -25,7 +25,7 @@ from tailagg import (
     min_construction,
     mixed_min,
 )
-from tailagg.joint import JointModel
+from tailagg.joint import _KINDS, JointModel
 from tailagg.models import log_weibull, norm_log_sf
 
 KINDS = {
@@ -35,6 +35,11 @@ KINDS = {
     "minc": min_construction(2.0),
     "mixed": mixed_min(lognormal(0.0, 1.0), exponential(1.0)),
 }
+
+
+def test_kinds_cover_every_declared_kind():
+    # a kind added to joint._KINDS must join the sampler, NaN and array-vs-scalar tests below
+    assert sorted(m.kind for m in KINDS.values()) == sorted(_KINDS)
 
 
 # ---------------------------------------------------------------- sampling
@@ -201,6 +206,34 @@ def test_nan_threshold_gives_nan_for_every_kind(name):
     m, nan = SURVIVAL_KINDS[name], math.nan
     for x, y in ((nan, 2.0), (2.0, nan), (nan, nan), (nan, -1.0), (math.inf, nan)):
         assert math.isnan(m.joint_log_survival(x, y)), (x, y)
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.3, 0.9])
+def test_both_thresholds_at_infinity_give_minus_inf_for_every_kind(rho):
+    # the orthant's scan from t1 = inf read NaN at rho = 0.3 and 0.9, and the joint survival with it
+    inf = math.inf
+    assert bivariate_normal_orthant_log(inf, inf, rho) == -inf
+    for m in [*KINDS.values(), bivariate_lognormal(0.1, 1.2, rho)]:
+        if m.dim == 2:
+            assert m.joint_log_survival(inf, inf) == -inf, m
+
+
+@pytest.mark.parametrize("rho", [-0.9999, -0.9, 0.0, 0.3, 0.9999])
+def test_orthant_with_a_threshold_at_minus_inf_is_the_other_margin_bit_for_bit(rho):
+    # with t2 = -inf the rule integrated: +3.33e-16 at t1 = -45, a probability above 1,
+    # and -5.55e-16 at t1 = -8, where log Phibar(-8) = -6.22e-16
+    t = np.array([-45.0, -8.0, -1.0, 0.0, 0.5, 3.0, 20.0, 40.0])
+    want = _bits(norm_log_sf(t))
+    assert _bits(bivariate_normal_orthant_log(t, -math.inf, rho)) == want
+    assert _bits(bivariate_normal_orthant_log(-math.inf, t, rho)) == want
+    assert _bits([bivariate_normal_orthant_log(v, -math.inf, rho) for v in t.tolist()]) == want
+    # log 1, with a plus sign: log Phibar(-inf) is -0.0
+    assert _bits([bivariate_normal_orthant_log(-math.inf, -math.inf, rho)]) == _bits([0.0])
+
+
+def test_orthant_at_rho_zero_is_the_product_of_its_margins():
+    t1, t2 = np.meshgrid([-math.inf, -8.0, 0.0, 1.0, 20.0, math.inf], [-45.0, 0.5, 3.0, 40.0])
+    assert _bits(bivariate_normal_orthant_log(t1, t2, 0.0)) == _bits(norm_log_sf(t1) + norm_log_sf(t2))
 
 
 @pytest.mark.parametrize("name", SURVIVAL_KINDS)

@@ -623,7 +623,7 @@ def test_ess_of_estimates():
 
 def test_ratio_vs_asymptotic_identity_and_anchor():
     approx = approx_sum_pair(LN, LN, 10.0, c=1.0)
-    est = EstimateResult(approx.value, 100, 0.0, 0.0, "exact", None)
+    est = EstimateResult(approx.value, 100, 0.0, "exact", None)
     rv = ratio_vs_asymptotic(est, approx)
     assert rv.ratio == 1.0 and rv.half_width == 0.0
 
@@ -634,13 +634,13 @@ def test_ratio_vs_asymptotic_identity_and_anchor():
 
 def test_ratio_published_table_row_arithmetic():
     # the rho = 0.9 row at threshold 50 reproduces its printed ratio
-    est = EstimateResult(5.2652e-4, 10**7, 0.0, 0.0, "cond_mc", 0)
+    est = EstimateResult(5.2652e-4, 10**7, 0.0, "cond_mc", 0)
     approx = approx_sum_pair(LN, LN, 50.0, c=1.0)
     assert round(ratio_vs_asymptotic(est, approx).ratio, 4) == pytest.approx(5.7527, rel=0, abs=2e-4)
 
 
 def test_ratio_rejects_nonpositive_approximation():
-    est = EstimateResult(0.5, 10, 0.01, 0.0196, "plain_mc", 1)
+    est = EstimateResult(0.5, 10, 0.01, "plain_mc", 1)
     with pytest.raises(ValueError):
         ratio_vs_asymptotic(est, 0.0)
 
