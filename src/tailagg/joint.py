@@ -24,10 +24,11 @@ The joint survival P(X > x, Y > y) has one route, `joint_log_survival`, which
 works in log space for every kind, at a corner or at arrays of corners.  It
 is exact for every kind except the bivariate lognormal with rho strictly
 inside (-1, 1) and not 0, whose orthant probabilities have no closed form;
-those are computed by 1-d Gauss-Legendre quadrature (`kernels.gauss_legendre`,
-the rule of the exact d = 2 pair) of the integrand shifted by its peak log
-value, one row per corner and one call for all of them.  Both stay accurate
-far below the double-precision underflow threshold.
+those are computed by 1-d Gauss-Legendre quadrature (`kernels.gauss_legendre`)
+of the integrand shifted by its peak log value, over the range that
+`kernels.scan_range` finds on one scan per corner: the rule and the finder of
+the exact d = 2 pair, one row per corner and one call for all of them.  Both
+stay accurate far below the double-precision underflow threshold.
 """
 
 from __future__ import annotations
@@ -162,10 +163,7 @@ def _lognormal_log_joint(m, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # math.log per corner: numpy's log rounds some values differently in the last bit,
     # and the check outputs are pinned to math's; a threshold <= 0 gives t = -inf, a NaN one NaN
     t1, t2 = (np.array([(math.log(v) - m.mu) / m.sigma if not v <= 0 else -math.inf for v in c.tolist()]) for c in (x, y))
-    orthant = bivariate_normal_orthant_log(t1, t2, m.rho)
-    # the rule's absolute error (~1e-16) can lift an orthant near 1 above its margins; only a
-    # corner with both thresholds finite may go through the rule, so only those are capped
-    return np.minimum(orthant, np.minimum(norm_log_sf(t1), norm_log_sf(t2)), out=orthant, where=np.isfinite(t1) & np.isfinite(t2))
+    return bivariate_normal_orthant_log(t1, t2, m.rho)
 
 
 def _min_rows(m, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -307,8 +305,8 @@ class JointModel:
         inside (-1, 1) it makes one `bivariate_normal_orthant_log` call for
         all its corners, which answers a threshold <= 0 (one margin, and 0
         for both), rho = 0 and an infinite threshold in closed form and every
-        other corner by quadrature, and caps each corner at its margins.  A
-        model of dim != 2 raises UnsupportedKind.
+        other corner by quadrature, capped at its margins.  A model of
+        dim != 2 raises UnsupportedKind.
         """
         if self.dim != 2:
             raise UnsupportedKind("the joint survival is a pair quantity")
@@ -325,11 +323,16 @@ class JointModel:
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# the orthant's range scan, as offsets from t1: a linear grid, and a geometric one
-# for an integrand that falls from t1 faster than the linear spacing resolves
+# the orthant's range scan, as offsets from its start: a linear grid, and a geometric
+# one for an integrand that falls from t1 faster than the linear spacing resolves
 # (by 2e5 nats per unit of z at t1 = t2 = 20, rho = -0.9999, where the linear
 # grid alone left the log 1.5e-4 off)
 _ORTHANT_SCAN = np.union1d(np.linspace(0.0, 45.0, 401), np.geomspace(1e-6, 45.0, 100))
+# a peak of the log integrand below this (thresholds beyond about 1e8) is the orthant's
+# value: there log f carries rounding errors of up to hundreds of nats between the rule's
+# nodes (and beyond 4e17 every scan point rounds to one value), while the log of the
+# integral shifted by the peak lies within about 400 nats of 0, under 2.2e-14 of the value
+_PEAK_ONLY = -(2.0**54)
 
 
 def quad(*args, **kwargs):
@@ -339,6 +342,9 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
+# a log below -1.8e308, as a sum of two margins' logs or the log integrand can be at
+# thresholds near 1.9e154, overflows to -inf, which is its value
+@np.errstate(over="ignore")
 def bivariate_normal_orthant_log(t1, t2, rho: float):
     """log P(Z1 > t1, Z2 > t2) for standard bivariate normal correlation rho.
 
@@ -347,52 +353,86 @@ def bivariate_normal_orthant_log(t1, t2, rho: float):
     own scalar call.  The corners with a closed form answer first: a
     threshold at -inf leaves the other margin, log Phibar(t), and both at
     -inf give 0; rho = 0 gives the product of the margins; a threshold at
-    +inf gives -inf and a NaN one NaN.  Every other orthant integrates
-    phi(z) Phibar((t2 - rho z)/sqrt(1 - rho^2)) over z > t1, all in one call
-    of `kernels.gauss_legendre`, the rule of the exact d = 2 pair.  A scan of
-    the log integrand over 45 units from t1 (`_ORTHANT_SCAN`) finds its peak
-    and the range within 80 nats of it; the rule integrates the integrand
-    shifted by the peak, so results stay meaningful far below the
-    double-precision underflow threshold, and an integrand that underflows on
-    the whole scan gives -inf.  The log integrand is concave with curvature
-    >= 1: a scan whose top end is within 80 nats of its peak may miss mass,
-    and is redone from 22.5 below the mode of Z1 given Z2 > t2 (within 0.53
-    of rho max(t2, 0)), clipped to t1.  |rho| must be at most
+    +inf, or one whose margin's log is -inf, gives -inf and a NaN one NaN.
+    Where Phi(t1) + Phi(t2) <= 1/2 the orthant is at least 1/2 and may be
+    near 1, where the rule's absolute error (about 1e-16) would be the
+    log's, so it is taken as log1p(-Phi(t1) - Phi(t2) + P(Z1 > -t1, Z2 >
+    -t2)), which cancels at most 2x.  Every other orthant, and each opposite
+    one, integrates phi(z) Phibar((t2 - rho z)/sqrt(1 - rho^2)) over z > t1,
+    all in one call of `kernels.gauss_legendre`, the rule of the exact d = 2
+    pair, and is capped at both margins.  The log
+    integrand is concave with curvature >= 1, and the mode of Z1 given
+    Z2 > t2 lies within 0.55 of m = rho max(t2, 0), so every point within
+    80 nats of the peak lies in [max(t1, m - 13.2), max(t1, m + 0.55) + 12.65].
+    One scan of 45 units (`_ORTHANT_SCAN`) from max(t1, m - 22.5) holds that
+    range, which `kernels.scan_range` finds with the peak; the rule
+    integrates the integrand shifted by the peak, so results stay meaningful
+    far below the double-precision underflow threshold; an integrand that
+    underflows on the whole scan gives -inf, and a peak below `_PEAK_ONLY`
+    (thresholds beyond about 1e8) is the value.  |rho| must be at most
     `kernels._RHO_MAX` = 0.9999.
     """
     check_value("rho", rho, kernels.QUAD_RHO)
-    s = math.sqrt((1.0 - rho) * (1.0 + rho))  # exact to rounding as |rho| -> 1, unlike 1 - rho^2
-
-    def log_f(z, t2):
-        return log_ndtr(-(t2 - rho * z) / s) - 0.5 * z * z - _LOG_SQRT_2PI
-
     t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
     low1, low2, lsf1, lsf2 = t1 == -math.inf, t2 == -math.inf, norm_log_sf(t1), norm_log_sf(t2)
     out = np.where(low1, np.where(low2, 0.0, lsf2), np.where(low2, lsf1, lsf1 + lsf2))
     inner = np.isfinite(t1) & np.isfinite(t2) & (rho != 0.0)
     if inner.any():
-        # one row per orthant: its scan, and its peak
-        t1, t2 = t1[inner][:, None], t2[inner][:, None]
-        scan = t1 + _ORTHANT_SCAN
-        logs = log_f(scan, t2)
-        far = logs[:, -1] >= logs.max(axis=1) - kernels._RANGE_NATS
-        if far.any():
-            scan[far] = np.maximum(t1[far], rho * np.maximum(t2[far], 0.0) - 22.5) + _ORTHANT_SCAN
-            logs[far] = log_f(scan[far], t2[far])
-        peak = logs.max(axis=1)
-        live = np.isfinite(peak)  # a -inf peak is the orthant's value
-        if live.any():
-            shift = peak[live][:, None]
-            keep = logs[live] >= shift - kernels._RANGE_NATS
-            first, last = np.argmax(keep, axis=1), keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
-            t2 = t2[live]
-            val = kernels.gauss_legendre(
-                lambda z: np.exp(log_f(z, t2) - shift), scan[live], first, last, np.empty((len(t2), 0)), kernels.step_pieces(s)
-            )
-            # math.log per orthant, for the same bits as math's log of a scalar call
-            peak[live] = [p + math.log(v) for p, v in zip(shift[:, 0].tolist(), val.tolist())]
-        out[inner] = peak
+        t1, t2 = t1[inner], t2[inner]
+        # where Phi(t1) + Phi(t2) <= 1/2 (so both thresholds are <= 0) the orthant is at least 1/2, and
+        # near 1 the rule's absolute error would be the log's own: it is 1 - Phi(t1) - Phi(t2) +
+        # P(Z1 > -t1, Z2 > -t2), the opposite orthant, which cancels at most 2x.  Elsewhere the
+        # rule's error is relative to P, which the complement's cancellation would not keep
+        u1, u2, lsf_u1, lsf_u2 = t1, t2, lsf1[inner], lsf2[inner]
+        flip = np.exp(lsf_u1) + np.exp(lsf_u2) >= 1.5
+        if flip.any():
+            u1, u2 = np.where(flip, -t1, t1), np.where(flip, -t2, t2)
+            lsf_u1, lsf_u2 = norm_log_sf(u1), norm_log_sf(u2)
+        val = _orthant_rule(u1, u2, lsf_u1, lsf_u2, rho)
+        if flip.any():
+            # math per corner, for the same bits as a scalar call
+            val[flip] = [
+                math.log1p(-math.exp(a) - math.exp(b) + math.exp(v))
+                for a, b, v in zip(lsf_u1[flip].tolist(), lsf_u2[flip].tolist(), val[flip].tolist())
+            ]
+        # the rule's absolute error (~1e-16) can lift an orthant near 1 above its margins
+        out[inner] = np.minimum(val, np.minimum(lsf1[inner], lsf2[inner]))
     return float(out) if not out.ndim else out
+
+
+def _orthant_rule(t1, t2, lsf1, lsf2, rho: float) -> np.ndarray:
+    """log P(Z1 > t1, Z2 > t2) at 1-D arrays of finite thresholds, with their margins' logs lsf1, lsf2, by the rule.
+
+    A margin whose log is -inf (a threshold above about 1.9e154) makes the
+    orthant -inf without a scan, which would square the threshold.
+    """
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))  # exact to rounding as |rho| -> 1, unlike 1 - rho^2
+
+    def log_f(z, t2):
+        return log_ndtr(-(t2 - rho * z) / s) - 0.5 * z * z - _LOG_SQRT_2PI
+
+    out = np.full(len(t1), -math.inf)
+    rows = np.isfinite(lsf1) & np.isfinite(lsf2)
+    if not rows.any():
+        return out
+    # one row per orthant and one scan, from 22.5 below m = rho max(t2, 0), clipped to t1
+    t1, t2 = t1[rows][:, None], t2[rows][:, None]
+    start = np.maximum(t1, rho * np.maximum(t2, 0.0) - 22.5)
+    first, last, peak = kernels.scan_range(
+        lambda i: log_f(start + _ORTHANT_SCAN[i], t2), len(_ORTHANT_SCAN), np.empty((len(t1), 0), dtype=int)
+    )
+    # a peak below _PEAK_ONLY (or -inf) is the orthant's value
+    live = peak > _PEAK_ONLY
+    if live.any():
+        shift, t2 = peak[live][:, None], t2[live]
+        val = kernels.gauss_legendre(
+            lambda z: np.exp(log_f(z, t2) - shift), start[live] + _ORTHANT_SCAN, first[live], last[live],
+            np.empty((len(t2), 0)), kernels.step_pieces(s),
+        )
+        # math.log per orthant, for the same bits as math's log of a scalar call
+        peak[live] = [p + math.log(v) for p, v in zip(shift[:, 0].tolist(), val.tolist())]
+    out[rows] = peak
+    return out
 
 
 # -- configs ---------------------------------------------------------------------

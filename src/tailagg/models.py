@@ -329,8 +329,9 @@ class TailModel:
 def self_neglect_profile(aux: AuxiliaryFn, x_grid, t: float):
     """f(x + t f(x)) / f(x) along a strictly increasing grid.
 
-    Converges to 1 for a self-neglecting auxiliary function; diagnostics use
-    this to show the convergence rather than assert the limit.
+    Converges to 1 for a self-neglecting auxiliary function, so the profile
+    shows the convergence rather than asserting the limit.  Nothing in the
+    package calls it; it is public API.
     """
     check_value("t", t, FINITE)
     x = np.asarray(x_grid, dtype=float)

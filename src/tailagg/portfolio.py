@@ -31,7 +31,7 @@ from .asymptotics import _resolve_c, _surrogate
 from .errors import InfeasibleConstraint, UnsupportedConstraint
 from .joint import BIVARIATE_LOGNORMAL, JointModel
 from .models import FINITE, POSITIVE, check_value
-from .rare_event import EstimateResult, cond_mc_lognormal, exact_lognormal_pair, exact_lognormal_single
+from .rare_event import EstimateResult, cond_mc_lognormal, exact_lognormal_pair
 
 
 @dataclass(frozen=True)
@@ -188,12 +188,11 @@ def grid_verify(
 
 
 def single_asset_extremes(p: PortfolioProblem, joint: JointModel) -> tuple:
-    """Exact tail probabilities of the two all-in-one-asset allocations."""
+    """Exact tail probabilities P(a X > x) of the two all-in-one-asset allocations a = L / l_i, from the joint's marginal.
+
+    An allocation of 0 (L <= 0) makes the sum 0, which never exceeds the positive threshold.
+    """
     if not isinstance(p.constraint, LinearConstraint) or len(p.models) != 2:
         raise UnsupportedConstraint("single-asset extremes are a 2-asset notion")
-    l1, l2 = (float(v) for v in p.constraint.l)
     L, x = p.constraint.L, p.threshold
-    return (
-        exact_lognormal_single(joint.mu, joint.sigma, L / l1, x),
-        exact_lognormal_single(joint.mu, joint.sigma, L / l2, x),
-    )
+    return tuple(float(np.exp(joint.marginal_log_survival(x / (L / float(l))))) if L > 0 else 0.0 for l in p.constraint.l)

@@ -49,6 +49,10 @@ from .models import _FAMILIES, COUNT, FINITE, LOGNORMAL, NONNEGATIVE, POSITIVE, 
 
 CHUNK = 1 << 14
 _ULP = 2**1074  # a double times _ULP is an int, and a product of two doubles times _ULP**2
+# `_chunk_moments` scales a row whose sum S is below this before it squares.  Above it,
+# Q >= S^2 / CHUNK >= 2^-814, and the centred squares that underflow (each below 2^-1022,
+# at most CHUNK of them) change Q by under 2^-194 of itself
+_SCALE_BELOW = 2.0**-400
 
 EXACT = "exact"
 PLAIN_MC = "plain_mc"
@@ -133,54 +137,11 @@ def exact_lognormal_single(mu: float, sigma: float, a: float, x: float) -> float
     return float(norm_sf((math.log(x / a) - mu) / sigma))
 
 
-# the d = 2 quadrature's range: the scan grid it is found on, and how far below
-# the integrand's peak over the scan (e^-80) it reaches.  `_scan_range` finds it
-# coarse to fine from every _STRIDE-th scan point (`_COARSE`: 101 of the 1601,
-# both ends included); `kernels.gauss_legendre` then integrates each range in
+# the d = 2 quadrature's scan grid, on which `kernels.scan_range` finds each
+# row's range; `kernels.gauss_legendre` then integrates it in
 # `kernels.step_pieces` pieces either side of the kink
 _SCAN = np.linspace(-40.0, 40.0, 1601)
 _SCAN_PHI = np.exp(-0.5 * _SCAN * _SCAN) / math.sqrt(2.0 * math.pi)
-_RANGE = math.exp(-kernels._RANGE_NATS)
-_STRIDE = 16
-_COARSE = np.arange(0, len(_SCAN), _STRIDE)
-
-
-def _scan_range(f, kinks: np.ndarray):
-    """(first, last): per row, the first and last `_SCAN` indices where f is within e^-80 of its peak over the scan.
-
-    f(i) returns the (rows, m) integrand at scan indices i, a 1-D array of m
-    shared by every row or a (rows, m) array; kinks (rows, k) are where the
-    integrand has a corner.  The indices are those of evaluating f at every
-    scan point, and take 101 + 31 + 15 k + 32 evaluations a row (179 at one
-    kink):
-      * f at the coarse points `_COARSE`;
-      * at the fine points between the neighbours of the largest of them, and
-        inside the stride that holds each kink, where a spike narrower than a
-        stride can hide between coarse points: the peak is the largest value
-        so far, and the cut e^-80 below it;
-      * in the stride before the first and after the last point so far that
-        clears the cut, where the range's ends lie.
-    This relies on the integrand having, away from its kinks, no peak and no
-    stretch above the cut narrower than a stride.  A row that is 0 on the
-    whole scan keeps every point, as 0 >= 0 * e^-80.
-    """
-    last = len(_SCAN) - 1
-    vals = f(_COARSE)
-    top = _COARSE[np.argmax(vals, axis=1)][:, None]
-    start = np.searchsorted(_SCAN, kinks, side="right") - 1  # the scan point at or below each kink
-    start -= start % _STRIDE  # ... and the coarse point that starts its stride
-    inside = (start[:, :, None] + np.arange(1, _STRIDE)).reshape(len(top), -1)
-    idx = np.clip(np.concatenate([top + np.arange(1 - _STRIDE, _STRIDE), inside], axis=1), 0, last)
-    more = f(idx)
-    cut = more.max(axis=1, keepdims=True) * _RANGE
-    idx = np.concatenate([np.broadcast_to(_COARSE, vals.shape), idx], axis=1)
-    clears = np.concatenate([vals, more], axis=1) >= cut
-    lo = np.where(clears, idx, last).min(axis=1, keepdims=True)
-    hi = np.where(clears, idx, 0).max(axis=1, keepdims=True)
-    out = np.clip(np.concatenate([lo - _STRIDE + np.arange(_STRIDE), hi + 1 + np.arange(_STRIDE)], axis=1), 0, last)
-    idx = np.concatenate([idx, out], axis=1)
-    clears = np.concatenate([clears, f(out) >= cut], axis=1)
-    return np.where(clears, idx, last).min(axis=1), np.where(clears, idx, 0).max(axis=1)
 
 
 def _pair_integrand(w, phi, x, nu_i, nu_j, sigma: float, rho: float, s: float) -> np.ndarray:
@@ -216,8 +177,11 @@ def _pair_quadrature(mu: float, sigma: float, rho: float, a1, a2, x) -> np.ndarr
 
     # g_i has one kink, where t_j = x/2 switches max(t_j, x - t_j)
     kink = (np.log(xx / 2.0) - nu_j) / sigma
-    # each row's range: the scan points within e^-80 of its peak
-    first, last = _scan_range(lambda i: _pair_integrand(_SCAN[i], _SCAN_PHI[i], *args), kink)
+    # each row's range: the scan points within 80 nats of its peak (a row 0 on the whole scan is -inf)
+    with np.errstate(divide="ignore"):
+        first, last, _ = kernels.scan_range(
+            lambda i: np.log(_pair_integrand(_SCAN[i], _SCAN_PHI[i], *args)), len(_SCAN), np.searchsorted(_SCAN, kink, side="right") - 1
+        )
     per_row = kernels.gauss_legendre(
         lambda w: _pair_integrand(w, np.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi), *args),
         _SCAN, first, last, kink, kernels.step_pieces(s),
@@ -232,7 +196,7 @@ def exact_lognormal_pair(mu: float, sigma: float, rho: float, a1, a2, x) -> np.n
     broadcast shape.  At d = 2 the conditional estimator's replication value
     is g_1(W_2) + g_2(W_1), so P = sum_i of the integral of phi(w) g_i(w) dw,
     a 1-D integral of a continuous function with one kink (`_pair_integrand`,
-    which shares the kernel's `_score`), over the range `_scan_range` finds, by
+    which shares the kernel's `_score`), over the range `kernels.scan_range` finds, by
     `kernels.gauss_legendre` in pieces either side of the kink, as the
     bivariate normal orthant is.  |rho| must be at most `kernels._RHO_MAX` =
     0.9999: the pieces narrow with sqrt(1 - rho^2), so their number and cost
@@ -322,17 +286,33 @@ def _chunk_moments(v: np.ndarray) -> list:
 
     A double p / q, q = 2^k, is p 2^(1074 - k) in units of 1 / _ULP.  Q is
     sum (v - c)^2 + 2 c S - size c^2 about c = S / size, so its error is
-    relative to the centred sum, and a small variance does not cancel.
+    relative to the centred sum, and a small variance does not cancel.  A row
+    whose sum is below _SCALE_BELOW, where a centred square could be
+    subnormal or 0, is first scaled by 2^-e, e <= 0 the exponent of its
+    largest value, so that value lies in [0.5, 1); its ints are then shifted
+    back by e and 2e bits, which drops only bits below 2^-1074 and 2^-2148.
+    Scaling by a power of two is exact and commutes with the sums, the
+    centring and the squares wherever none of them is subnormal, so a row
+    whose squares did not underflow keeps every bit.
     """
-    if np.isnan(total := v.sum(axis=1)).any():
+    total = v.sum(axis=1)
+    # the smallest sum is NaN if any is, and gates the scaling, so a chunk with no small row pays nothing more
+    if math.isnan(low := total.min()):
         raise ValueError("a replication value is NaN: a term overflows a double")
+    shifts = [0] * len(v)
+    if low < _SCALE_BELOW and (tiny := (total < _SCALE_BELOW) & (total > 0.0)).any():
+        e = np.zeros(len(v), dtype=np.int64)
+        e[tiny] = np.minimum(np.frexp(v[tiny].max(axis=1))[1], 0)
+        v[tiny] = np.ldexp(v[tiny], -e[tiny, None])
+        total[tiny] = v[tiny].sum(axis=1)
+        shifts = (-e).tolist()
     mean = total / v.shape[1]
     v -= mean[:, None]
     out = []
-    for s, c, q in zip(total.tolist(), mean.tolist(), np.square(v, out=v).sum(axis=1).tolist()):
-        (s, a), (c, b), (q, e) = s.as_integer_ratio(), c.as_integer_ratio(), q.as_integer_ratio()
+    for s, c, q, k in zip(total.tolist(), mean.tolist(), np.square(v, out=v).sum(axis=1).tolist(), shifts):
+        (s, a), (c, b), (q, d) = s.as_integer_ratio(), c.as_integer_ratio(), q.as_integer_ratio()
         s, c = s << 1075 - a.bit_length(), c << 1075 - b.bit_length()
-        out += [s, (q << 2149 - e.bit_length()) + c * (2 * s - v.shape[1] * c)]
+        out += [s >> k, ((q << 2149 - d.bit_length()) + c * (2 * s - v.shape[1] * c)) >> 2 * k]
     return out
 
 

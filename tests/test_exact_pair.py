@@ -14,7 +14,7 @@ from tailagg import (
     exact_lognormal_single,
     plain_mc,
 )
-from tailagg import rare_event
+from tailagg import bivariate_normal_orthant_log, kernels, rare_event
 
 
 def _trapezoid_pair(rho, a1, a2, x, points=400_001):
@@ -216,11 +216,12 @@ _AUDIT_A1 = np.arange(51) * 0.01
 _AUDIT_A2 = np.maximum((1.0 - 2.0 * _AUDIT_A1) / 3.0, 0.0)
 
 
-def _dense_range(f, kinks):
-    """(first, last) from f at every scan point: the reference `rare_event._scan_range` must equal."""
-    vals = f(np.arange(len(rare_event._SCAN)))
-    keep = vals >= vals.max(axis=1, keepdims=True) * rare_event._RANGE
-    return np.argmax(keep, axis=1), keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+def _dense_range(f, points, kinks):
+    """(first, last, peak) from log f at every scan point: the reference `kernels.scan_range` must equal."""
+    vals = f(np.arange(points))
+    peak = vals.max(axis=1)
+    keep = vals >= peak[:, None] - kernels._RANGE_NATS
+    return np.argmax(keep, axis=1), keep.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1), peak
 
 
 def _finder_sweep():
@@ -241,28 +242,88 @@ def _finder_sweep():
     return calls + [(0.0, 1.0, 0.0, _AUDIT_A1, _AUDIT_A2, 10.0)]
 
 
+def _spy_on_the_finder(monkeypatch, rows: list):
+    """Replace `kernels.scan_range` by a call that asserts it equals `_dense_range`, and append (rows, kinks, rows -inf on the whole scan) per call."""
+    finder = kernels.scan_range
+
+    def spy(f, points, kinks):
+        got, want = finder(f, points, kinks), _dense_range(f, points, kinks)
+        rows.append((len(kinks), kinks.shape[1], int((want[2] == -np.inf).sum())))
+        for g, w in zip(got, want):
+            assert g.view(np.int64).tolist() == w.view(np.int64).tolist()
+        return got
+
+    monkeypatch.setattr(kernels, "scan_range", spy)
+
+
 def test_range_finder_returns_the_dense_scans_ends_and_bits(monkeypatch):
     calls = _finder_sweep()
     assert sum(np.size(c[3]) for c in calls) >= 2000
     with monkeypatch.context() as m:
-        m.setattr(rare_event, "_scan_range", _dense_range)
+        m.setattr(kernels, "scan_range", _dense_range)
         dense = [exact_lognormal_pair(*c) for c in calls]
 
-    finder, rows = rare_event._scan_range, []
-
-    def spy(f, kinks):
-        got = finder(f, kinks)
-        want = _dense_range(f, kinks)
-        rows.append((len(kinks), int((f(np.arange(len(rare_event._SCAN))).max(axis=1) == 0.0).sum())))
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        return got
-
-    monkeypatch.setattr(rare_event, "_scan_range", spy)
+    rows = []
+    _spy_on_the_finder(monkeypatch, rows)
     for c, want in zip(calls, dense):
         got = exact_lognormal_pair(*c)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    assert rows[0][0] == 2 and 102 in [n for n, _ in rows]  # the single-cell call and 51-cell calls
-    assert sum(zero for _, zero in rows) > 0  # rows whose integrand is 0 on the whole scan
+    assert rows[0][:2] == (2, 1) and 102 in [n for n, _, _ in rows]  # the single-cell call and 51-cell calls
+    assert sum(zero for _, _, zero in rows) > 0  # rows whose integrand is 0 on the whole scan
+
+
+def _orthant_sweep():
+    """40 (t1, t2, rho) calls of 60 random corners each: |rho| <= 0.9999, and t1, t2 in [-60, 60], or within 3 of 0 at every third corner.
+
+    Each call also has a threshold at +inf and one at -inf, which answer in
+    closed form, and a corner at (1.8e154, 1.8e154), whose log integrand
+    overflows to -inf on the whole scan.
+    """
+    rng = np.random.default_rng(31)
+    calls = []
+    for k in range(40):
+        rho = float(rng.uniform(-0.9999, 0.9999)) if k > 1 else (-0.9999, 0.9999)[k]
+        t = rng.uniform(-60.0, 60.0, (2, 60))
+        t[:, ::3] = rng.uniform(-3.0, 3.0, (2, 20))
+        t[0, 7], t[1, 11], t[:, 13] = np.inf, -np.inf, 1.8e154
+        calls.append((t[0], t[1], rho))
+    return calls
+
+
+def test_range_finder_returns_the_dense_scans_ends_and_bits_on_the_orthant(monkeypatch):
+    calls = _orthant_sweep()
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "scan_range", _dense_range)
+        dense = [bivariate_normal_orthant_log(*c) for c in calls]
+
+    rows = []
+    _spy_on_the_finder(monkeypatch, rows)
+    for c, want in zip(calls, dense):
+        got = bivariate_normal_orthant_log(*c)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert sum(n for n, _, _ in rows) >= 2000 and {k for _, k, _ in rows} == {0}
+    assert sum(zero for _, _, zero in rows) > 0  # rows whose log integrand is -inf on the whole scan
+
+
+def test_an_orthant_call_evaluates_at_most_96_scan_points_a_row(monkeypatch):
+    finder, counts = kernels.scan_range, []
+
+    def counted(f, points, kinks):
+        def g(i):
+            out = f(i)
+            counts[-1] += out.size
+            return out
+
+        counts.append(0)
+        return finder(g, points, kinks)
+
+    monkeypatch.setattr(kernels, "scan_range", counted)
+    # the 9 corners (log x, log x) of the checks' default grid, x from 10 to 1e5
+    t = np.log(np.logspace(1.0, 5.0, 9))
+    for rho in (-0.9999, -0.9, 0.3, 0.9999):
+        bivariate_normal_orthant_log(t, t, rho)
+    # one row per corner, on a 501-point scan, which a dense scan reads whole
+    assert len(counts) == 4 and 0 < max(counts) <= 96 * len(t)
 
 
 def test_an_audit_call_evaluates_at_most_200_scan_points_a_row(monkeypatch):

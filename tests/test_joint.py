@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 from scipy.stats import kstest, multivariate_normal
 
 import tailagg
@@ -308,7 +310,13 @@ def _orthant_log_50_digits(t1, t2, rho):
     # s = sqrt(1 - rho^2), at 50 digits.  The breakpoints sit near t1, where the mass
     # lies when the step is below t1, and across the step at z = t2/rho, of width s.
     # mpmath's tolerance is absolute, so the integrand is divided by its largest
-    # value at the breakpoints.
+    # value at the breakpoints.  Below both thresholds' zero P is near 1, and an
+    # absolute tolerance of 1e-50 would leave nothing of a log like -1e-442, so
+    # there it is log1p(-(Phi(t1) + Phi(t2) - P(Z1 > -t1, Z2 > -t2)))
+    if t1 <= 0 and t2 <= 0 and t1 + t2 < 0:
+        with mpmath.workdps(50):
+            below = mpmath.ncdf(t1) + mpmath.ncdf(t2) - mpmath.exp(_orthant_log_50_digits(-t1, -t2, rho))
+            return float(mpmath.log1p(-below))
     with mpmath.workdps(50):
         t1, t2, rho = mpmath.mpf(t1), mpmath.mpf(t2), mpmath.mpf(rho)
         s = mpmath.sqrt(1 - rho * rho)
@@ -355,6 +363,17 @@ _LOG_1E4, _LOG_1E3_5 = math.log(1e4), 3.5 * math.log(10.0)
         (-60.0, 20.0, 0.9999, None),
         (-math.inf, 20.0, -0.9999, None),
         (-40.0, 3.0, 0.9999, None),
+        # both thresholds <= 0, most with P near 1, where the rule's absolute error read
+        # +3.33e-16 at (-45, -45, 0.3), a probability above 1, and -1.11e-15 at
+        # (-8, -8, 0.9), where log(1 - 2 Phi(-8)) alone is -1.24e-15
+        (-45.0, -45.0, 0.3, None),
+        (-8.0, -8.0, 0.9, None),
+        (-12.0, -3.0, 0.5, None),
+        (-3.0, -5.0, -0.5, None),
+        (-1.0, -2.0, 0.9999, None),
+        (-0.5, -0.5, -0.9, None),
+        (0.0, 0.0, -0.9999, None),
+        (-2.0, 0.0, 0.3, None),
     ],
 )
 def test_orthant_equals_a_50_digit_reference(t1, t2, rho, known):
@@ -365,19 +384,82 @@ def test_orthant_equals_a_50_digit_reference(t1, t2, rho, known):
 
 
 @pytest.mark.parametrize(
+    "t1, t2, rho", [(0.0, 0.0, -0.9999), (-0.1, -0.1, -0.99), (0.0, 0.0, -0.99), (-0.3, -0.3, -0.9), (-0.2, -0.3, -0.99)]
+)
+def test_a_small_orthant_below_both_zeros_keeps_its_relative_accuracy(t1, t2, rho):
+    # both thresholds <= 0 but P far from 1 (0.00225 at (0, 0, -0.9999)): the complement
+    # 1 - Phi(t1) - Phi(t2) + P(opposite) would cancel to ulp(1) / P, 5e-14 of P there,
+    # so these stay with the rule, whose error is relative to P: the log's absolute error
+    got, want = bivariate_normal_orthant_log(t1, t2, rho), _orthant_log_50_digits(t1, t2, rho)
+    assert abs(got - want) <= 2e-15, (got, want)
+
+
+@pytest.mark.parametrize(
     "t1, t2, rho, bits",
     [
         (5.0, 3.0, -0.9, "-0x1.51d779f24cf83p+7"),
         (1.0, 1.0, -0.9999, "-0x1.3900002d30699p+13"),
-        (-1.0, 8.0, 0.9, "-0x1.181b84f11312bp+5"),
+        (-1.0, 8.0, 0.9, "-0x1.181b84f11312cp+5"),
         (-30.0, 1.0, 0.3, "-0x1.d74d31cc8afc0p+0"),
-        (-12.0, -3.0, 0.5, "-0x1.621b527c9fe00p-10"),
+        (-12.0, -3.0, 0.5, "-0x1.621b527ca0143p-10"),
         (2.0, 2.0, 0.9999, "-0x1.e5f914f69b68cp+1"),
     ],
 )
 def test_orthant_whose_range_fits_the_first_scan_keeps_its_bits(t1, t2, rho, bits):
-    # the values of the scan over [t1, t1 + 45] alone, which still holds every range here
+    # the values of the scan over [t1, t1 + 45], which holds every range here.  Two
+    # moved when the orthant took over the joint survival's cap and its corners below
+    # zero: (-1, 8, 0.9) was -0x1.181b84f11312bp+5, one ulp above its margin log
+    # Phibar(8), and is that margin; (-12, -3, 0.5) was -0x1.621b527c9fe00p-10, by
+    # the rule, and is 3 ulps from the 50-digit -0x1.621b527ca0146p-10, by complement
     assert bivariate_normal_orthant_log(t1, t2, rho) == float.fromhex(bits)
+
+
+_HUGE = (1e154, -1e154, 1.5e154, 1e300, -1e300)
+
+
+@pytest.mark.parametrize("rho", [-0.9999, -0.9, 0.3, 0.9999])
+def test_orthant_at_huge_thresholds_never_warns_and_stays_below_its_margins(rho):
+    # (1e300, 1, 0.3) warned of an overflow in z * z, and (1e154, 1, 0.3) raised a math
+    # domain error: every scan point rounded to t1, so the rule's range had no width
+    t1, t2 = (c.ravel() for c in np.meshgrid([*_HUGE, -2.0, 0.0, 1.0], [*_HUGE, -2.0, 0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bivariate_normal_orthant_log(t1, t2, rho)
+        assert _bits(got) == _bits([bivariate_normal_orthant_log(a, b, rho) for a, b in zip(t1.tolist(), t2.tolist())])
+    cap = np.minimum(norm_log_sf(t1), norm_log_sf(t2))
+    assert not np.isnan(got).any() and (got <= cap).all()
+    # a margin whose log is -inf (beyond about 1.9e154) makes the orthant -inf, and far
+    # below both means it is log 1
+    assert (got[cap == -np.inf] == -np.inf).all()
+    assert (got[(t1 == -1e300) & (t2 == -1e300)] == 0.0).all()
+    # Z1 > 1e154 and Z2 > 1 at rho > 0: Z2 given Z1 is about rho 1e154, so Z2 > 1 holds
+    if rho > 0:
+        assert bivariate_normal_orthant_log(1e154, 1.0, rho) == pytest.approx(float(norm_log_sf(1e154)), rel=1e-15, abs=0)
+
+
+def test_the_mode_of_z1_given_z2_above_t2_lies_within_0_55_of_rho_max_t2_0():
+    # the orthant's one scan, from max(t1, m - 22.5) with m = rho max(t2, 0), holds every
+    # point within 80 nats of the peak because this bound holds: the mode of
+    # phi(z) Phibar((t2 - rho z)/s), at the root of its log's slope
+    # (rho/s) phi(a)/Phi(a) - z, a = (rho z - t2)/s, found by bisection
+    rho = np.concatenate([np.linspace(-0.9999, 0.9999, 201), [-0.84, 0.84]])[:, None]
+    rho, t2 = np.broadcast_arrays(rho, np.linspace(-40.0, 40.0, 321)[None, :])
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    m = rho * np.maximum(t2, 0.0)
+
+    def slope(z):
+        a = (rho * z - t2) / s
+        return rho / s * np.exp(-0.5 * a * a - 0.5 * math.log(2.0 * math.pi) - log_ndtr(a)) - z
+
+    lo, hi = m - 5.0, m + 5.0
+    assert (slope(lo) > 0.0).all() and (slope(hi) < 0.0).all()
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        up = slope(mid) > 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    gap = np.abs(0.5 * (lo + hi) - m)
+    # the largest gap is 0.5427, at rho = +-0.84 and t2 = 0
+    assert 0.54 < gap.max() <= 0.55
 
 
 def test_asy_indep_far_below_the_location_is_one():

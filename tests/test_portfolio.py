@@ -15,9 +15,11 @@ from tailagg import (
     cond_mc_lognormal,
     exact_lognormal_pair,
     grid_verify,
+    iid_pair,
     lognormal,
     single_asset_extremes,
     solve_two_stage,
+    weibull_type,
 )
 
 LN = lognormal(0.0, 1.0)
@@ -187,6 +189,18 @@ def test_single_asset_extremes_exact_values():
     assert e2 == pytest.approx(phibar(math.log(30.0)), rel=1e-12, abs=0)
     assert e1 == pytest.approx(1.3689e-3, rel=1e-4, abs=0)
     assert e2 == pytest.approx(3.3546e-4, rel=1e-4, abs=0)
+
+
+def test_single_asset_extremes_of_an_iid_pair_are_its_marginal_survivals():
+    # weibull_type(0.5) has sf(x) = exp(-sqrt(x)); under 2 a1 + 3 a2 >= 1 the single-asset
+    # allocations are a = 1/2 and 1/3, so at x = 20 the extremes are sf(40) and sf(60).
+    # They read 1.126e-4 and 2.117e-5 when taken from the joint's unused mu and sigma
+    wt = weibull_type(0.5)
+    p = PortfolioProblem((wt, wt), (1.0, 1.0), LinearConstraint((2.0, 3.0), 1.0), 20.0)
+    e1, e2 = single_asset_extremes(p, iid_pair(wt))
+    assert e1 == pytest.approx(math.exp(-math.sqrt(40.0)), rel=1e-14, abs=0)
+    assert e2 == pytest.approx(math.exp(-math.sqrt(60.0)), rel=1e-14, abs=0)
+    assert e1 == pytest.approx(1.7918e-3, rel=1e-4, abs=0) and e2 == pytest.approx(4.3248e-4, rel=1e-4, abs=0)
 
 
 def test_problem_validation():

@@ -309,14 +309,19 @@ def _chunk_normals(key, k, shape):
 
 def _exact_moments(chunks):
     # the exact (sum, sum of squares) of the values of every chunk, as Fractions: a
-    # chunk of values v gives its pairwise sum s and, about c = s / len(v) as a
-    # double, its sum of squares as sum (v - c)^2 + 2 c s - len(v) c^2
+    # chunk of values v, scaled by 2^-e so that its largest lies in [0.5, 1) (e <= 0),
+    # gives its pairwise sum s and, about c = s / len(v) as a double, its sum of
+    # squares as sum (v - c)^2 + 2 c s - len(v) c^2, scaled back by 2^e and 2^2e.
+    # Every chunk is scaled here, where the reduction scales only chunks whose sum is
+    # below `rare_event._SCALE_BELOW`: the scaling changes no bit of the others
     total = total_sq = Fraction(0)
     for v in chunks:
+        e = min(0, math.frexp(float(v.max()))[1])
+        v = np.ldexp(v, -e)
         s = float(v.sum())
         c = s / len(v)
-        total += Fraction(s)
-        total_sq += Fraction(float(np.square(v - c).sum())) + 2 * Fraction(c) * Fraction(s) - len(v) * Fraction(c) ** 2
+        total += Fraction(s) * Fraction(2) ** e
+        total_sq += (Fraction(float(np.square(v - c).sum())) + 2 * Fraction(c) * Fraction(s) - len(v) * Fraction(c) ** 2) * Fraction(2) ** (2 * e)
     return total, total_sq
 
 
@@ -816,6 +821,52 @@ ONE_CHUNK_BITS = {
 def test_a_one_chunk_estimate_keeps_its_bits(route):
     call, bits = ONE_CHUNK_BITS[route]
     assert [tuple(v.hex() for v in (r.estimate, r.std_error, r.ess)) for r in call()] == bits
+
+
+@pytest.mark.parametrize("route", ["cond_d2", "cond_d3"])
+def test_a_one_chunk_estimate_keeps_its_bits_when_every_row_is_scaled(monkeypatch, route):
+    # scaling by 2^-e commutes with the sums and squares where none is subnormal, so
+    # rows far above the scaling gate give the same bits through the scaled path
+    monkeypatch.setattr(rare_event, "_SCALE_BELOW", math.inf)
+    call, bits = ONE_CHUNK_BITS[route]
+    assert [tuple(v.hex() for v in (r.estimate, r.std_error, r.ess)) for r in call()] == bits
+
+
+def test_a_chunk_of_tiny_values_keeps_a_real_se_and_ess():
+    # d = 3, rho 0.99, x 1e4: one of the 1e5 replication values is nonzero, yet with the
+    # squares taken in doubles the chunk read as 16384 equal values, rel SE 0.0071, ESS 16384
+    mu, rho, a, x, n, seed = 0.0, 0.99, [1.0, 1.0, 1.0], 1e4, 10**5, 7
+    r = cond_mc_lognormal(mu, 1.0, rho, a, x, n, seed)
+    values = []
+    for k, size in rare_event._chunk_ranges(n):
+        z = rare_event._stream(seed, k).standard_normal((size, 3))
+        v = kernels.equicorr_chunk(z, np.zeros(3), np.ones(3), rho, [x], np.empty((1, size)))[0]
+        values += v[v > 0.0].tolist()
+    assert len(values) == 1
+    total, total_sq = sum(map(Fraction, values)), sum(Fraction(v) ** 2 for v in values)
+    want = EstimateResult.from_moments(total, total_sq, n, rare_event.COND_MC, (seed,))
+    assert r.estimate == want.estimate
+    assert r.std_error == pytest.approx(want.std_error, rel=1e-14, abs=0)
+    assert r.ess == pytest.approx(want.ess, rel=1e-14, abs=0) and want.ess == 1.0
+    assert r.std_error / r.estimate == pytest.approx(1.0, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 53, 400, 500, 511, 600, 800, 1000])
+def test_scaling_the_values_by_a_power_of_two_scales_estimate_and_se_and_keeps_the_ess(k):
+    # values in [2^-10, 1] stay normal down to 2^-1010; their centred squares, at most
+    # 2^-2k, are all subnormal beyond k = 511, where squaring in doubles loses the SE and ESS
+    rng = np.random.default_rng(5)
+    v = rng.uniform(2.0**-10, 1.0, (1, 5000))
+    v[0, ::7] = 0.0
+
+    def estimate(values):
+        s, q = rare_event._chunk_moments(values)
+        return EstimateResult.from_moments(Fraction(s, rare_event._ULP), Fraction(q, rare_event._ULP**2), 5000, "", None)
+
+    one, scaled = estimate(v.copy()), estimate(np.ldexp(v, -k))
+    assert scaled.estimate == math.ldexp(one.estimate, -k)
+    assert scaled.std_error == math.ldexp(one.std_error, -k)
+    assert scaled.ess == one.ess
 
 
 def test_a_one_chunk_mc_check_keeps_its_bits():
